@@ -4,7 +4,7 @@
 Runs the bias-built pipeline, then evaluates its predictor against hidden
 agents drawn from the mask-built run's population:
 
-    python scripts/run_pipeline.py configs/multikeynav_desk.cfg
+    python -m taskemb.cli run-all --config configs/multikeynav_desk.cfg
     python scripts/transfer_check.py configs/multikeynav_bias_desk.cfg \\
         runs/multikeynav-desk/population
 """
@@ -20,10 +20,9 @@ def main(argv) -> int:
         print(__doc__)
         return 2
     cfg = load_config(argv[0])
-    pipeline.stage_train_population(cfg)
-    pipeline.stage_gen_constraints(cfg)
-    pipeline.stage_train_embedding(cfg)
-    pipeline.stage_eval_prediction(cfg, agent_population_dir=argv[1])
+    for stage in ("train-population", "gen-constraints", "train-embedding"):
+        pipeline.run_stage(stage, cfg)
+    pipeline.run_stage("eval-prediction", cfg, agent_population_dir=argv[1])
     out = pipeline.read_results(
         f"{cfg.output_dir}/benchmarks/prediction_results_transfer.csv")
     for method, size, mean, stderr in out:

@@ -13,19 +13,6 @@ from taskemb.config import ConfigError, load_config
 from taskemb.envs.core import EnvError
 from taskemb.manifest import StaleArtifactError
 
-STAGE_HELP = {
-    "train-population": "train the agent subpopulations and save their snapshots",
-    "gen-constraints": "sample the task pool and label triplet/pair constraints",
-    "train-embedding": "fit the embedding net(s) on the constraint sets",
-    "train-predmodel": "fit the variational reconstruction baseline",
-    "eval-prediction": "run the performance-prediction benchmark",
-    "eval-selection": "run the task-selection benchmark",
-    "silhouette": "score embedding spaces against intuitive task clusters",
-    "dim-sweep": "train the embedding at dimensions 1..10 and tabulate test loss",
-    "export-viz": "export embeddings plus a 2-d principal-component projection",
-    "plot-data": "reshape result CSVs into per-figure tables",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,24 +20,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and evaluate task embeddings for goal-based environments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage, help_text in STAGE_HELP.items():
-        p = sub.add_parser(stage, help=help_text)
+    for stage in pipeline.STAGES.values():
+        p = sub.add_parser(stage.name, help=stage.help)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--force", action="store_true",
                        help="rerun even when cached; ignore stale upstream hashes")
         p.add_argument("--threads", type=int, default=None,
                        help="override the config's worker thread count")
-        if stage == "eval-prediction":
+        if stage.transfer:
             p.add_argument("--agent-population", default=None, metavar="DIR",
                            help="population directory supplying the hidden agents")
-        if stage == "gen-constraints":
-            p.add_argument("--drop-ties", type=float, default=None, metavar="EPS",
-                           help="resample triplets whose similarity estimates "
-                                "differ by less than EPS")
-        if stage == "train-embedding":
-            p.add_argument("--online-constraints", action="store_true",
-                           help="draw fresh constraints every step instead of "
-                                "reusing the fixed pool (very slow)")
     p = sub.add_parser("run-all", help="run every stage needed for the benchmark results")
     p.add_argument("--config", required=True)
     p.add_argument("--force", action="store_true")
@@ -71,27 +50,12 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "run-all":
-            stages = ["train-population", "gen-constraints", "train-embedding"]
-            if cfg.predmodel.enabled:
-                stages.append("train-predmodel")
-            stages += ["eval-prediction", "eval-selection", "silhouette",
-                       "export-viz", "plot-data"]
-            for stage in stages:
-                pipeline.run_stage(stage, cfg, force=args.force)
-        elif args.command == "eval-prediction":
-            pipeline.stage_eval_prediction(
-                cfg, force=args.force,
-                agent_population_dir=args.agent_population)
-        elif args.command == "gen-constraints":
-            if args.drop_ties is not None:
-                cfg.constraints.drop_ties_eps = args.drop_ties
-            pipeline.stage_gen_constraints(cfg, force=args.force)
-        elif args.command == "train-embedding":
-            if args.online_constraints:
-                cfg.embedding.online_constraints = True
-            pipeline.stage_train_embedding(cfg, force=args.force)
+            for stage in pipeline.STAGES.values():
+                if stage.in_run_all(cfg):
+                    pipeline.run_stage(stage.name, cfg, force=args.force)
         else:
-            pipeline.run_stage(args.command, cfg, force=args.force)
+            pipeline.run_stage(args.command, cfg, force=args.force,
+                               agent_population_dir=getattr(args, "agent_population", None))
     except (ConfigError, EnvError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

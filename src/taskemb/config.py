@@ -218,11 +218,6 @@ def dump_config(cfg: RunConfig) -> str:
     return out.getvalue()
 
 
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(dump_config(cfg))
-
-
 def section_dump(cfg: RunConfig, names: list[str]) -> str:
     """Canonical text of selected sections, for stage content hashing."""
     full = dump_config(cfg)

@@ -30,6 +30,10 @@ class StaleArtifactError(RuntimeError):
     """An upstream file no longer matches the manifest; rerun it or pass --force."""
 
 
+# Fields after the keyword of each line that follows `stage <name> config <hash>`.
+_FIELDS = {"seconds": 1, "input": 2, "output": 2}
+
+
 @dataclass
 class StageRecord:
     name: str
@@ -56,19 +60,29 @@ class Manifest:
         if not path.exists():
             return man
         current: StageRecord | None = None
-        for line in path.read_text(encoding="utf-8").splitlines():
-            parts = line.split()
-            if not parts:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            key, _, rest = line.strip().partition(" ")
+            if not key:
                 continue
-            if parts[0] == "stage":
-                current = StageRecord(parts[1], parts[3])
-                man.stages[parts[1]] = current
-            elif parts[0] == "seconds" and current is not None:
-                current.seconds = float(parts[1])
-            elif parts[0] == "input" and current is not None:
-                current.inputs[parts[1]] = parts[2]
-            elif parts[0] == "output" and current is not None:
-                current.outputs[parts[1]] = parts[2]
+            # A recorded path may contain spaces; a digest never does.
+            fields = rest.rsplit(" ", 1) if key in ("input", "output") else rest.split()
+            try:
+                if key == "stage" and len(fields) == 3 and fields[1] == "config":
+                    current = StageRecord(fields[0], fields[2])
+                    man.stages[fields[0]] = current
+                elif current is None or len(fields) != _FIELDS.get(key) or not all(fields):
+                    raise ValueError
+                elif key == "seconds":
+                    current.seconds = float(fields[0])
+                elif key == "input":
+                    current.inputs[fields[0]] = fields[1]
+                else:
+                    current.outputs[fields[0]] = fields[1]
+            except ValueError:
+                raise StaleArtifactError(
+                    f"{path}:{lineno}: malformed manifest line {line!r}; "
+                    f"delete the manifest to rerun every stage") from None
         return man
 
     def save(self) -> None:
@@ -81,7 +95,14 @@ class Manifest:
                 lines.append(f"input {rel} {digest}")
             for rel, digest in sorted(rec.outputs.items()):
                 lines.append(f"output {rel} {digest}")
-        self.path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        # Written beside the manifest and moved into place, so a crash mid-save
+        # leaves the previous manifest intact.
+        tmp = self.path.with_name(f".manifest.txt.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            os.replace(tmp, self.path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def _rel(self, path) -> str:
         # Keyed relative to the root, with '..' steps for inputs that live
@@ -112,12 +133,6 @@ class Manifest:
             if not path.exists() or file_hash(path) != digest:
                 return False
         return True
-
-    def outputs_of(self, name: str) -> list[Path]:
-        rec = self.stages.get(name)
-        if rec is None:
-            raise StaleArtifactError(f"stage {name!r} has not been run in this directory")
-        return [self.root / rel for rel in sorted(rec.outputs)]
 
     def verify_upstream(self, name: str, force: bool = False) -> list[Path]:
         """Outputs of an upstream stage, hash-checked against the manifest."""

@@ -318,12 +318,3 @@ def read_weights(fp) -> Mlp:
         layers.append(DenseLayer(w, b, activation))
     return Mlp(layers)
 
-
-def save_weights(net: Mlp, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        write_weights(net, fp)
-
-
-def load_weights(path) -> Mlp:
-    with open(path, "r", encoding="utf-8") as fp:
-        return read_weights(fp)

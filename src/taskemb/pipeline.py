@@ -1,16 +1,19 @@
-"""Pipeline stages: each consumes upstream artifacts, writes files, updates the manifest.
+"""Pipeline stages: one table of stages and one runner that caches and records them.
 
 Stages are cached by content: identical config section + identical input
 hashes + intact outputs means a stage is skipped. Downstream stages verify
 their upstream files against the manifest and refuse to run on mismatch
-unless forced.
+unless forced. Every stage goes through `run_stage`; a stage itself is only
+a body that writes its artifacts and returns their paths.
 """
 
 from __future__ import annotations
 
 import csv
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +25,12 @@ from taskemb.benchmarks import predmodel as pm
 from taskemb.config import (RunConfig, parse_methods, parse_quiz_sizes,
                             section_dump)
 from taskemb.envs import load_tasks, sample_tasks, save_tasks
-from taskemb.envs.core import get_env
 from taskemb.manifest import Manifest, text_hash
 from taskemb.seeding import make_rng
+from taskemb.stats import fold_mean_stderr
 
 
-def _stage_hash(cfg: RunConfig, sections: list[str]) -> str:
+def _stage_hash(cfg: RunConfig, sections: tuple[str, ...]) -> str:
     # output_dir is a location and threads never change results; neither
     # belongs in the cache key.
     dump = section_dump(cfg, ["run", "seeds", *sections])
@@ -57,38 +60,17 @@ def _load_population(cfg: RunConfig, root: Path) -> pop.Population:
     return popn
 
 
-def stage_train_population(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    config_hash = _stage_hash(cfg, ["population"])
-    name = "train-population"
-    if not force and manifest.up_to_date(name, config_hash, []):
-        _announce(name, True)
-        return root / "population"
-    _announce(name, False)
-    t0 = time.time()
+def _train_population(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     recipe = pop.standard_recipe(cfg.env, cfg.population.recipe)
     for spec in recipe:
         spec.method = cfg.population.method
     rng = make_rng(cfg.seeds.root, cfg.seeds.population)
     popn = pop.build_population(cfg.env, recipe, _population_config(cfg), rng,
                                 verbose=True)
-    paths = pop.save_population(popn, root / "population")
-    manifest.record(name, config_hash, [], paths, time.time() - t0)
-    return root / "population"
+    return pop.save_population(popn, out_dir)
 
 
-def stage_gen_constraints(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    inputs = manifest.verify_upstream("train-population", force)
-    config_hash = _stage_hash(cfg, ["constraints"])
-    name = "gen-constraints"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return root / "constraints"
-    _announce(name, False)
-    t0 = time.time()
+def _gen_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     c = cfg.constraints
     popn = _load_population(cfg, root)
     rng = make_rng(cfg.seeds.root, cfg.seeds.constraints)
@@ -98,16 +80,13 @@ def stage_gen_constraints(cfg: RunConfig, force: bool = False) -> Path:
         [(c.n_mi_train, c.n_norm_train), (c.n_mi_val, c.n_norm_val),
          (c.n_mi_test, c.n_norm_test)],
         rng, c.mi_reps_per_agent, c.pos_reps_per_agent, c.drop_ties_eps)
-    out_dir = root / "constraints"
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_tasks(out_dir / "pool.csv", cfg.env, pool)
     outputs = [out_dir / "pool.csv"]
     for split, cset in zip(("train", "val", "test"), splits):
         path = out_dir / f"{split}.csv"
         sim.save_constraints(path, cset)
         outputs.append(path)
-    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
-    return out_dir
+    return outputs
 
 
 def _load_constraint_artifacts(cfg: RunConfig, root: Path):
@@ -141,24 +120,12 @@ def _write_trainlog(path, log: emb.TrainLog) -> None:
         writer.writerow(["test_loss", repr(log.test_loss), ""])
 
 
-def stage_train_embedding(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    inputs = manifest.verify_upstream("gen-constraints", force)
-    config_hash = _stage_hash(cfg, ["embedding"])
-    name = "train-embedding"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return root / "embedding"
-    _announce(name, False)
-    t0 = time.time()
+def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
     e = cfg.embedding
     sampler = None
     if e.online_constraints:
         sampler = _online_sampler(cfg, pool, _load_population(cfg, root))
-    out_dir = root / "embedding"
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
 
     main_cfg = emb.TrainConfig(dim=cfg.embed_dim(), norm_weight=e.norm_weight,
@@ -188,20 +155,10 @@ def stage_train_embedding(cfg: RunConfig, force: bool = False) -> Path:
                                            make_rng(cfg.seeds.root, cfg.seeds.training, 2))
     emb.save_embedding_model(random_model, out_dir / "model_random.txt")
     outputs.append(out_dir / "model_random.txt")
-    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
-    return out_dir
+    return outputs
 
 
-def stage_train_predmodel(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    config_hash = _stage_hash(cfg, ["predmodel"])
-    name = "train-predmodel"
-    if not force and manifest.up_to_date(name, config_hash, []):
-        _announce(name, True)
-        return root / "predmodel"
-    _announce(name, False)
-    t0 = time.time()
+def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     p = cfg.predmodel
     pm_cfg = pm.PredModelConfig(latent_dim=cfg.predmodel_latent(), epochs=p.epochs,
                                 batch_size=p.batch_size, lr=p.lr,
@@ -211,26 +168,28 @@ def stage_train_predmodel(cfg: RunConfig, force: bool = False) -> Path:
     rng = make_rng(cfg.seeds.root, cfg.seeds.training, 3)
     transitions = pm.collect_transitions(cfg.env, pm_cfg.n_rollouts, rng)
     nets, losses = pm.train_predmodel(cfg.env, transitions, pm_cfg, rng, verbose=True)
-    out_dir = root / "predmodel"
-    out_dir.mkdir(parents=True, exist_ok=True)
     pm.save_predmodel(nets, out_dir / "model.txt")
     with open(out_dir / "trainlog.csv", "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
         writer.writerow(["epoch", "loss"])
         for i, loss in enumerate(losses):
             writer.writerow([i, repr(loss)])
-    outputs = [out_dir / "model.txt", out_dir / "trainlog.csv"]
-    manifest.record(name, config_hash, [], outputs, time.time() - t0)
-    return out_dir
+    return [out_dir / "model.txt", out_dir / "trainlog.csv"]
 
 
-def _prediction_inputs(cfg: RunConfig, manifest: Manifest, methods: list[str],
-                       force: bool) -> list[Path]:
-    inputs = list(manifest.verify_upstream("train-population", force))
-    inputs += manifest.verify_upstream("train-embedding", force)
-    if "predmodel" in methods:
-        inputs += manifest.verify_upstream("train-predmodel", force)
-    return inputs
+def _prediction_methods(cfg: RunConfig) -> list[str]:
+    return parse_methods(cfg.benchmarks.prediction_methods,
+                         ("ours", "random", "ignore_task", "ignore_agent", "opt",
+                          "predmodel"))
+
+
+def _selection_methods(cfg: RunConfig) -> list[str]:
+    return parse_methods(cfg.benchmarks.selection_methods, selection.METHODS)
+
+
+def _benchmark_upstream(methods: list[str]) -> list[str]:
+    predmodel = ["train-predmodel"] if "predmodel" in methods else []
+    return ["train-population", "train-embedding", *predmodel]
 
 
 def _write_results(path, rows: list[tuple]) -> None:
@@ -248,35 +207,17 @@ def read_results(path) -> list[tuple[str, str, float, float]]:
         return [(m, k, float(a), float(b)) for m, k, a, b in reader]
 
 
-def stage_eval_prediction(cfg: RunConfig, force: bool = False,
-                          agent_population_dir=None) -> Path:
+def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
+                     agent_population_dir=None) -> list[Path]:
     """Performance-prediction benchmark over every configured quiz size.
 
     agent_population_dir optionally draws the hidden agents from a different
     population directory; predictor-side resources (embedding model and the
     population-average baseline) still come from this run.
     """
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
     b = cfg.benchmarks
-    methods = parse_methods(b.prediction_methods,
-                            ("ours", "random", "ignore_task", "ignore_agent", "opt",
-                             "predmodel"))
-    inputs = _prediction_inputs(cfg, manifest, methods, force)
-    name = "eval-prediction"
-    suffix = ""
-    if agent_population_dir is not None:
-        name = "eval-prediction-transfer"
-        suffix = "_transfer"
-        inputs = inputs + pop.population_files(agent_population_dir)
-    config_hash = _stage_hash(cfg, ["benchmarks"])
-    out_dir = root / "benchmarks"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    methods = _prediction_methods(cfg)
+    suffix = "" if agent_population_dir is None else "_transfer"
     popn = _load_population(cfg, root)
     agent_pop = popn
     if agent_population_dir is not None:
@@ -326,28 +267,12 @@ def stage_eval_prediction(cfg: RunConfig, force: bool = False,
     results_path = out_dir / f"prediction_results{suffix}.csv"
     _write_results(results_path, rows)
     outputs.append(results_path)
-    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
-    return out_dir
+    return outputs
 
 
-def stage_eval_selection(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
+def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     b = cfg.benchmarks
-    methods = parse_methods(b.selection_methods, selection.METHODS)
-    inputs = list(manifest.verify_upstream("train-population", force))
-    inputs += manifest.verify_upstream("train-embedding", force)
-    if "predmodel" in methods:
-        inputs += manifest.verify_upstream("train-predmodel", force)
-    config_hash = _stage_hash(cfg, ["benchmarks"])
-    name = "eval-selection"
-    out_dir = root / "benchmarks"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    methods = _selection_methods(cfg)
     popn = _load_population(cfg, root)
     res = selection.SelectionResources(
         env=cfg.env,
@@ -399,33 +324,15 @@ def stage_eval_selection(cfg: RunConfig, force: bool = False) -> Path:
         for t in (1, 2):
             for k in (1, 3):
                 vals = np.array(acc[method][(t, k)])
-                from taskemb.stats import fold_mean_stderr
                 mean, stderr = fold_mean_stderr(vals)
                 rows.append((method, f"type{t}_top{k}", mean, stderr))
     results_path = out_dir / "selection_results.csv"
     _write_results(results_path, rows)
     outputs.append(results_path)
-    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
-    return out_dir
+    return outputs
 
 
-def stage_silhouette(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    inputs = list(manifest.verify_upstream("train-embedding", force))
-    inputs += manifest.verify_upstream("gen-constraints", force)
-    with_predmodel = (root / "predmodel" / "model.txt").exists()
-    if with_predmodel:
-        inputs += manifest.verify_upstream("train-predmodel", force)
-    config_hash = _stage_hash(cfg, ["benchmarks"])
-    name = "silhouette"
-    out_dir = root / "benchmarks"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     fresh = sample_tasks(cfg.env, cfg.benchmarks.eval_tasks,
                          make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
     _, pool = load_tasks(root / "constraints" / "pool.csv")
@@ -435,7 +342,7 @@ def stage_silhouette(cfg: RunConfig, force: bool = False) -> Path:
     wonorm_path = root / "embedding" / "model_wonorm.txt"
     if wonorm_path.exists():
         models["ours_wonorm"] = emb.load_embedding_model(wonorm_path)
-    if with_predmodel:
+    if cfg.predmodel.enabled:
         models["predmodel"] = pm.load_predmodel(root / "predmodel" / "model.txt")
     path = out_dir / "silhouette.csv"
     with open(path, "w", newline="", encoding="utf-8") as fp:
@@ -447,30 +354,17 @@ def stage_silhouette(cfg: RunConfig, force: bool = False) -> Path:
                 writer.writerow([model_name, split_name, states.shape[0],
                                  repr(float(score))])
                 print(f"  {model_name}/{split_name}: {score:.3f}", flush=True)
-    manifest.record(name, config_hash, inputs, [path], time.time() - t0)
-    return out_dir
+    return [path]
 
 
-def stage_dim_sweep(cfg: RunConfig, force: bool = False, dims=range(1, 11)) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    inputs = manifest.verify_upstream("gen-constraints", force)
-    config_hash = _stage_hash(cfg, ["embedding"])
-    name = "dim-sweep"
-    out_dir = root / "eval"
-    path = out_dir / "dim_sweep.csv"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
     e = cfg.embedding
+    path = out_dir / "dim_sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
         writer.writerow(["dim", "best_val_loss", "test_loss"])
-        for dim in dims:
+        for dim in range(1, 11):
             train_cfg = emb.TrainConfig(dim=dim, norm_weight=e.norm_weight,
                                         epochs=e.epochs, batch_size=e.batch_size,
                                         lr=e.lr, patience=e.patience)
@@ -480,23 +374,10 @@ def stage_dim_sweep(cfg: RunConfig, force: bool = False, dims=range(1, 11)) -> P
                                                   4, dim))
             writer.writerow([dim, repr(min(log.val_loss)), repr(log.test_loss)])
             print(f"  dim {dim}: test loss {log.test_loss:.4f}", flush=True)
-    manifest.record(name, config_hash, inputs, [path], time.time() - t0)
-    return out_dir
+    return [path]
 
 
-def stage_export_viz(cfg: RunConfig, force: bool = False) -> Path:
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    inputs = manifest.verify_upstream("train-embedding", force)
-    config_hash = _stage_hash(cfg, ["benchmarks"])
-    name = "export-viz"
-    out_dir = root / "viz"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     model = emb.load_embedding_model(root / "embedding" / "model.txt")
     states = sample_tasks(cfg.env, cfg.benchmarks.eval_tasks,
                           make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
@@ -516,26 +397,12 @@ def stage_export_viz(cfg: RunConfig, force: bool = False) -> Path:
         writer.writerow(["component", "explained_variance_ratio"])
         for i, ratio in enumerate(ratios):
             writer.writerow([i + 1, repr(float(ratio))])
-    outputs = [out_dir / "embeddings.csv", out_dir / "tasks.csv",
-               out_dir / "pca.csv", out_dir / "pca_variance.csv"]
-    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
-    return out_dir
+    return [out_dir / "embeddings.csv", out_dir / "tasks.csv",
+            out_dir / "pca.csv", out_dir / "pca_variance.csv"]
 
 
-def stage_plot_data(cfg: RunConfig, force: bool = False) -> Path:
+def _plot_data(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     """Reshape result CSVs into per-figure tables (quiz-size curves, selection bars)."""
-    root = Path(cfg.output_dir)
-    manifest = Manifest.load(root)
-    out_dir = root / "benchmarks"
-    inputs = list(manifest.verify_upstream("eval-prediction", force))
-    inputs += manifest.verify_upstream("eval-selection", force)
-    config_hash = _stage_hash(cfg, ["benchmarks"])
-    name = "plot-data"
-    if not force and manifest.up_to_date(name, config_hash, inputs):
-        _announce(name, True)
-        return out_dir
-    _announce(name, False)
-    t0 = time.time()
     pred = read_results(out_dir / "prediction_results.csv")
     methods = sorted({m for m, _, _, _ in pred})
     sizes = sorted({int(k) for _, k, _, _ in pred})
@@ -567,26 +434,85 @@ def stage_plot_data(cfg: RunConfig, force: bool = False) -> Path:
                 mean, se = sel_table[(m, k)]
                 row += [repr(mean), repr(se)]
             writer.writerow(row)
-    manifest.record(name, config_hash, inputs, [fig5, fig6], time.time() - t0)
+    return [fig5, fig6]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table; `run_stage` does the caching and recording."""
+
+    name: str
+    help: str
+    sections: tuple[str, ...]                   # config sections in the cache key
+    upstream: Callable[[RunConfig], list[str]]  # stages whose outputs are inputs
+    out_dir: str                                # under the run's output_dir
+    run: Callable[..., list[Path]]              # (cfg, root, out_dir) -> outputs
+    in_run_all: Callable[[RunConfig], bool] = lambda cfg: True
+    transfer: bool = False  # accepts hidden agents from another run's population
+
+
+STAGES = {stage.name: stage for stage in [
+    Stage("train-population",
+          "train the agent subpopulations and save their snapshots",
+          ("population",), lambda cfg: [], "population", _train_population),
+    Stage("gen-constraints",
+          "sample the task pool and label triplet/pair constraints",
+          ("constraints",), lambda cfg: ["train-population"], "constraints",
+          _gen_constraints),
+    Stage("train-embedding", "fit the embedding net(s) on the constraint sets",
+          ("embedding",), lambda cfg: ["gen-constraints"], "embedding",
+          _train_embedding),
+    Stage("train-predmodel", "fit the variational reconstruction baseline",
+          ("predmodel",), lambda cfg: [], "predmodel", _train_predmodel,
+          in_run_all=lambda cfg: cfg.predmodel.enabled),
+    Stage("eval-prediction", "run the performance-prediction benchmark",
+          ("benchmarks",), lambda cfg: _benchmark_upstream(_prediction_methods(cfg)),
+          "benchmarks", _eval_prediction, transfer=True),
+    Stage("eval-selection", "run the task-selection benchmark",
+          ("benchmarks",), lambda cfg: _benchmark_upstream(_selection_methods(cfg)),
+          "benchmarks", _eval_selection),
+    Stage("silhouette", "score embedding spaces against intuitive task clusters",
+          ("benchmarks",),
+          lambda cfg: ["train-embedding", "gen-constraints",
+                       *(["train-predmodel"] if cfg.predmodel.enabled else [])],
+          "benchmarks", _silhouette),
+    Stage("dim-sweep",
+          "train the embedding at dimensions 1..10 and tabulate test loss",
+          ("embedding",), lambda cfg: ["gen-constraints"], "eval", _dim_sweep,
+          in_run_all=lambda cfg: False),
+    Stage("export-viz", "export embeddings plus a 2-d principal-component projection",
+          ("benchmarks",), lambda cfg: ["train-embedding"], "viz", _export_viz),
+    Stage("plot-data", "reshape result CSVs into per-figure tables",
+          ("benchmarks",), lambda cfg: ["eval-prediction", "eval-selection"],
+          "benchmarks", _plot_data),
+]}
+
+
+def run_stage(stage: str, cfg: RunConfig, force: bool = False,
+              agent_population_dir=None) -> Path:
+    """Run one stage unless the manifest shows it up to date; return its output dir.
+
+    With agent_population_dir (transfer stages only) the stage is recorded as
+    `<stage>-transfer` and the other population's files are among its inputs.
+    """
+    spec = STAGES[stage]
+    root = Path(cfg.output_dir)
+    out_dir = root / spec.out_dir
+    manifest = Manifest.load(root)
+    inputs = [p for up in spec.upstream(cfg) for p in manifest.verify_upstream(up, force)]
+    name, extra = stage, {}
+    if agent_population_dir is not None:
+        if not spec.transfer:
+            raise ValueError(f"stage {stage!r} takes no agent population")
+        name, extra = f"{stage}-transfer", {"agent_population_dir": agent_population_dir}
+        inputs += pop.population_files(agent_population_dir)
+    config_hash = _stage_hash(cfg, spec.sections)
+    if not force and manifest.up_to_date(name, config_hash, inputs):
+        _announce(name, True)
+        return out_dir
+    _announce(name, False)
+    t0 = time.time()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = spec.run(cfg, root, out_dir, **extra)
+    manifest.record(name, config_hash, inputs, outputs, time.time() - t0)
     return out_dir
-
-
-ALL_STAGES = ["train-population", "gen-constraints", "train-embedding",
-              "train-predmodel", "eval-prediction", "eval-selection",
-              "silhouette", "dim-sweep", "export-viz", "plot-data"]
-
-
-def run_stage(stage: str, cfg: RunConfig, force: bool = False, **kwargs):
-    fns = {
-        "train-population": stage_train_population,
-        "gen-constraints": stage_gen_constraints,
-        "train-embedding": stage_train_embedding,
-        "train-predmodel": stage_train_predmodel,
-        "eval-prediction": stage_eval_prediction,
-        "eval-selection": stage_eval_selection,
-        "silhouette": stage_silhouette,
-        "dim-sweep": stage_dim_sweep,
-        "export-viz": stage_export_viz,
-        "plot-data": stage_plot_data,
-    }
-    return fns[stage](cfg, force=force, **kwargs)

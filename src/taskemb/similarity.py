@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from taskemb.nn import softplus  # noqa: F401  (re-exported for loss consumers)
-
 
 def bernoulli_entropy(p) -> float | np.ndarray:
     """Entropy (nats) of a Bernoulli(p) variable, with 0*log(0) = 0."""

@@ -46,34 +46,27 @@ def _load(name: str):
 @pytest.fixture(scope="session")
 def mkn_run():
     cfg = _load("multikeynav_desk.cfg")
-    pipeline.stage_train_population(cfg)
-    pipeline.stage_gen_constraints(cfg)
-    pipeline.stage_train_embedding(cfg)
-    pipeline.stage_train_predmodel(cfg)
-    pipeline.stage_silhouette(cfg)
-    pipeline.stage_eval_prediction(cfg)
-    pipeline.stage_eval_selection(cfg)
+    for stage in ("train-population", "gen-constraints", "train-embedding",
+                  "train-predmodel", "silhouette", "eval-prediction", "eval-selection"):
+        pipeline.run_stage(stage, cfg)
     return cfg
 
 
 @pytest.fixture(scope="session")
 def cpv_run():
     cfg = _load("cartpolevar_desk.cfg")
-    pipeline.stage_train_population(cfg)
-    pipeline.stage_gen_constraints(cfg)
-    pipeline.stage_train_embedding(cfg)
-    pipeline.stage_silhouette(cfg)
+    for stage in ("train-population", "gen-constraints", "train-embedding", "silhouette"):
+        pipeline.run_stage(stage, cfg)
     return cfg
 
 
 @pytest.fixture(scope="session")
 def transfer_run(mkn_run):
     cfg = _load("multikeynav_bias_desk.cfg")
-    pipeline.stage_train_population(cfg)
-    pipeline.stage_gen_constraints(cfg)
-    pipeline.stage_train_embedding(cfg)
-    pipeline.stage_eval_prediction(
-        cfg, agent_population_dir=Path(mkn_run.output_dir) / "population")
+    for stage in ("train-population", "gen-constraints", "train-embedding"):
+        pipeline.run_stage(stage, cfg)
+    pipeline.run_stage("eval-prediction", cfg,
+                       agent_population_dir=Path(mkn_run.output_dir) / "population")
     return cfg
 
 

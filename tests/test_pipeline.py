@@ -174,6 +174,35 @@ class TestManifest:
         with pytest.raises(StaleArtifactError, match="has not been run"):
             man.verify_upstream("nope")
 
+    @pytest.mark.parametrize("text", [
+        "stage train-population", "seconds 1.0",
+        "stage a config h\nseconds", "stage a config h\nseconds soon",
+        "stage a config h\nseconds 1.0 2.0", "stage a config h\ninput a.txt",
+        "stage a config h\nchecksum a.txt cafe01"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, text):
+        (tmp_path / "manifest.txt").write_text(text + "\n")
+        lineno = text.count("\n") + 1
+        with pytest.raises(StaleArtifactError, match=f"manifest.txt:{lineno}:"):
+            Manifest.load(tmp_path)
+
+    def test_input_path_with_spaces_round_trips(self, tmp_path):
+        outside = tmp_path / "other run" / "agent 0.txt"
+        outside.parent.mkdir()
+        outside.write_text("agents")
+        Manifest.load(tmp_path / "run").record("stage-a", "h", [outside], [], 0.0)
+        back = Manifest.load(tmp_path / "run")
+        assert back.stages["stage-a"].inputs == {"../other run/agent 0.txt": file_hash(outside)}
+        assert back.up_to_date("stage-a", "h", [outside])
+
+    def test_save_leaves_no_temp_file(self, tmp_path):
+        f = tmp_path / "a.txt"
+        f.write_text("hello")
+        man = Manifest.load(tmp_path)
+        man.record("stage-a", "h", [], [f], 0.0)
+        man.record("stage-b", "h", [f], [], 0.0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "manifest.txt"]
+        assert set(Manifest.load(tmp_path).stages) == {"stage-a", "stage-b"}
+
 
 class TestPipelineRun:
     def test_expected_artifacts_exist(self, tiny_run):
@@ -242,13 +271,14 @@ class TestPipelineRun:
         finally:
             target.write_bytes(original)
 
-    def test_dim_sweep_subset(self, tiny_run):
+    def test_dim_sweep_covers_dims_1_to_10(self, tiny_run):
         root, cfg_path = tiny_run
         cfg = cfgmod.load_config(cfg_path)
-        pipeline.stage_dim_sweep(cfg, dims=range(1, 4))
+        pipeline.run_stage("dim-sweep", cfg)
         lines = (root / "eval" / "dim_sweep.csv").read_text().splitlines()
         assert lines[0] == "dim,best_val_loss,test_loss"
-        assert len(lines) == 4
+        assert len(lines) == 11
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 11))
 
     def test_transfer_prediction_with_external_agents(self, tiny_run, capsys):
         root, cfg_path = tiny_run
@@ -291,6 +321,15 @@ class TestCliErrors:
         cfg.write_text(f"[run]\nenv = multikeynav\noutput_dir = {tmp_path}/empty\n")
         assert cli.main(["gen-constraints", "--config", str(cfg)]) == 1
         assert "has not been run" in capsys.readouterr().err
+
+    def test_truncated_manifest_exits_1_with_location(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.txt").write_text("stage train-population")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[run]\nenv = multikeynav\noutput_dir = {out}\n")
+        assert cli.main(["gen-constraints", "--config", str(cfg)]) == 1
+        assert f"{out / 'manifest.txt'}:1:" in capsys.readouterr().err
 
     def test_bad_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
