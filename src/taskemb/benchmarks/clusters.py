@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from taskemb.envs import cartpolevar, multikeynav, pointmass
-from taskemb.envs.core import get_env
 
 
 def cluster_labels(env: str, states: np.ndarray) -> np.ndarray:

@@ -85,9 +85,6 @@ def tune_beta(model, examples: list[QuizExample],
     return best_beta
 
 
-BASELINES = ("random", "ignore_task", "ignore_agent", "opt")
-
-
 def baseline_predictions(kind: str, examples: list[QuizExample],
                          population: Population, rng: np.random.Generator,
                          ignore_task_rollouts: int = 500,
@@ -126,12 +123,6 @@ def baseline_predictions(kind: str, examples: list[QuizExample],
             rates = out.reshape(rows.size, opt_rollouts).mean(axis=1)
             preds[rows] = rates > 0.5
     return preds
-
-
-def baseline_predict(kind: str, example: QuizExample, population: Population,
-                     rng: np.random.Generator) -> int:
-    """Single-example form of baseline_predictions."""
-    return int(baseline_predictions(kind, [example], population, rng)[0])
 
 
 def eval_prediction(predictions: np.ndarray, outcomes: np.ndarray,

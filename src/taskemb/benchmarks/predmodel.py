@@ -8,6 +8,7 @@ layers predicts the next context-stripped state and the reward from
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,8 +181,6 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
 
 def save_predmodel(nets: PredModelNets, path) -> None:
     """One file: a JSON header line, then the four nets in a fixed order."""
-    import json
-
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps({"env": nets.env, "latent_dim": nets.latent_dim}) + "\n")
         for net in (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head):
@@ -189,11 +188,11 @@ def save_predmodel(nets: PredModelNets, path) -> None:
 
 
 def load_predmodel(path) -> PredModelNets:
-    import json
-
     with open(path, "r", encoding="utf-8") as fp:
-        header = json.loads(fp.readline())
-        nets = [nn.read_weights(fp) for _ in range(4)]
+        reader = nn.LineReader(fp)
+        with reader.located():
+            header = json.loads(reader.line())
+            nets = [nn.read_weights(reader) for _ in range(4)]
     return PredModelNets(header["env"], int(header["latent_dim"]), *nets)
 
 

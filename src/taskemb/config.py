@@ -27,7 +27,6 @@ class Seeds:
 @dataclass
 class PopulationSection:
     recipe: str = "masks"        # masks | bias
-    method: str = "bc"           # bc | pg
     target_size: int = 100
     snap_delta: float = 0.01
     snap_reps: int = 10
@@ -37,10 +36,6 @@ class PopulationSection:
     bc_passes: int = 5
     bc_batch: int = 128
     bc_lr: float = 3e-3
-    pg_iters: int = 200
-    pg_batch: int = 32
-    pg_eval_every: int = 10
-    pg_lr: float = 1e-3
 
 
 @dataclass
@@ -66,8 +61,6 @@ class EmbeddingSection:
     batch_size: int = 128
     lr: float = 1e-3
     patience: int = 20
-    train_wonorm: bool = True
-    online_constraints: bool = False
 
 
 @dataclass

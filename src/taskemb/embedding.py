@@ -86,7 +86,6 @@ class TrainConfig:
     batch_size: int = 128
     lr: float = 1e-3
     patience: int = 20           # epochs without validation improvement
-    online_constraints: bool = False
 
 
 @dataclass
@@ -189,15 +188,11 @@ def triplet_satisfaction(model: EmbeddingNet, pool_states: np.ndarray,
 def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
                     val_set: ConstraintSet, test_set: ConstraintSet,
                     config: TrainConfig, rng: np.random.Generator,
-                    online_sampler=None, verbose: bool = False
-                    ) -> tuple[EmbeddingNet, TrainLog]:
+                    verbose: bool = False) -> tuple[EmbeddingNet, TrainLog]:
     """Minibatch Adam on the constraint objective with early stopping.
 
-    Constraints are a fixed pool reused across epochs; passing online_sampler
-    (with config.online_constraints) instead draws fresh labeled constraints
-    every step, trading a large compute cost for the fully online protocol.
-    Returns the parameters with the best validation loss and logs the test
-    loss at those parameters.
+    Constraints are a fixed pool reused across epochs. Returns the parameters
+    with the best validation loss and logs the test loss at those parameters.
     """
     if not train_set.triplets:
         raise ValueError("empty triplet constraint set")
@@ -226,21 +221,15 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
         pair_order = order_rng.permutation(easy.size) if easy.size else np.array([], dtype=np.intp)
         epoch_loss = 0.0
         for step_i in range(steps):
-            if config.online_constraints and online_sampler is not None:
-                fresh_tri, fresh_pairs = online_sampler(config.batch_size, config.batch_size,
-                                                        order_rng)
-                bt1, bsim, bdis = _constraint_arrays(fresh_tri)
-                beasy, bhard = _pair_arrays(fresh_pairs)
+            sel = tri_order[step_i * config.batch_size : (step_i + 1) * config.batch_size]
+            bt1, bsim, bdis = t1[sel], sim_idx[sel], dis_idx[sel]
+            if easy.size:
+                lo = (step_i * config.batch_size) % easy.size
+                psel = np.take(pair_order, np.arange(lo, lo + config.batch_size),
+                               mode="wrap")
             else:
-                sel = tri_order[step_i * config.batch_size : (step_i + 1) * config.batch_size]
-                bt1, bsim, bdis = t1[sel], sim_idx[sel], dis_idx[sel]
-                if easy.size:
-                    lo = (step_i * config.batch_size) % easy.size
-                    psel = np.take(pair_order, np.arange(lo, lo + config.batch_size),
-                                   mode="wrap")
-                else:
-                    psel = np.array([], dtype=np.intp)
-                beasy, bhard = easy[psel], hard[psel]
+                psel = np.array([], dtype=np.intp)
+            beasy, bhard = easy[psel], hard[psel]
             loss, grads = _batch_losses(model, x_feat, bt1, bsim, bdis, beasy, bhard,
                                         config.norm_weight, want_grads=True)
             if not np.isfinite(loss):
@@ -304,10 +293,17 @@ def save_embedding_model(model: EmbeddingNet, path) -> None:
 
 
 def load_embedding_model(path) -> EmbeddingNet:
+    """Read a model file; a malformed one raises nn.ArtifactFormatError naming the line."""
     with open(path, "r", encoding="utf-8") as fp:
-        header = json.loads(fp.readline())
-        net = nn.read_weights(fp)
-    return EmbeddingNet(header["env"], net, int(header["dim"]))
+        reader = nn.LineReader(fp)
+        with reader.located():
+            header = json.loads(reader.line())
+            if not isinstance(header, dict) or not {"env", "dim"} <= header.keys():
+                raise ValueError('header must be {"env": ..., "dim": ...}')
+            dim = int(header["dim"])
+            net = nn.read_weights(reader)
+            reader.expect_end()
+    return EmbeddingNet(header["env"], net, dim)
 
 
 def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:

@@ -20,15 +20,6 @@ CRASHED = 2
 TIMED_OUT = 3
 FAILED_BY_GAMMA = 4
 
-STATUS_NAMES = {
-    ALIVE: "Alive",
-    SOLVED: "Solved",
-    CRASHED: "Crashed",
-    TIMED_OUT: "TimedOut",
-    FAILED_BY_GAMMA: "FailedByGamma",
-}
-
-
 class EnvError(ValueError):
     """Invalid environment name, state, or action."""
 
@@ -100,10 +91,6 @@ class StepOutcome:
     next_state: np.ndarray
     reward: float
     terminal: int  # one of the status codes
-
-    @property
-    def terminal_name(self) -> str:
-        return STATUS_NAMES[self.terminal]
 
 
 @dataclass

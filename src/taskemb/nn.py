@@ -10,6 +10,7 @@ Inputs may be single vectors ``(d,)`` or batches ``(B, d)``; outputs match.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,21 +301,66 @@ def write_weights(net: Mlp, fp) -> None:
             fp.write(" ".join(repr(float(x)) for x in row) + f" {repr(float(b))}\n")
 
 
-def read_weights(fp) -> Mlp:
-    """Read the text weight format written by write_weights."""
-    n_layers = int(fp.readline())
-    layers = []
-    for _ in range(n_layers):
-        in_size, out_size, activation = fp.readline().split()
-        in_size, out_size = int(in_size), int(out_size)
-        w = np.empty((out_size, in_size))
-        b = np.empty(out_size)
-        for r in range(out_size):
-            vals = [float(v) for v in fp.readline().split()]
-            if len(vals) != in_size + 1:
-                raise ValueError(f"expected {in_size + 1} values per row, got {len(vals)}")
-            w[r] = vals[:-1]
-            b[r] = vals[-1]
-        layers.append(DenseLayer(w, b, activation))
-    return Mlp(layers)
+class ArtifactFormatError(ValueError):
+    """A saved artifact does not match its text format; the message starts `<path>:<line>:`."""
 
+
+class LineReader:
+    """Reads a text artifact line by line; parse errors raised under `located()` name the line."""
+
+    def __init__(self, fp):
+        self.fp = fp
+        self.name = getattr(fp, "name", "<stream>")
+        self.lineno = 0
+
+    def line(self) -> str:
+        self.lineno += 1
+        line = self.fp.readline()
+        if not line.endswith("\n"):  # the writers end every line with one
+            raise ValueError("file ends early" if not line else "line is cut short")
+        return line
+
+    def fields(self, n: int) -> list[str]:
+        parts = self.line().split()
+        if len(parts) != n:
+            raise ValueError(f"expected {n} values, got {len(parts)}")
+        return parts
+
+    def expect_end(self, what: str = "content after the last expected line") -> None:
+        if self.fp.read().strip():
+            self.lineno += 1
+            raise ValueError(f"unexpected {what}")
+
+    @contextlib.contextmanager
+    def located(self):
+        try:
+            yield
+        except ArtifactFormatError:
+            raise
+        except ValueError as exc:
+            raise ArtifactFormatError(f"{self.name}:{self.lineno}: {exc}") from None
+
+
+def read_weights(fp) -> Mlp:
+    """Read the text weight format written by write_weights.
+
+    fp is a text file, or a LineReader over one to keep counting its lines; a
+    truncated or malformed file raises ArtifactFormatError naming the line.
+    """
+    reader = fp if isinstance(fp, LineReader) else LineReader(fp)
+    with reader.located():
+        n_layers = int(reader.fields(1)[0])
+        layers = []
+        for _ in range(n_layers):
+            in_size, out_size, activation = reader.fields(3)
+            in_size, out_size = int(in_size), int(out_size)
+            if activation not in ACTIVATIONS:
+                raise ValueError(f"unknown activation {activation!r}")
+            w = np.empty((out_size, in_size))
+            b = np.empty(out_size)
+            for r in range(out_size):
+                vals = [float(v) for v in reader.fields(in_size + 1)]
+                w[r] = vals[:-1]
+                b[r] = vals[-1]
+            layers.append(DenseLayer(w, b, activation))
+        return Mlp(layers)

@@ -10,8 +10,8 @@ a body that writes its artifacts and returns their paths.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -44,14 +44,9 @@ def _announce(name: str, skipped: bool) -> None:
 
 
 def _population_config(cfg: RunConfig) -> pop.PopulationConfig:
-    p = cfg.population
-    return pop.PopulationConfig(
-        target_size=p.target_size, snap_delta=p.snap_delta, snap_reps=p.snap_reps,
-        snap_size=p.snap_size, bc_epochs=p.bc_epochs, bc_rollouts=p.bc_rollouts,
-        bc_passes=p.bc_passes, bc_batch=p.bc_batch, bc_lr=p.bc_lr,
-        pg_iters=p.pg_iters, pg_batch=p.pg_batch, pg_eval_every=p.pg_eval_every,
-        pg_lr=p.pg_lr,
-    )
+    # [population] holds every PopulationConfig field plus the recipe name.
+    return pop.PopulationConfig(**{f.name: getattr(cfg.population, f.name)
+                                   for f in dataclasses.fields(pop.PopulationConfig)})
 
 
 def _load_population(cfg: RunConfig, root: Path) -> pop.Population:
@@ -62,15 +57,13 @@ def _load_population(cfg: RunConfig, root: Path) -> pop.Population:
 
 def _train_population(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     recipe = pop.standard_recipe(cfg.env, cfg.population.recipe)
-    for spec in recipe:
-        spec.method = cfg.population.method
     rng = make_rng(cfg.seeds.root, cfg.seeds.population)
     popn = pop.build_population(cfg.env, recipe, _population_config(cfg), rng,
                                 verbose=True)
     return pop.save_population(popn, out_dir)
 
 
-def _gen_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
+def _generate_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     c = cfg.constraints
     popn = _load_population(cfg, root)
     rng = make_rng(cfg.seeds.root, cfg.seeds.constraints)
@@ -97,19 +90,6 @@ def _load_constraint_artifacts(cfg: RunConfig, root: Path):
     return pool, sets
 
 
-def _online_sampler(cfg: RunConfig, pool: np.ndarray, popn: pop.Population):
-    """Fresh-rollout constraint sampler for the fully online training protocol."""
-    c = cfg.constraints
-
-    def sampler(n_tri: int, n_pair: int, rng: np.random.Generator):
-        cset = sim.gen_constraints(pool, popn, n_tri, n_pair, rng,
-                                   c.mi_reps_per_agent, c.pos_reps_per_agent,
-                                   c.drop_ties_eps)
-        return cset.triplets, cset.pairs
-
-    return sampler
-
-
 def _write_trainlog(path, log: emb.TrainLog) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
@@ -123,33 +103,19 @@ def _write_trainlog(path, log: emb.TrainLog) -> None:
 def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
     e = cfg.embedding
-    sampler = None
-    if e.online_constraints:
-        sampler = _online_sampler(cfg, pool, _load_population(cfg, root))
     outputs = []
-
-    main_cfg = emb.TrainConfig(dim=cfg.embed_dim(), norm_weight=e.norm_weight,
-                               epochs=e.epochs, batch_size=e.batch_size, lr=e.lr,
-                               patience=e.patience,
-                               online_constraints=e.online_constraints)
-    model, log = emb.train_embedding(pool, sets["train"], sets["val"], sets["test"],
-                                     main_cfg, make_rng(cfg.seeds.root, cfg.seeds.training),
-                                     online_sampler=sampler)
-    emb.save_embedding_model(model, out_dir / "model.txt")
-    _write_trainlog(out_dir / "trainlog.csv", log)
-    outputs += [out_dir / "model.txt", out_dir / "trainlog.csv"]
-
-    if e.train_wonorm:
-        wo_cfg = emb.TrainConfig(dim=cfg.embed_dim_wonorm(), norm_weight=0.0,
-                                 epochs=e.epochs, batch_size=e.batch_size, lr=e.lr,
-                                 patience=e.patience,
-                                 online_constraints=e.online_constraints)
-        wo_model, wo_log = emb.train_embedding(
-            pool, sets["train"], sets["val"], sets["test"], wo_cfg,
-            make_rng(cfg.seeds.root, cfg.seeds.training, 1), online_sampler=sampler)
-        emb.save_embedding_model(wo_model, out_dir / "model_wonorm.txt")
-        _write_trainlog(out_dir / "trainlog_wonorm.csv", wo_log)
-        outputs += [out_dir / "model_wonorm.txt", out_dir / "trainlog_wonorm.csv"]
+    # The full model, then the no-norm ablation (pair constraints off).
+    for suffix, dim, norm_weight, seed_parts in (
+            ("", cfg.embed_dim(), e.norm_weight, ()),
+            ("_wonorm", cfg.embed_dim_wonorm(), 0.0, (1,))):
+        train_cfg = emb.TrainConfig(dim=dim, norm_weight=norm_weight, epochs=e.epochs,
+                                    batch_size=e.batch_size, lr=e.lr, patience=e.patience)
+        model, log = emb.train_embedding(
+            pool, sets["train"], sets["val"], sets["test"], train_cfg,
+            make_rng(cfg.seeds.root, cfg.seeds.training, *seed_parts))
+        emb.save_embedding_model(model, out_dir / f"model{suffix}.txt")
+        _write_trainlog(out_dir / f"trainlog{suffix}.csv", log)
+        outputs += [out_dir / f"model{suffix}.txt", out_dir / f"trainlog{suffix}.csv"]
 
     random_model = emb.fresh_embedding_net(cfg.env, cfg.embed_dim(),
                                            make_rng(cfg.seeds.root, cfg.seeds.training, 2))
@@ -281,9 +247,7 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
         mi_reps_per_agent=b.selection_mi_reps,
         pos_reps_per_agent=b.selection_pos_reps,
     )
-    wonorm_path = root / "embedding" / "model_wonorm.txt"
-    if wonorm_path.exists():
-        res.model_wonorm = emb.load_embedding_model(wonorm_path)
+    res.model_wonorm = emb.load_embedding_model(root / "embedding" / "model_wonorm.txt")
     if "predmodel" in methods:
         res.predmodel = pm.load_predmodel(root / "predmodel" / "model.txt")
 
@@ -338,10 +302,8 @@ def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     _, pool = load_tasks(root / "constraints" / "pool.csv")
     pool_split = pool[: cfg.benchmarks.eval_tasks]
     models = {"ours": emb.load_embedding_model(root / "embedding" / "model.txt"),
-              "random": emb.load_embedding_model(root / "embedding" / "model_random.txt")}
-    wonorm_path = root / "embedding" / "model_wonorm.txt"
-    if wonorm_path.exists():
-        models["ours_wonorm"] = emb.load_embedding_model(wonorm_path)
+              "random": emb.load_embedding_model(root / "embedding" / "model_random.txt"),
+              "ours_wonorm": emb.load_embedding_model(root / "embedding" / "model_wonorm.txt")}
     if cfg.predmodel.enabled:
         models["predmodel"] = pm.load_predmodel(root / "predmodel" / "model.txt")
     path = out_dir / "silhouette.csv"
@@ -437,7 +399,7 @@ def _plot_data(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     return [fig5, fig6]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Stage:
     """One row of the stage table; `run_stage` does the caching and recording."""
 
@@ -458,7 +420,7 @@ STAGES = {stage.name: stage for stage in [
     Stage("gen-constraints",
           "sample the task pool and label triplet/pair constraints",
           ("constraints",), lambda cfg: ["train-population"], "constraints",
-          _gen_constraints),
+          _generate_constraints),
     Stage("train-embedding", "fit the embedding net(s) on the constraint sets",
           ("embedding",), lambda cfg: ["gen-constraints"], "embedding",
           _train_embedding),

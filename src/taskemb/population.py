@@ -1,4 +1,4 @@
-"""Agent populations: stochastic policy nets, cloning/policy-gradient training, snapshots.
+"""Agent populations: stochastic policy nets, behavioral-cloning training, snapshots.
 
 A population is an ordered list of parameter snapshots taken while training
 policies under different handicaps (masked actions, biased task draws).
@@ -9,7 +9,7 @@ those draws are what the similarity machinery consumes, via `outcome_table`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -217,7 +217,6 @@ def policy_success(env: str, policy: Policy, states: np.ndarray, reps: int,
 
 @dataclass
 class SubpopSpec:
-    method: str = "bc"   # "bc" or "pg"
     mask: str = "none"
     bias: str | None = None
 
@@ -233,11 +232,6 @@ class PopulationConfig:
     bc_passes: int = 5           # optimizer passes over each epoch's dataset
     bc_batch: int = 128
     bc_lr: float = 3e-3
-    pg_iters: int = 200
-    pg_batch: int = 32
-    pg_eval_every: int = 10
-    pg_lr: float = 1e-3
-    pg_baseline_alpha: float = 0.1
 
 
 def standard_recipe(env: str, kind: str) -> list[SubpopSpec]:
@@ -245,12 +239,12 @@ def standard_recipe(env: str, kind: str) -> list[SubpopSpec]:
     if kind == "masks":
         if env.startswith("multikeynav"):
             names = ["none", "pickKeyA", "pickKeyB", "pickKeyC", "pickKeyD", "all_picks"]
-            return [SubpopSpec("bc", mask=m) for m in names]
+            return [SubpopSpec(mask=m) for m in names]
         raise ValueError(f"{env}: no mask recipe defined")
     if kind == "bias":
         ops = get_env(env)
-        specs = [SubpopSpec("bc")]
-        specs += [SubpopSpec("bc", bias=b) for b in sorted(ops.bias_filters)]
+        specs = [SubpopSpec()]
+        specs += [SubpopSpec(bias=b) for b in sorted(ops.bias_filters)]
         return specs
     raise ValueError(f"unknown recipe kind {kind!r}")
 
@@ -290,8 +284,8 @@ def _dataset_from_trajectories(ops, trajs, mask: np.ndarray | None):
     return states, actions
 
 
-def _bc_update(policy: Policy, ops, x_feat, actions, adam, params):
-    """One Adam step of cross-entropy (discrete) or Gaussian NLL (box) cloning."""
+def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
+    """Cloning loss, cross-entropy or Gaussian NLL, and its grads in `_policy_params` order."""
     out, cache = nn.mlp_forward_cached(policy.net, x_feat)
     b = x_feat.shape[0]
     if ops.action_kind == "discrete":
@@ -303,19 +297,14 @@ def _bc_update(policy: Policy, ops, x_feat, actions, adam, params):
         dlogits = probs.copy()
         dlogits[np.arange(b), actions] -= 1.0
         grads, _ = nn.mlp_backward(policy.net, cache, dlogits / b)
-        extra = []
-    else:
-        std = np.exp(policy.log_std)
-        z = (actions - out) / std
-        loss = float(np.mean(0.5 * np.sum(z**2, axis=1) + np.sum(policy.log_std)))
-        dmean = (out - actions) / std**2 / b
-        grads, _ = nn.mlp_backward(policy.net, cache, dmean)
-        dlogstd = np.mean(1.0 - z**2, axis=0)
-        extra = [dlogstd]
-    if not np.isfinite(loss):
-        raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
-    new_params, adam = nn.adam_step(params, grads + extra, adam)
-    return new_params, adam, loss
+        return loss, grads
+    std = np.exp(policy.log_std)
+    z = (actions - out) / std
+    loss = float(np.mean(0.5 * np.sum(z**2, axis=1) + np.sum(policy.log_std)))
+    dmean = (out - actions) / std**2 / b
+    grads, _ = nn.mlp_backward(policy.net, cache, dmean)
+    dlogstd = np.mean(1.0 - z**2, axis=0)
+    return loss, grads + [dlogstd]
 
 
 def _apply_params(policy: Policy, params) -> None:
@@ -365,91 +354,15 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
             order = data_rng.permutation(states.shape[0])
             for start in range(0, len(order), cfg.bc_batch):
                 idx = order[start : start + cfg.bc_batch]
-                params, adam, _ = _bc_update(policy, ops, x_feat[idx], actions[idx],
-                                             adam, params)
+                loss, grads = _bc_loss_and_grads(policy, ops, x_feat[idx], actions[idx])
+                if not np.isfinite(loss):
+                    raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
+                params, adam = nn.adam_step(params, grads, adam)
                 _apply_params(policy, params)
         s = score()
         if s >= snapshots[-1].validation_score + cfg.snap_delta:
             snapshots.append(AgentSnapshot(policy.to_flat(), "bc", spec.mask,
                                            spec.bias or "none", len(snapshots), s))
-    return snapshots
-
-
-def pg_gradient(policy: Policy, ops, trajs, advantages: np.ndarray):
-    """REINFORCE gradient (for minimization) of -sum_t adv * log pi(a_t | s_t)."""
-    states, actions, adv = [], [], []
-    for traj, a in zip(trajs, advantages):
-        states.extend(traj.states)
-        actions.extend(traj.actions)
-        adv.extend([a] * len(traj.actions))
-    if not states:
-        return None
-    states = np.asarray(states, dtype=np.float64)
-    adv = np.asarray(adv, dtype=np.float64)
-    x_feat = ops.featurize_policy(states)
-    out, cache = nn.mlp_forward_cached(policy.net, x_feat)
-    n_episodes = len(trajs)
-    if ops.action_kind == "discrete":
-        actions = np.asarray(actions, dtype=np.int64)
-        logits = out
-        if policy.action_mask is not None and policy.action_mask.any():
-            logits = logits + MASK_PENALTY * policy.action_mask
-        probs = nn.softmax(logits)
-        dlogits = probs.copy()
-        dlogits[np.arange(len(actions)), actions] -= 1.0
-        dlogits *= adv[:, None] / n_episodes
-        grads, _ = nn.mlp_backward(policy.net, cache, dlogits)
-        return grads
-    actions = np.asarray(actions, dtype=np.float64)
-    std = np.exp(policy.log_std)
-    z = (actions - out) / std
-    dmean = -(z / std) * adv[:, None] / n_episodes
-    grads, _ = nn.mlp_backward(policy.net, cache, dmean)
-    dlogstd = np.sum((1.0 - z**2) * adv[:, None], axis=0) / n_episodes
-    return grads + [dlogstd]
-
-
-def train_pg(env: str, spec: SubpopSpec, cfg: PopulationConfig,
-             rng: np.random.Generator, init: Policy | None = None) -> list[AgentSnapshot]:
-    """REINFORCE on the episodic binary return, with a moving-average baseline.
-
-    The baseline initializes to the first batch's mean return, so an all-equal
-    first batch produces a zero update. Snapshots follow the same improvement
-    rule as train_bc, checked every pg_eval_every iterations.
-    """
-    ops = get_env(env)
-    init_rng, snap_rng, data_rng, eval_rng = rng.spawn(4)
-    policy = init if init is not None else fresh_policy(env, init_rng, mask=spec.mask)
-    snap_states = snapshot_tasks(env, cfg, snap_rng)
-
-    def score() -> float:
-        return policy_success(env, policy, snap_states, cfg.snap_reps, eval_rng)
-
-    snapshots = [AgentSnapshot(policy.to_flat(), "pg", spec.mask, spec.bias or "none",
-                               0, score())]
-    params = _policy_params(policy)
-    adam = nn.AdamState.init(params, learning_rate=cfg.pg_lr)
-    baseline = None
-    for it in range(cfg.pg_iters):
-        tasks = sample_tasks(env, cfg.pg_batch, data_rng, bias=spec.bias)
-        outcomes, _, trajs = rollout_batch(env, tasks, policy, data_rng, record=True)
-        returns = outcomes.astype(np.float64)
-        if baseline is None:
-            baseline = returns.mean()
-        advantages = returns - baseline
-        baseline = ((1.0 - cfg.pg_baseline_alpha) * baseline
-                    + cfg.pg_baseline_alpha * returns.mean())
-        grads = pg_gradient(policy, ops, trajs, advantages)
-        if grads is not None:
-            if not all(np.isfinite(g).all() for g in grads):
-                raise RuntimeError("policy gradient became non-finite")
-            params, adam = nn.adam_step(params, grads, adam)
-            _apply_params(policy, params)
-        if (it + 1) % cfg.pg_eval_every == 0:
-            s = score()
-            if s >= snapshots[-1].validation_score + cfg.snap_delta:
-                snapshots.append(AgentSnapshot(policy.to_flat(), "pg", spec.mask,
-                                               spec.bias or "none", len(snapshots), s))
     return snapshots
 
 
@@ -474,12 +387,11 @@ def build_population(env: str, recipe: list[SubpopSpec], cfg: PopulationConfig,
     per_spec: list[list[AgentSnapshot]] = []
     for spec, sub_rng in zip(recipe, sub_rngs):
         t0 = time.time()
-        trainer = train_bc if spec.method == "bc" else train_pg
-        snaps = trainer(env, spec, cfg, sub_rng)
+        snaps = train_bc(env, spec, cfg, sub_rng)
         per_spec.append(snaps)
         if verbose:
             last = snaps[-1].validation_score
-            print(f"  subpop method={spec.method} mask={spec.mask} bias={spec.bias}: "
+            print(f"  subpop mask={spec.mask} bias={spec.bias}: "
                   f"{len(snaps)} snapshots, final score {last:.3f} "
                   f"({time.time() - t0:.1f}s)")
     total = sum(len(s) for s in per_spec)
@@ -520,31 +432,55 @@ def save_population(pop: Population, directory) -> list[Path]:
     return paths
 
 
+_AGENT_KEYS = ["method", "mask", "bias", "snapshot", "score"]
+
+
+def _read_population_manifest(path: Path) -> tuple[envcore.EnvOps, list[tuple]]:
+    """(env ops, one (method, mask, bias, snapshot, score) per agent), checked line by line."""
+    with open(path, "r", encoding="utf-8") as fp:
+        reader = nn.LineReader(fp)
+        with reader.located():  # an unknown env's EnvError is a ValueError too
+            head = {}
+            for key, parse in (("env", get_env), ("count", int)):
+                name, value = reader.fields(2)
+                if name != key:
+                    raise ValueError(f"expected the {key!r} line, got {name!r}")
+                head[key] = parse(value)
+            count = head["count"]
+            if count < 1:
+                raise ValueError("count must be at least 1")
+            records = []
+            for k in range(count):
+                parts = reader.fields(12)
+                if parts[:2] != ["agent", str(k)] or parts[2::2] != _AGENT_KEYS:
+                    raise ValueError(f"expected 'agent {k}' then {', '.join(_AGENT_KEYS)}")
+                method, mask, bias, snapshot, score = parts[3::2]
+                records.append((method, mask, bias, int(snapshot), float(score)))
+            reader.expect_end(f"agent line beyond count {count}")
+    return head["env"], records
+
+
 def population_files(directory) -> list[Path]:
     """Every file load_population reads: the manifest, then one weight file per agent."""
     directory = Path(directory)
-    manifest = directory / "manifest"
-    count = int(manifest.read_text(encoding="utf-8").splitlines()[1].split()[1])
-    return [manifest] + [directory / f"agent_{k}.txt" for k in range(count)]
+    _, records = _read_population_manifest(directory / "manifest")
+    return [directory / "manifest"] + [directory / f"agent_{k}.txt"
+                                       for k in range(len(records))]
 
 
 def load_population(directory) -> Population:
-    manifest, *agent_files = population_files(directory)
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    env = lines[0].split()[1]
-    ops = get_env(env)
+    """Read a population directory; a malformed file raises nn.ArtifactFormatError."""
+    directory = Path(directory)
+    ops, records = _read_population_manifest(directory / "manifest")
     snapshots = []
-    for k, agent_file in enumerate(agent_files):
-        parts = lines[2 + k].split()
-        rec = dict(zip(parts[2::2], parts[3::2]))
-        with open(agent_file, "r", encoding="utf-8") as fp:
-            net = nn.read_weights(fp)
-            log_std = None
-            if ops.action_kind == "box":
-                log_std = np.array([float(v) for v in fp.readline().split()])
-        flat = net.to_flat()
-        if log_std is not None:
-            flat = np.concatenate([flat, log_std])
-        snapshots.append(AgentSnapshot(flat, rec["method"], rec["mask"], rec["bias"],
-                                       int(rec["snapshot"]), float(rec["score"])))
-    return Population(env, snapshots)
+    for k, record in enumerate(records):
+        with open(directory / f"agent_{k}.txt", "r", encoding="utf-8") as fp:
+            reader = nn.LineReader(fp)
+            with reader.located():
+                flat = nn.read_weights(reader).to_flat()
+                if ops.action_kind == "box":
+                    log_std = [float(v) for v in reader.fields(ops.n_actions)]
+                    flat = np.concatenate([flat, np.array(log_std)])
+                reader.expect_end()
+        snapshots.append(AgentSnapshot(flat, *record))
+    return Population(ops.name, snapshots)

@@ -195,16 +195,6 @@ def gen_constraint_splits(pool_states: np.ndarray, population,
     return sets
 
 
-def gen_constraints(pool_states: np.ndarray, population, n_mi: int, n_norm: int,
-                    rng: np.random.Generator, mi_reps_per_agent: int = 100,
-                    pos_reps_per_agent: int = 10,
-                    drop_ties_eps: float = 0.0) -> ConstraintSet:
-    """Single-set convenience wrapper around gen_constraint_splits."""
-    return gen_constraint_splits(pool_states, population, [(n_mi, n_norm)], rng,
-                                 mi_reps_per_agent, pos_reps_per_agent,
-                                 drop_ties_eps)[0]
-
-
 def save_constraints(path, cset: ConstraintSet) -> None:
     """CSV rows `kind,task1,task2,task3,label,est1,est2`; task columns are pool row indices."""
     with open(path, "w", newline="", encoding="utf-8") as fp:

@@ -12,7 +12,7 @@ TINY_CFG = pop.PopulationConfig(
 @pytest.fixture(scope="session")
 def tiny_population():
     """Small trained multikeynav population shared across test modules."""
-    recipe = [pop.SubpopSpec("bc"), pop.SubpopSpec("bc", mask="all_picks")]
+    recipe = [pop.SubpopSpec(), pop.SubpopSpec(mask="all_picks")]
     return pop.build_population("multikeynav", recipe, TINY_CFG, make_rng(1000))
 
 

@@ -157,37 +157,36 @@ class TestCriterion2GradientSuite:
                                           easy, hard, 1.0, True)
         check("norm-pair", pair_loss, model.net.parameters(), pair_grads, 34, rng)
 
-        # Policy log-prob (discrete softmax), via the training-path gradient.
+        # Behavioral-cloning loss, discrete: mean negative log-prob of the
+        # demonstrated actions, through the gradient that trains populations.
+        ops_mkn = get_env("multikeynav")
         policy = pop.fresh_policy("multikeynav", make_rng(4))
         states = sample_tasks("multikeynav", 40, make_rng(5))
         actions = make_rng(6).integers(0, 7, size=40)
-        trajs = [type("T", (), {"states": [states[i]], "actions": [int(actions[i])]})()
-                 for i in range(40)]
-        adv = np.ones(40)
 
         def logprob_loss():
             probs = policy.action_probs(states)
             return float(-np.sum(np.log(probs[np.arange(40), actions])) / 40)
 
-        grads = pop.pg_gradient(policy, get_env("multikeynav"), trajs, adv)
+        _, grads = pop._bc_loss_and_grads(policy, ops_mkn,
+                                          ops_mkn.featurize_policy(states), actions)
         check("discrete log-prob", logprob_loss, policy.net.parameters(), grads, 34, rng)
 
-        # Policy log-prob (diagonal Gaussian), including the log-std parameter.
+        # Behavioral-cloning loss, diagonal Gaussian NLL, including log_std.
+        ops_pm = get_env("pointmass")
         gpolicy = pop.fresh_policy("pointmass", make_rng(7))
         gstates = sample_tasks("pointmass", 40, make_rng(8))
         gactions = make_rng(9).uniform(-5, 5, size=(40, 2))
-        gtrajs = [type("T", (), {"states": [gstates[i]], "actions": [gactions[i]]})()
-                  for i in range(40)]
 
         def gauss_loss():
-            ops_pm = get_env("pointmass")
             means = nn.mlp_forward(gpolicy.net, ops_pm.featurize_policy(gstates))
             std = np.exp(gpolicy.log_std)
             z = (gactions - means) / std
             logp = -0.5 * np.sum(z**2, axis=1) - np.sum(gpolicy.log_std)
             return float(-logp.sum() / 40)
 
-        ggrads = pop.pg_gradient(gpolicy, get_env("pointmass"), gtrajs, np.ones(40))
+        _, ggrads = pop._bc_loss_and_grads(gpolicy, ops_pm,
+                                           ops_pm.featurize_policy(gstates), gactions)
         gparams = gpolicy.net.parameters() + [gpolicy.log_std]
         check("gaussian log-prob", gauss_loss, gparams, ggrads, 30, rng)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestEmbedApi:
         back = emb.load_embedding_model(path)
         assert back.env == "pointmass" and back.dim == 3
         assert np.array_equal(back.net.to_flat(), model.net.to_flat())
+
+    @pytest.mark.parametrize("edit, line_of", [
+        (lambda t: t[: len(t) // 2], lambda t: t.count("\n") + 1),  # cut mid-file
+        (lambda t: t.split("\n", 1)[1], lambda t: 1),                # header missing
+        (lambda t: t + "1 2 3\n", lambda t: t.count("\n")),         # trailing content
+    ])
+    def test_malformed_model_file_names_file_and_line(self, tmp_path, edit, line_of):
+        path = tmp_path / "model.txt"
+        emb.save_embedding_model(emb.fresh_embedding_net("pointmass", 3, make_rng(36)), path)
+        text = edit(path.read_text())
+        path.write_text(text)
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape(f"{path}:{line_of(text)}:")):
+            emb.load_embedding_model(path)
 
     def test_export_csv(self, tmp_path):
         model = emb.fresh_embedding_net("multikeynav", 4, make_rng(37))

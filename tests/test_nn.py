@@ -234,6 +234,22 @@ def test_weight_file_roundtrip_bit_exact():
         assert np.array_equal(la.biases, lb.biases)
 
 
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda t: t[:-1], 7, "line is cut short"),
+    (lambda t: "\n".join(t.split("\n")[:4]) + "\n", 5, "file ends early"),
+    (lambda t: t.replace(" relu", ""), 2, "expected 3 values, got 2"),
+    (lambda t: t.replace(" relu", " swish"), 2, "unknown activation"),
+    (lambda t: t.replace("2 3", "3 3", 1), 3, "expected 4 values, got 3"),
+    (lambda t: t.replace("2\n", "x\n", 1), 1, "invalid literal"),
+])
+def test_weight_file_errors_name_the_line(edit, line, message):
+    net = nn.glorot_init([2, 3, 1], ["relu", "identity"], make_rng(30))
+    buf = io.StringIO()
+    nn.write_weights(net, buf)
+    with pytest.raises(nn.ArtifactFormatError, match=f"^<stream>:{line}: .*{message}"):
+        nn.read_weights(io.StringIO(edit(buf.getvalue())))
+
+
 def test_flat_roundtrip():
     rng = make_rng(31)
     net = nn.glorot_init([3, 5, 2], ["relu", "identity"], rng)

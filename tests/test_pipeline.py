@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,10 @@ eval_tasks = 150
 """
 
 
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + [REPO / "perfbench" / "mkn_bench.cfg"]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tinyrun")
@@ -84,6 +89,13 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(cfgmod.ConfigError, match="unknown key"):
             cfgmod.parse_config("[population]\nbananas = 3\n")
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        cfg = cfgmod.load_config(path)
+        # The lists parsed only when their stage starts must be valid too.
+        assert pipeline._prediction_methods(cfg) and pipeline._selection_methods(cfg)
+        assert cfgmod.parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
 
     def test_unknown_env_rejected(self):
         with pytest.raises(Exception, match="unknown environment"):
@@ -304,6 +316,22 @@ class TestPipelineRun:
         b.write_bytes(a_bytes)
         assert cli.main(argv) == 0
         assert "[eval-prediction-transfer] running" in capsys.readouterr().out
+
+
+    def test_truncated_agent_file_exits_1_with_location(self, tiny_run, capsys):
+        root, cfg_path = tiny_run
+        external = root.parent / "truncated_population"
+        shutil.copytree(root / "population", external)
+        agent = external / "agent_3.txt"
+        data = agent.read_text()
+        kept = data[:len(data) // 2]
+        agent.write_text(kept)
+        argv = ["eval-prediction", "--config", str(cfg_path),
+                "--agent-population", str(external)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{agent}:{kept.count(chr(10)) + 1}:" in err
+        assert "ArtifactFormatError" in err
 
 
 class TestCliErrors:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestTrainBc:
     def test_untrained_snapshot_first_and_scores_increase(self):
         cfg = pop.PopulationConfig(bc_epochs=8, bc_rollouts=120, bc_passes=3,
                                    snap_size=80)
-        snaps = pop.train_bc("multikeynav", pop.SubpopSpec("bc"), cfg, make_rng(20))
+        snaps = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(20))
         assert snaps[0].snapshot_index == 0
         scores = [s.validation_score for s in snaps]
         for prev, cur in zip(scores, scores[1:]):
@@ -68,15 +70,15 @@ class TestTrainBc:
     def test_deterministic_given_seed(self):
         cfg = pop.PopulationConfig(bc_epochs=3, bc_rollouts=60, bc_passes=1,
                                    snap_size=40)
-        a = pop.train_bc("multikeynav", pop.SubpopSpec("bc"), cfg, make_rng(21))
-        b = pop.train_bc("multikeynav", pop.SubpopSpec("bc"), cfg, make_rng(21))
+        a = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(21))
+        b = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(21))
         assert len(a) == len(b)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.parameters, sb.parameters)
             assert sa.validation_score == sb.validation_score
 
 
-class TestTrainPg:
+class TestPolicyLogProb:
     def test_score_function_identity_at_logits(self):
         # E[grad log pi] = 0 under the policy's own samples; check at the
         # logit level for one fixed state (the parameter gradient is a fixed
@@ -90,47 +92,6 @@ class TestTrainPg:
         grad_logits = onehots - probs  # grad of log softmax at the sampled action
         mean_grad = grad_logits.mean(axis=0)
         assert np.linalg.norm(mean_grad) < 0.05
-
-    def test_zero_return_first_batch_is_zero_update(self):
-        # Baseline initializes to the first batch mean, so an all-failure
-        # first batch gives zero advantage and leaves parameters untouched.
-        cfg = pop.PopulationConfig(pg_iters=1, pg_batch=16, pg_eval_every=100,
-                                   snap_size=20)
-        rng = make_rng(33)
-        snaps = pop.train_pg("cartpolevar", pop.SubpopSpec("pg"), cfg, rng)
-        init = pop.fresh_policy("cartpolevar", make_rng(33).spawn(4)[0])
-        # Untrained cartpole policies fail every episode, so returns are all 0.
-        assert np.array_equal(snaps[0].parameters, init.to_flat())
-        final = pop.Population("cartpolevar", snaps).policy(len(snaps) - 1)
-        assert np.array_equal(final.to_flat(), snaps[0].parameters)
-
-    def test_pg_improves_over_untrained_cartpole(self):
-        # REINFORCE cannot bootstrap a 200-step survival task from scratch
-        # (no successful episode ever appears), so warm-start from a brief
-        # cloning run and let the policy gradient take it from there.
-        warm_cfg = pop.PopulationConfig(bc_epochs=6, bc_rollouts=40, bc_passes=1,
-                                        bc_lr=1e-3, snap_size=60)
-        warm_snaps = pop.train_bc("cartpolevar", pop.SubpopSpec("bc"), warm_cfg,
-                                  make_rng(34))
-        warm = pop.Population("cartpolevar", warm_snaps).policy(len(warm_snaps) - 1)
-
-        rng = make_rng(35)
-        eval_tasks = sample_tasks("cartpolevar", 100, rng)
-        warm_score = pop.policy_success("cartpolevar", warm, eval_tasks, 1, make_rng(36))
-
-        pg_cfg = pop.PopulationConfig(pg_iters=40, pg_batch=24, pg_eval_every=10,
-                                      pg_lr=5e-4, snap_size=60)
-        snaps = pop.train_pg("cartpolevar", pop.SubpopSpec("pg"), pg_cfg,
-                             make_rng(37), init=warm)
-        trained = pop.Population("cartpolevar", snaps).policy(len(snaps) - 1)
-        trained_score = pop.policy_success("cartpolevar", trained, eval_tasks, 1,
-                                           make_rng(38))
-
-        untrained = pop.fresh_policy("cartpolevar", make_rng(39))
-        untrained_score = pop.policy_success("cartpolevar", untrained, eval_tasks, 1,
-                                             make_rng(40))
-        assert trained_score > untrained_score
-        assert trained_score >= warm_score - 0.1  # gradient must not wreck the policy
 
 
 class TestBuildPopulation:
@@ -236,3 +197,76 @@ class TestPersistence:
         pop.save_population(p, tmp_path / "pm")
         back = pop.load_population(tmp_path / "pm")
         assert np.array_equal(back.snapshots[0].parameters, snap.parameters)
+
+
+GOOD_MANIFEST = """\
+env multikeynav
+count 2
+agent 0 method bc mask none bias none snapshot 0 score 0.5
+agent 1 method bc mask all_picks bias none snapshot 1 score 0.75
+"""
+
+
+class TestPopulationManifestErrors:
+    @pytest.fixture()
+    def pop_dir(self, tmp_path):
+        snaps = [pop.AgentSnapshot(pop.fresh_policy("multikeynav", make_rng(90 + k)).to_flat(),
+                                   "bc", "none", "none", k, 0.5) for k in range(2)]
+        pop.save_population(pop.Population("multikeynav", snaps), tmp_path / "p")
+        return tmp_path / "p"
+
+    def test_good_manifest_loads(self, pop_dir):
+        (pop_dir / "manifest").write_text(GOOD_MANIFEST)
+        back = pop.load_population(pop_dir)
+        assert [s.mask for s in back.snapshots] == ["none", "all_picks"]
+        assert back.snapshots[1].validation_score == 0.75
+        assert len(pop.population_files(pop_dir)) == 3
+
+    @pytest.mark.parametrize("text, line", [
+        ("", 1),                                             # no env line
+        ("env multikeynav\n", 2),                            # no count line
+        (GOOD_MANIFEST[:20], 2),                              # cut inside the count line
+        ("count 2\n" + GOOD_MANIFEST, 1),                    # count before env
+        (GOOD_MANIFEST.replace("multikeynav", "atari"), 1),   # unknown env
+        (GOOD_MANIFEST.replace("count 2", "count two"), 2),
+        (GOOD_MANIFEST.replace("count 2", "count 0"), 2),
+        (GOOD_MANIFEST.replace(" score 0.75", ""), 4),        # short agent line
+        (GOOD_MANIFEST.replace("agent 1", "agent 7"), 4),     # out-of-order agent
+        (GOOD_MANIFEST.replace("count 2", "count 3"), 5),     # fewer agent lines than count
+        (GOOD_MANIFEST.replace("count 2", "count 1"), 4),     # more agent lines than count
+        (GOOD_MANIFEST + GOOD_MANIFEST.splitlines()[3] + "\n", 5),  # extra agent line
+        (GOOD_MANIFEST.replace("score 0.5", "score half"), 3),
+    ])
+    def test_malformed_manifest_names_file_and_line(self, pop_dir, text, line):
+        manifest = pop_dir / "manifest"
+        manifest.write_text(text)
+        where = re.escape(f"{manifest}:{line}:")
+        with pytest.raises(nn.ArtifactFormatError, match=where):
+            pop.population_files(pop_dir)
+        with pytest.raises(nn.ArtifactFormatError, match=where):
+            pop.load_population(pop_dir)
+
+    @pytest.mark.parametrize("cut", [-1, 0.5, 40, 2])
+    def test_truncated_agent_file_names_file_and_line(self, pop_dir, cut):
+        agent = pop_dir / "agent_1.txt"
+        data = agent.read_text()
+        kept = data[:int(cut * len(data)) if isinstance(cut, float) else cut]
+        agent.write_text(kept)
+        line = kept.count("\n") + 1  # the cut-short line, or the missing one after
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{agent}:{line}:")):
+            pop.load_population(pop_dir)
+
+    def test_box_policy_log_std_line_checked(self, tmp_path):
+        policy = pop.fresh_policy("pointmass", make_rng(95))
+        snap = pop.AgentSnapshot(policy.to_flat(), "bc", "none", "none", 0, 0.5)
+        pop.save_population(pop.Population("pointmass", [snap]), tmp_path / "pm")
+        agent = tmp_path / "pm" / "agent_0.txt"
+        lines = agent.read_text().splitlines(keepends=True)
+        agent.write_text("".join(lines[:-1]) + "0.1\n")  # one log_std for two actions
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape(f"{agent}:{len(lines)}: expected 2 values")):
+            pop.load_population(tmp_path / "pm")
+        agent.write_text("".join(lines) + "0.1 0.2\n")
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape(f"{agent}:{len(lines) + 1}: unexpected")):
+            pop.load_population(tmp_path / "pm")

@@ -181,15 +181,15 @@ class TestConstraints:
         return np.arange(5, dtype=float)[:, None]
 
     def test_requested_counts_returned(self):
-        cset = sim.gen_constraints(self.pool(), self.make_population(), 40, 30,
-                                   make_rng(10), mi_reps_per_agent=50,
-                                   pos_reps_per_agent=10)
+        [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(40, 30)],
+                                           make_rng(10), mi_reps_per_agent=50,
+                                           pos_reps_per_agent=10)
         assert len(cset.triplets) == 40
         assert len(cset.pairs) == 30
 
     def test_labels_antisymmetric_under_swap(self):
-        cset = sim.gen_constraints(self.pool(), self.make_population(), 60, 1,
-                                   make_rng(11), mi_reps_per_agent=50)
+        [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(60, 1)],
+                                           make_rng(11), mi_reps_per_agent=50)
         for t in cset.triplets:
             if t.est12 != t.est13:
                 assert t.label == int(t.est12 > t.est13)
@@ -204,7 +204,7 @@ class TestConstraints:
         pos = popn.outcome_table(self.pool(), 50, table_rng).mean(axis=1)
         # Task 4 solved by everyone, task 3 by no one.
         assert pos[4] > pos[3]
-        cset = sim.gen_constraints(self.pool(), popn, 1, 200, make_rng(13))
+        [cset] = sim.gen_constraint_splits(self.pool(), popn, [(1, 200)], make_rng(13))
         for p in cset.pairs:
             if p.task1 == 4 and p.task2 == 3:
                 assert p.label == 1
@@ -212,15 +212,15 @@ class TestConstraints:
                 assert p.label == 0
 
     def test_drop_ties_removes_near_ties(self):
-        cset = sim.gen_constraints(self.pool(), self.make_population(), 50, 1,
-                                   make_rng(14), mi_reps_per_agent=50,
-                                   drop_ties_eps=0.01)
+        [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(50, 1)],
+                                           make_rng(14), mi_reps_per_agent=50,
+                                           drop_ties_eps=0.01)
         for t in cset.triplets:
             assert abs(t.est12 - t.est13) >= 0.01
 
     def test_csv_roundtrip(self, tmp_path):
-        cset = sim.gen_constraints(self.pool(), self.make_population(), 25, 17,
-                                   make_rng(15))
+        [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(25, 17)],
+                                           make_rng(15))
         path = tmp_path / "constraints.csv"
         sim.save_constraints(path, cset)
         back = sim.load_constraints(path, cset.env)
