@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from taskemb.nn import LineReader
+
 ALIVE = 0
 SOLVED = 1
 CRASHED = 2
@@ -209,34 +211,35 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     episodes per step.
     """
     ops = env if isinstance(env, EnvOps) else get_env(env)
-    states = np.array(states0, dtype=np.float64)
-    if states.ndim != 2 or states.shape[1] != ops.state_dim:
+    cur = np.array(states0, dtype=np.float64)
+    if cur.ndim != 2 or cur.shape[1] != ops.state_dim:
         raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
-    b = states.shape[0]
-    status = np.full(b, ALIVE, dtype=np.int8)
-    alive = np.arange(b)
+    b = cur.shape[0]
+    final, status = cur.copy(), np.full(b, TIMED_OUT, dtype=np.int8)
+    idx = np.arange(b)  # batch rows of the alive episodes, whose states are `cur`
     recs = [Trajectory([], [], None) for _ in range(b)] if record else None
     for _ in range(ops.horizon):
-        if alive.size == 0:
+        if idx.size == 0:
             break
-        cur = states[alive]
         actions = policy.act(ops, cur, rng)
-        next_states, st = ops.step_batch(cur, actions, rng)
+        cur_next, st = ops.step_batch(cur, actions, rng)
         if record:
-            for k, idx in enumerate(alive):
-                recs[idx].states.append(cur[k].copy())
-                recs[idx].actions.append(
+            for k, i in enumerate(idx):
+                recs[i].states.append(cur[k].copy())
+                recs[i].actions.append(
                     int(actions[k]) if ops.action_kind == "discrete" else actions[k].copy()
                 )
-        states[alive] = next_states
-        status[alive] = st
-        alive = alive[st == ALIVE]
-    status[status == ALIVE] = TIMED_OUT
+        done = st != ALIVE
+        if done.any():  # write only the finished rows, then compact the alive ones
+            status[idx[done]], final[idx[done]] = st[done], cur_next[done]
+            idx, cur_next = idx[~done], cur_next[~done]
+        cur = cur_next
+    final[idx] = cur
     outcomes = (status == SOLVED).astype(np.uint8)
     if record:
-        for idx in range(b):
-            reward = 1.0 if status[idx] == SOLVED else 0.0
-            recs[idx].final = StepOutcome(states[idx].copy(), reward, int(status[idx]))
+        for i in range(b):
+            reward = 1.0 if status[i] == SOLVED else 0.0
+            recs[i].final = StepOutcome(final[i].copy(), reward, int(status[i]))
         return outcomes, status, recs
     return outcomes, status
 
@@ -264,23 +267,22 @@ def save_tasks(path, env: str, states: np.ndarray) -> None:
 
 
 def load_tasks(path) -> tuple[str, np.ndarray]:
-    """Read a task CSV written by save_tasks; the file must hold one env."""
+    """Read save_tasks' CSV, which holds one env; a bad row raises nn.ArtifactFormatError."""
     with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        header = next(reader)
-        rows = list(reader)
-    if not rows:
-        raise EnvError(f"{path}: no tasks")
-    env = rows[0][0]
-    ops = get_env(env)
+        reader = LineReader(fp)
+        with reader.located():
+            rows = reader.csv_rows()
+            header, ops, states = next(rows), None, []
+            for row in rows:
+                ops = ops or get_env(row[0])
+                if row[0] != ops.name:
+                    raise ValueError(f"mixed environments ({ops.name} and {row[0]})")
+                states.append([float(v) for v in row[1:]])
+            if ops is None:
+                raise ValueError("no tasks after the header")
     if tuple(header[1:]) != ops.state_fields:
         raise EnvError(f"{path}: header {header[1:]} != {list(ops.state_fields)}")
-    states = np.empty((len(rows), ops.state_dim))
-    for i, row in enumerate(rows):
-        if row[0] != env:
-            raise EnvError(f"{path}: mixed environments ({env} and {row[0]})")
-        states[i] = [float(v) for v in row[1:]]
-    return env, states
+    return ops.name, np.array(states)
 
 
 from taskemb.envs import cartpolevar, multikeynav, pointmass  # noqa: E402,F401  (registers envs)

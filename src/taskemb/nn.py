@@ -11,6 +11,7 @@ Inputs may be single vectors ``(d,)`` or batches ``(B, d)``; outputs match.
 from __future__ import annotations
 
 import contextlib
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +151,13 @@ def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """Forward pass; accepts a (d,) vector or a (B, d) batch."""
-    out, _ = mlp_forward_cached(net, x)
-    return out
+    """mlp_forward_cached's output bit for bit, minus the cache (a copied W.T changes bits)."""
+    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if h.ndim != 2 or h.shape[1] != net.in_size:
+        raise LayerShapeError(0, f"input shape {np.shape(x)} != (B, {net.in_size})")
+    for layer in net.layers:
+        h = _apply_activation(layer.activation, h @ layer.weights.T + layer.biases)
+    return h[0] if np.ndim(x) == 1 else h
 
 
 def mlp_forward_cached(net: Mlp, x: np.ndarray):
@@ -313,10 +318,10 @@ class LineReader:
         self.name = getattr(fp, "name", "<stream>")
         self.lineno = 0
 
-    def line(self) -> str:
+    def line(self, end_ok: bool = False) -> str:
         self.lineno += 1
         line = self.fp.readline()
-        if not line.endswith("\n"):  # the writers end every line with one
+        if not line.endswith("\n") and (line or not end_ok):  # the writers end every line with one
             raise ValueError("file ends early" if not line else "line is cut short")
         return line
 
@@ -325,6 +330,15 @@ class LineReader:
         if len(parts) != n:
             raise ValueError(f"expected {n} values, got {len(parts)}")
         return parts
+
+    def csv_rows(self):
+        """Yield the header, then every later line, as CSV rows as wide as the header."""
+        header = next(csv.reader([self.line()]))
+        yield header
+        for row in csv.reader(iter(lambda: self.line(end_ok=True), "")):
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            yield row
 
     def expect_end(self, what: str = "content after the last expected line") -> None:
         if self.fp.read().strip():

@@ -83,24 +83,17 @@ class Policy:
             flat = np.concatenate([flat, self.log_std])
         return flat
 
-    def set_flat(self, flat: np.ndarray) -> None:
-        n = self.net.to_flat().size
-        self.net.set_flat(flat[:n])
-        if self.log_std is not None:
-            if flat.size != n + self.log_std.size:
-                raise ValueError("flat parameter vector length mismatch")
-            self.log_std = np.asarray(flat[n:], dtype=np.float64).copy()
-        elif flat.size != n:
-            raise ValueError("flat parameter vector length mismatch")
+
+def _policy_layout(ops: envcore.EnvOps) -> tuple[list[int], list[str]]:  # sizes, activations
+    in_dim = ops.featurize_policy(np.zeros((1, ops.state_dim))).shape[1]
+    return ([in_dim, *ops.policy_hidden, ops.n_actions],
+            ["relu"] * len(ops.policy_hidden) + ["identity"])
 
 
 def fresh_policy(env: str, rng: np.random.Generator, mask: str = "none") -> Policy:
     """Glorot-initialized policy with the env's standard architecture."""
     ops = get_env(env)
-    in_dim = ops.featurize_policy(np.zeros((1, ops.state_dim))).shape[1]
-    sizes = [in_dim, *ops.policy_hidden, ops.n_actions]
-    acts = ["relu"] * len(ops.policy_hidden) + ["identity"]
-    net = nn.glorot_init(sizes, acts, rng)
+    net = nn.glorot_init(*_policy_layout(ops), rng)
     if ops.action_kind == "discrete":
         return Policy(env, net, action_mask=mask_vector(ops, name=mask))
     return Policy(env, net, log_std=np.zeros(ops.n_actions))
@@ -134,10 +127,19 @@ class Population:
         return len(self.snapshots)
 
     def policy(self, k: int) -> Policy:
-        snap = self.snapshots[k]
-        pol = fresh_policy(self.env, np.random.default_rng(0), mask=snap.mask)
-        pol.set_flat(snap.parameters)
-        return pol
+        """Agent k's policy, its net built straight from the snapshot's flat parameters."""
+        snap, ops = self.snapshots[k], get_env(self.env)
+        sizes, acts = _policy_layout(ops)
+        flat, layers, offset = snap.parameters, [], 0
+        for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], acts):
+            w, b = np.split(flat[offset : offset + (fan_in + 1) * fan_out], [fan_in * fan_out])
+            layers.append(nn.DenseLayer(w.reshape(fan_out, fan_in).copy(), b.copy(), act))
+            offset += w.size + b.size
+        if flat.size != offset + (ops.n_actions if ops.action_kind == "box" else 0):
+            raise ValueError(f"agent {k}: parameter vector has {flat.size} entries")
+        if ops.action_kind == "discrete":
+            return Policy(self.env, nn.Mlp(layers), action_mask=mask_vector(ops, name=snap.mask))
+        return Policy(self.env, nn.Mlp(layers), log_std=flat[offset:].copy())
 
     def outcome_table(self, states: np.ndarray, reps_per_agent,
                       rng: np.random.Generator, threads: int | None = None) -> np.ndarray:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from taskemb import nn
+
 
 def bernoulli_entropy(p) -> float | np.ndarray:
     """Entropy (nats) of a Bernoulli(p) variable, with 0*log(0) = 0."""
@@ -209,18 +211,20 @@ def save_constraints(path, cset: ConstraintSet) -> None:
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
+    """Read save_constraints' CSV; a bad row raises nn.ArtifactFormatError naming its line."""
     triplets, pairs = [], []
     with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        next(reader)
-        for row in reader:
-            kind, t1, t2, t3, label, e1, e2 = row
-            if kind == "mi":
-                triplets.append(TripletConstraint(int(t1), int(t2), int(t3),
-                                                  int(label), float(e1), float(e2)))
-            elif kind == "norm":
-                pairs.append(PairConstraint(int(t1), int(t2), int(label),
-                                            float(e1), float(e2)))
-            else:
-                raise ValueError(f"{path}: unknown constraint kind {kind!r}")
+        reader = nn.LineReader(fp)
+        with reader.located():
+            rows = reader.csv_rows()
+            next(rows)  # the header
+            for kind, t1, t2, t3, label, e1, e2 in rows:
+                if kind == "mi":
+                    triplets.append(TripletConstraint(int(t1), int(t2), int(t3),
+                                                      int(label), float(e1), float(e2)))
+                elif kind == "norm":
+                    pairs.append(PairConstraint(int(t1), int(t2), int(label),
+                                                float(e1), float(e2)))
+                else:
+                    raise ValueError(f"unknown constraint kind {kind!r}")
     return ConstraintSet(env, triplets, pairs)

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from taskemb import population as pop
 from taskemb.seeding import make_rng
+
+DESK_CONSTRAINTS = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/constraints"
 
 TINY_CFG = pop.PopulationConfig(
     target_size=12, bc_epochs=10, bc_rollouts=120, bc_passes=3, snap_size=80
@@ -68,3 +73,35 @@ def exact_mutual_information(p11, p10, p01, p00):
         if pxy > 0.0:
             total += pxy * np.log(pxy / (px * py))
     return total
+
+
+def cut_lengths(content: bytes):
+    """Strategy for lengths to truncate a file to: any byte offset, or one near a line end."""
+    line_ends = [i + 1 for i, byte in enumerate(content) if byte == ord("\n")]
+    near_end = st.tuples(st.sampled_from(line_ends), st.integers(-2, 0)).map(sum)
+    return st.one_of(st.integers(0, len(content)), near_end)
+
+
+_FULL_ROWS = {}
+
+
+def check_truncations(load, full_path, tmp_path, data, min_rows=0):
+    """Load `full_path` cut to a drawn length. A cut at a line end with at least
+    `min_rows` rows after the header must give the full file's first rows (`load`
+    returns a list of rows); any other cut must raise an ArtifactFormatError
+    naming the file and a line."""
+    from taskemb import nn
+
+    key = (load.__qualname__, full_path)
+    if key not in _FULL_ROWS:
+        _FULL_ROWS[key] = load(full_path)
+    content = full_path.read_bytes()
+    cut = content[:data.draw(cut_lengths(content), label="length")]
+    path = tmp_path / full_path.name
+    path.write_bytes(cut)
+    complete_rows = cut.count(b"\n") - 1
+    if cut.endswith(b"\n") and complete_rows >= min_rows:
+        assert load(path) == _FULL_ROWS[key][:complete_rows]
+    else:
+        with pytest.raises(nn.ArtifactFormatError, match=rf"{full_path.name}:\d+: "):
+            load(path)

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from taskemb import envs
+from taskemb import envs, nn
+from taskemb import population as pop
 from taskemb.envs import cartpolevar, core, multikeynav, pointmass
 from taskemb.seeding import make_rng
+
+from conftest import DESK_CONSTRAINTS, check_truncations
 
 
 def mkn_state(loc, keys=(0, 0, 0, 0), door=0):
@@ -289,6 +294,23 @@ class TestRolloutMachinery:
             for s in states[:20]:
                 ops.validate_state(s)
 
+    @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
+    def test_record_does_not_change_outcomes(self, env):
+        # Recording only reads the alive rows; the episodes and the rng stream stay the same.
+        ops = core.get_env(env)
+        policy = pop.fresh_policy(env, make_rng(47))
+        tasks = envs.sample_tasks(env, 300, make_rng(48))
+        out, status = envs.rollout_batch(env, tasks, policy, make_rng(49))
+        out_r, status_r, trajs = envs.rollout_batch(env, tasks, policy, make_rng(49), record=True)
+        assert np.array_equal(out, out_r) and np.array_equal(status, status_r)
+        assert len({len(traj.actions) for traj in trajs}) > 1  # episodes end at different steps
+        for traj, st0, task in zip(trajs, status, tasks):
+            assert traj.final.terminal == st0
+            assert np.array_equal(traj.states[0], task)
+            assert len(traj.actions) == len(traj.states) <= ops.horizon
+            if st0 == envs.TIMED_OUT:
+                assert len(traj.actions) == ops.horizon
+
     def test_unknown_env_lists_options(self):
         with pytest.raises(core.EnvError, match="multikeynav"):
             envs.get_env("nope")
@@ -309,3 +331,29 @@ class TestTaskFiles:
         path.write_text("env,a,b\nmultikeynav,1,2\n")
         with pytest.raises(core.EnvError, match="header"):
             envs.load_tasks(path)
+
+    def test_malformed_rows_name_file_and_line(self, tmp_path):
+        path = tmp_path / "tasks.csv"
+        envs.save_tasks(path, "cartpolevar", envs.sample_tasks("cartpolevar", 3, make_rng(52)))
+        lines = path.read_text().splitlines(keepends=True)
+        cases = [
+            (lines[:2] + [lines[2].replace(",0.0", "", 1)], 3, "expected 8 fields, got 7"),
+            (lines[:3] + [lines[3].replace(",0.0", ",zero", 1)], 4, "could not convert"),
+            (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
+            (lines[:1], 2, "no tasks after the header"),
+            ([], 1, "file ends early"),
+        ]
+        for text, line, message in cases:
+            path.write_text("".join(text), newline="")
+            with pytest.raises(nn.ArtifactFormatError, match=f"tasks.csv:{line}: {message}"):
+                envs.load_tasks(path)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_truncated_pool_gives_first_rows_or_a_located_error(self, tmp_path, data):
+        def load(path):
+            env, states = envs.load_tasks(path)
+            return [(env, *row) for row in states.tolist()]
+
+        check_truncations(load, DESK_CONSTRAINTS / "pool.csv", tmp_path, data, min_rows=1)

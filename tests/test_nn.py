@@ -81,6 +81,24 @@ def test_forward_batch_matches_loop():
     assert np.array_equal(batch, nn.mlp_forward(net, xs))
 
 
+@pytest.mark.parametrize("sizes, acts", [
+    ([7, 32, 32, 7], ["relu", "relu", "identity"]),
+    ([6, 64, 32, 2], ["relu", "tanh", "identity"]),
+])
+def test_inference_forward_matches_cached_forward_bit_for_bit(sizes, acts):
+    # Rollout batches shrink to a few rows late in an episode, where BLAS picks
+    # different kernels; the cache-free forward must still give the same bits.
+    rng = make_rng(8)
+    net = nn.glorot_init(sizes, acts, rng)
+    for layer in net.layers:
+        layer.biases = rng.normal(size=layer.out_size)
+    for rows in range(1, 65):
+        x = rng.normal(size=(rows, sizes[0]))
+        assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
+    x = rng.normal(size=sizes[0])
+    assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
+
+
 def test_forward_dimension_mismatch_names_layer():
     net = nn.Mlp([
         nn.DenseLayer(np.eye(2), np.zeros(2), "relu"),
@@ -257,3 +275,28 @@ def test_flat_roundtrip():
     other = nn.glorot_init([3, 5, 2], ["relu", "identity"], make_rng(99))
     other.set_flat(flat)
     assert np.array_equal(other.to_flat(), flat)
+
+
+def test_import_pins_openblas_to_one_thread():
+    import ctypes
+    import glob
+
+    import taskemb  # noqa: F401  (the import pins the thread count)
+
+    paths = glob.glob(np.__path__[0] + ".libs/libscipy_openblas*")
+    if not paths:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert blas != "scipy-openblas", "NumPy bundles OpenBLAS but the lookup found none"
+        pytest.skip(f"NumPy is built against {blas}, not a bundled OpenBLAS")
+    for path in paths:
+        get_threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        assert get_threads() == 1
+
+
+@pytest.mark.parametrize("found", [[], ["/nonexistent/libscipy_openblas.so"], ["libc.so.6"]])
+def test_openblas_pin_is_a_no_op_without_the_library_or_symbol(monkeypatch, found):
+    import taskemb
+
+    monkeypatch.setattr(taskemb.glob, "glob", lambda pattern: found)
+    taskemb._pin_openblas_threads()

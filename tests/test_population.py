@@ -40,13 +40,24 @@ class TestPolicy:
         actions = policy.act(ops, states, make_rng(8))
         assert actions.min() >= -10.0 and actions.max() <= 10.0
 
-    def test_flat_roundtrip_box_policy(self):
-        policy = pop.fresh_policy("pointmass", make_rng(9))
-        policy.log_std = np.array([0.3, -0.2])
+    @pytest.mark.parametrize("env, mask", [("pointmass", "none"), ("multikeynav", "pickKeyB")])
+    def test_flat_roundtrip_through_population(self, env, mask):
+        policy = pop.fresh_policy(env, make_rng(9), mask=mask)
+        if policy.log_std is not None:
+            policy.log_std = np.array([0.3, -0.2])
         flat = policy.to_flat()
-        other = pop.fresh_policy("pointmass", make_rng(10))
-        other.set_flat(flat)
-        assert np.array_equal(other.to_flat(), flat)
+        snap = pop.AgentSnapshot(flat, "bc", mask, "none", 0, 0.5)
+        back = pop.Population(env, [snap]).policy(0)
+        assert np.array_equal(back.to_flat(), flat)
+        if mask != "none":
+            assert np.array_equal(back.action_mask, pop.mask_vector(get_env(env), mask))
+        states = sample_tasks(env, 30, make_rng(10))
+        ops = get_env(env)
+        assert np.array_equal(back.act(ops, states, make_rng(11)),
+                              policy.act(ops, states, make_rng(11)))
+        with pytest.raises(ValueError, match="parameter vector has"):
+            pop.Population(env, [pop.AgentSnapshot(np.append(flat, 0.0), "bc", mask,
+                                                   "none", 0, 0.5)]).policy(0)
 
     def test_mask_vector_names(self):
         ops = get_env("multikeynav")

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from taskemb import nn
 from taskemb import similarity as sim
 from taskemb.seeding import make_rng
 
-from conftest import BernoulliPopulation, exact_mutual_information
+from conftest import (DESK_CONSTRAINTS, BernoulliPopulation, check_truncations,
+                      exact_mutual_information)
 
 
 def _task(i):
@@ -231,3 +233,29 @@ class TestConstraints:
         for a, b in zip(cset.pairs, back.pairs):
             assert (a.task1, a.task2, a.label) == (b.task1, b.task2, b.label)
             assert a.pos1 == b.pos1 and a.pos2 == b.pos2
+
+    def test_malformed_rows_name_file_and_line(self, tmp_path):
+        lines = (DESK_CONSTRAINTS / "train.csv").read_text().splitlines(keepends=True)[:4]
+        path = tmp_path / "train.csv"
+        cases = [
+            (2, lambda t: t.replace(",0,", ",", 1), "expected 7 fields, got 6"),
+            (2, lambda t: t.replace("mi,", "mi,x", 1), "invalid literal for int"),
+            (2, lambda t: t.replace(",0.", ",0.x", 1), "could not convert"),
+            (2, lambda t: t.replace("mi,", "pair,", 1), "unknown constraint kind 'pair'"),
+            (4, lambda t: t[:-1], "line is cut short"),
+        ]
+        for line, edit, message in cases:
+            text = lines[: line - 1] + [edit(lines[line - 1])] + lines[line:]
+            path.write_text("".join(text), newline="")
+            with pytest.raises(nn.ArtifactFormatError, match=f"train.csv:{line}: {message}"):
+                sim.load_constraints(path, "multikeynav")
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_truncated_constraints_give_first_rows_or_a_located_error(self, tmp_path, data):
+        def load(path):
+            cset = sim.load_constraints(path, "multikeynav")
+            return [(type(c).__name__, *vars(c).values()) for c in cset.triplets + cset.pairs]
+
+        check_truncations(load, DESK_CONSTRAINTS / "train.csv", tmp_path, data)
