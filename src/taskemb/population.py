@@ -127,19 +127,16 @@ class Population:
         return len(self.snapshots)
 
     def policy(self, k: int) -> Policy:
-        """Agent k's policy, its net built straight from the snapshot's flat parameters."""
+        """Agent k's policy, its net filled from the snapshot's flat parameters (no Glorot draw)."""
         snap, ops = self.snapshots[k], get_env(self.env)
         sizes, acts = _policy_layout(ops)
-        flat, layers, offset = snap.parameters, [], 0
-        for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], acts):
-            w, b = np.split(flat[offset : offset + (fan_in + 1) * fan_out], [fan_in * fan_out])
-            layers.append(nn.DenseLayer(w.reshape(fan_out, fan_in).copy(), b.copy(), act))
-            offset += w.size + b.size
-        if flat.size != offset + (ops.n_actions if ops.action_kind == "box" else 0):
-            raise ValueError(f"agent {k}: parameter vector has {flat.size} entries")
+        net = nn.Mlp([nn.DenseLayer(np.zeros((o, i)), np.zeros(o), a)
+                      for i, o, a in zip(sizes[:-1], sizes[1:], acts)])
+        n_std = ops.n_actions if ops.action_kind == "box" else 0
+        net.set_flat(snap.parameters[: snap.parameters.size - n_std])
         if ops.action_kind == "discrete":
-            return Policy(self.env, nn.Mlp(layers), action_mask=mask_vector(ops, name=snap.mask))
-        return Policy(self.env, nn.Mlp(layers), log_std=flat[offset:].copy())
+            return Policy(self.env, net, action_mask=mask_vector(ops, name=snap.mask))
+        return Policy(self.env, net, log_std=snap.parameters[-n_std:].copy())
 
     def outcome_table(self, states: np.ndarray, reps_per_agent,
                       rng: np.random.Generator, threads: int | None = None) -> np.ndarray:

@@ -55,7 +55,7 @@ class TestPolicy:
         ops = get_env(env)
         assert np.array_equal(back.act(ops, states, make_rng(11)),
                               policy.act(ops, states, make_rng(11)))
-        with pytest.raises(ValueError, match="parameter vector has"):
+        with pytest.raises(ValueError, match="flat vector has"):
             pop.Population(env, [pop.AgentSnapshot(np.append(flat, 0.0), "bc", mask,
                                                    "none", 0, 0.5)]).policy(0)
 
