@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import get_env
 from taskemb.population import Population, success_rates
 from taskemb.stats import fold_mean_stderr
+
+METHODS = ("ours", "random", "ignore_task", "ignore_agent", "opt", "predmodel")
 
 
 @dataclass
@@ -65,7 +68,7 @@ def softnn_score(model, example: QuizExample, beta: float) -> float:
     return float(np.sum(example.quiz_outcomes * w) / np.sum(w))
 
 
-def predict_softnn(model, example: QuizExample, beta: float = 1000.0) -> int:
+def predict_softnn(model, example: QuizExample, beta: float) -> int:
     return int(softnn_score(model, example, beta) > 0.5)
 
 
@@ -159,21 +162,25 @@ def save_quiz_dataset(path, env: str, examples: list[QuizExample]) -> None:
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
-    examples: dict[int, dict] = {}
+    """Read save_quiz_dataset's CSV; a bad row, or an example without its test
+    row, raises nn.ArtifactFormatError naming the line."""
+    examples, quiz, outs = [], [], []
     with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        next(reader)
-        for row in reader:
-            i, role, outcome, agent = int(row[0]), row[1], int(row[2]), int(row[3])
-            state = np.array([float(v) for v in row[4:]])
-            rec = examples.setdefault(i, {"quiz": [], "out": [], "agent": agent})
-            if role == "quiz":
-                rec["quiz"].append(state)
-                rec["out"].append(outcome)
-            else:
-                rec["test"], rec["test_out"] = state, outcome
-    return [
-        QuizExample(np.stack(rec["quiz"]), np.array(rec["out"], dtype=np.uint8),
-                    rec["test"], rec["test_out"], rec["agent"])
-        for i, rec in sorted(examples.items())
-    ]
+        reader = nn.LineReader(fp)
+        with reader.located():
+            rows = reader.csv_rows()
+            next(rows)  # the header
+            for i, role, outcome, agent, *state in rows:
+                if int(i) != len(examples) or role != "quiz" and (role != "test" or not quiz):
+                    raise ValueError(f"unexpected row: example {i}, role {role!r}")
+                state = np.array([float(v) for v in state])
+                if role == "quiz":
+                    quiz.append(state)
+                    outs.append(int(outcome))
+                    continue
+                examples.append(QuizExample(np.stack(quiz), np.array(outs, dtype=np.uint8),
+                                            state, int(outcome), int(agent)))
+                quiz, outs = [], []
+            if quiz or not examples:
+                raise ValueError(f"example {len(examples)} has no test row")
+    return examples

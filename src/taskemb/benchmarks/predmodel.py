@@ -81,10 +81,6 @@ class PredModelNets:
     trunk: nn.Mlp         # (sbar, action, z) -> shared hidden features
     reward_head: nn.Mlp   # hidden -> 1
     dynamics_head: nn.Mlp # hidden -> d_bar
-    dim: int = 0          # embedding dim alias used by benchmark consumers
-
-    def __post_init__(self):
-        self.dim = self.latent_dim
 
     def parameters(self):
         return (self.inference.parameters() + self.trunk.parameters()
@@ -188,12 +184,17 @@ def save_predmodel(nets: PredModelNets, path) -> None:
 
 
 def load_predmodel(path) -> PredModelNets:
+    """Read a predmodel file; a malformed one raises nn.ArtifactFormatError naming the line."""
     with open(path, "r", encoding="utf-8") as fp:
         reader = nn.LineReader(fp)
         with reader.located():
             header = json.loads(reader.line())
+            if not isinstance(header, dict) or not {"env", "latent_dim"} <= header.keys():
+                raise ValueError('header must be {"env": ..., "latent_dim": ...}')
+            latent_dim = int(header["latent_dim"])
             nets = [nn.read_weights(reader) for _ in range(4)]
-    return PredModelNets(header["env"], int(header["latent_dim"]), *nets)
+            reader.expect_end()
+    return PredModelNets(header["env"], latent_dim, *nets)
 
 
 def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelConfig,

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import ExpertPolicy, get_env
 from taskemb.population import Population, success_rates
@@ -209,13 +211,6 @@ def select(method: str, example: SelectionExample, res: SelectionResources,
     raise ValueError(f"unknown selection method {method!r}; options: {', '.join(METHODS)}")
 
 
-def select_with_estimates(example: SelectionExample):
-    """Ranking from the construction-time estimates themselves (the noise-free oracle)."""
-    if example.query_type == 1:
-        return _rank(example.gt_sims, None)
-    return _rank(example.gt_sims, example.pos_options < example.pos_ref)
-
-
 def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) -> float:
     hits = [gt in rank[:k] for rank, gt in zip(rankings, ground_truths)]
     return float(np.mean(hits))
@@ -242,28 +237,40 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> 
 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
-    rows: dict[int, dict] = {}
+    """Read save_selection_dataset's CSV; a bad or missing row raises nn.ArtifactFormatError
+    naming the line. A file cut inside its only example cannot show missing easy rows."""
+    examples, counts = [], None  # their array fields collect lists until the return
     with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        next(reader)
-        for row in reader:
-            i, role, qtype = int(row[0]), row[1], int(row[2])
-            state = np.array([float(v) for v in row[6:]])
-            rec = rows.setdefault(i, {"options": [], "pos": [], "sims": [],
-                                      "easy": [], "qtype": qtype})
-            if role == "ref":
-                rec["ref"] = state
-                rec["gt"] = int(row[3])
-                rec["pos_ref"] = float(row[4])
-            elif role.startswith("option"):
-                rec["options"].append(state)
-                rec["pos"].append(float(row[4]))
-                rec["sims"].append(float(row[5]))
-            else:
-                rec["easy"].append(state)
-    return [
-        SelectionExample(rec["ref"], np.stack(rec["options"]), np.stack(rec["easy"]),
-                         rec["qtype"], rec["gt"], np.array(rec["sims"]),
-                         rec["pos_ref"], np.array(rec["pos"]))
-        for i, rec in sorted(rows.items())
-    ]
+        reader = nn.LineReader(fp)
+        with reader.located():
+            rows = reader.csv_rows()
+            next(rows)  # the header
+            for i, role, qtype, gt, pos, sim, *state in itertools.chain(rows, [[""] * 6]):
+                if role in ("ref", "") and examples:  # the last example is complete
+                    last = examples[-1]
+                    got = (len(last.option_states), len(last.easy_refs))
+                    counts = counts or got
+                    if got != counts or not got[1] or not 0 <= last.ground_truth < got[0]:
+                        raise ValueError(f"example {len(examples) - 1} has (options, easy) {got}, "
+                                         f"ground truth {last.ground_truth}; example 0 {counts}")
+                if not role:
+                    break
+                state = np.array([float(v) for v in state])
+                ex = examples[-1] if examples and int(i) == len(examples) - 1 else None
+                if role == "ref" and int(i) == len(examples):
+                    examples.append(SelectionExample(state, [], [], int(qtype), int(gt), [],
+                                                     float(pos), []))
+                elif ex and role == f"option_{len(ex.option_states)}" and not ex.easy_refs:
+                    ex.option_states.append(state)
+                    ex.pos_options.append(float(pos))
+                    ex.gt_sims.append(float(sim))
+                elif ex and role == f"easy_{len(ex.easy_refs)}":
+                    ex.easy_refs.append(state)
+                else:
+                    raise ValueError(f"unexpected row: example {i}, role {role!r}")
+            if not examples:
+                raise ValueError("no examples after the header")
+    return [SelectionExample(ex.ref_state, np.stack(ex.option_states), np.stack(ex.easy_refs),
+                             ex.query_type, ex.ground_truth, np.array(ex.gt_sims),
+                             ex.pos_ref, np.array(ex.pos_options))
+            for ex in examples]

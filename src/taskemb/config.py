@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import io
 from dataclasses import dataclass, field
 
+from taskemb.benchmarks import prediction, selection
 from taskemb.envs.core import get_env
 
 
@@ -82,8 +82,6 @@ class BenchmarkSection:
     quiz_train_examples: int = 5000
     quiz_test_examples: int = 5000
     prediction_methods: str = "ours,random,ignore_agent,opt"
-    softnn_beta: float = 1000.0
-    tune_beta: bool = True
     ignore_task_rollouts: int = 500
     ignore_agent_reps: int = 10
     opt_rollouts: int = 10
@@ -181,6 +179,10 @@ def parse_config(text: str) -> RunConfig:
     get_env(cfg.env)  # validates the environment name
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
+    # Check the benchmark lists now, not when run-all reaches their stages.
+    parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
+    parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
+    parse_methods(cfg.benchmarks.selection_methods, selection.METHODS)
     return cfg
 
 
@@ -189,56 +191,19 @@ def load_config(path) -> RunConfig:
         return parse_config(fp.read())
 
 
-def _value_str(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def dump_config(cfg: RunConfig) -> str:
-    out = io.StringIO()
-    out.write("[run]\n")
-    out.write(f"env = {cfg.env}\n")
-    out.write(f"output_dir = {cfg.output_dir}\n")
-    out.write(f"threads = {cfg.threads}\n")
-    for name in _SECTIONS:
-        out.write(f"\n[{name}]\n")
-        section = getattr(cfg, name)
-        for f in dataclasses.fields(section):
-            out.write(f"{f.name} = {_value_str(getattr(section, f.name))}\n")
-    return out.getvalue()
-
-
-def section_dump(cfg: RunConfig, names: list[str]) -> str:
-    """Canonical text of selected sections, for stage content hashing."""
-    full = dump_config(cfg)
-    blocks = {}
-    current = None
-    for line in full.splitlines():
-        if line.startswith("["):
-            current = line[1:-1]
-            blocks[current] = []
-        elif line.strip() and current is not None:
-            blocks[current].append(line)
-    picked = []
-    for name in names:
-        picked.append(f"[{name}]")
-        picked.extend(blocks.get(name, []))
-    return "\n".join(picked) + "\n"
-
-
 def parse_quiz_sizes(spec: str) -> list[int]:
     """Accepts '1-20', '5', or '1,2,5,20'; returns sorted unique sizes."""
     sizes: set[int] = set()
-    for part in spec.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-")
-            sizes.update(range(int(lo), int(hi) + 1))
-        elif part:
-            sizes.add(int(part))
+    try:
+        for part in spec.split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-")
+                sizes.update(range(int(lo), int(hi) + 1))
+            elif part:
+                sizes.add(int(part))
+    except ValueError as exc:
+        raise ConfigError(f"quiz sizes {spec!r}: {exc}") from None
     out = sorted(sizes)
     if not out or out[0] < 1 or out[-1] > 20:
         raise ConfigError(f"quiz sizes must lie in [1, 20]: {spec!r}")

@@ -37,11 +37,6 @@ class EmbeddingNet:
         out = nn.mlp_forward(self.net, ops.featurize_embed(states))
         return out[0] if single else out
 
-    def embed_task(self, task) -> np.ndarray:
-        if task.env != self.env:
-            raise ValueError(f"task env {task.env!r} != model env {self.env!r}")
-        return self.embed(task.state0)
-
 
 def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator,
                         hidden: tuple[int, ...] | None = None) -> EmbeddingNet:
@@ -51,31 +46,6 @@ def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator,
     sizes = [in_dim, *hidden, dim]
     acts = ["relu"] * len(hidden) + ["identity"]
     return EmbeddingNet(env, nn.glorot_init(sizes, acts, rng), dim)
-
-
-def triplet_loss(e1: np.ndarray, e2: np.ndarray, e3: np.ndarray) -> float:
-    """softplus(<e1,e3> - <e1,e2>): near zero when e2 is the clearly closer partner."""
-    return float(nn.softplus(np.dot(e1, e3) - np.dot(e1, e2)))
-
-
-def triplet_loss_grads(e1, e2, e3):
-    """Gradients of triplet_loss w.r.t. all three embeddings."""
-    s = float(nn.sigmoid(np.dot(e1, e3) - np.dot(e1, e2)))
-    return s * (e3 - e2), -s * e1, s * e1
-
-
-def norm_pair_loss(e_easy: np.ndarray, e_hard: np.ndarray) -> float:
-    """softplus(|e_easy| - |e_hard|): pushes easier tasks toward smaller norms."""
-    return float(nn.softplus(np.linalg.norm(e_easy) - np.linalg.norm(e_hard)))
-
-
-def norm_pair_loss_grads(e_easy, e_hard):
-    n_easy = np.linalg.norm(e_easy)
-    n_hard = np.linalg.norm(e_hard)
-    s = float(nn.sigmoid(n_easy - n_hard))
-    g_easy = s * e_easy / n_easy if n_easy > 0 else np.zeros_like(e_easy)
-    g_hard = -s * e_hard / n_hard if n_hard > 0 else np.zeros_like(e_hard)
-    return g_easy, g_hard
 
 
 @dataclass

@@ -12,13 +12,11 @@ from taskemb.envs.core import (
     Task,
     Trajectory,
     UniformRandomPolicy,
-    env_names,
     expert_action,
     get_env,
     load_tasks,
     rollout,
     rollout_batch,
-    sample_task,
     sample_tasks,
     save_tasks,
     step,
@@ -27,7 +25,7 @@ from taskemb.envs.core import (
 __all__ = [
     "ALIVE", "SOLVED", "CRASHED", "TIMED_OUT", "FAILED_BY_GAMMA",
     "EnvOps", "ExpertPolicy", "StepOutcome", "Task", "Trajectory",
-    "UniformRandomPolicy", "env_names", "expert_action", "get_env",
-    "load_tasks", "rollout", "rollout_batch", "sample_task", "sample_tasks",
+    "UniformRandomPolicy", "expert_action", "get_env",
+    "load_tasks", "rollout", "rollout_batch", "sample_tasks",
     "save_tasks", "step",
 ]

@@ -132,7 +132,6 @@ core.register(core.EnvOps(
     state_dim=7,
     state_fields=("x", "v", "theta", "omega", "force", "taskType", "numSteps"),
     horizon=HORIZON,
-    gamma=1.0,
     action_kind="discrete",
     n_actions=2,
     action_low=0,

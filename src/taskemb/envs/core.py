@@ -34,7 +34,6 @@ class EnvOps:
     state_dim: int
     state_fields: tuple[str, ...]
     horizon: int
-    gamma: float
     action_kind: str            # "discrete" or "box"
     n_actions: int              # action count (discrete) or action dim (box)
     action_low: float
@@ -70,10 +69,6 @@ def get_env(name: str) -> EnvOps:
         raise EnvError(
             f"unknown environment {name!r}; valid options: {', '.join(sorted(_REGISTRY))}"
         ) from None
-
-
-def env_names() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 @dataclass
@@ -184,10 +179,6 @@ def sample_tasks(env: str, n: int, rng: np.random.Generator,
         out[filled : filled + take] = keep[:take]
         filled += take
     return out
-
-
-def sample_task(env: str, rng: np.random.Generator, bias: str | None = None) -> Task:
-    return Task(env, sample_tasks(env, 1, rng, bias)[0])
 
 
 def expert_action(env: str, state: np.ndarray):

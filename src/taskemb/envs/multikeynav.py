@@ -149,7 +149,6 @@ def _make_ops(name: str, variant: str) -> core.EnvOps:
         state_dim=7,
         state_fields=("location", "keyA", "keyB", "keyC", "keyD", "doorBit1", "doorBit2"),
         horizon=40,
-        gamma=GAMMA,
         action_kind="discrete",
         n_actions=7,
         action_low=0,

@@ -156,7 +156,6 @@ core.register(core.EnvOps(
     state_dim=7,
     state_fields=("x", "vx", "y", "vy", "gate_pos", "gate_width", "friction"),
     horizon=HORIZON,
-    gamma=GAMMA,
     action_kind="box",
     n_actions=2,
     action_low=-F_MAX,

@@ -117,14 +117,6 @@ class Mlp:
             raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
         self.set_parameters(params)
 
-    def copy(self) -> "Mlp":
-        return Mlp(
-            [
-                DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-
 
 def glorot_init(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
     """Build an Mlp with uniform(+-sqrt(6/(fan_in+fan_out))) weights and zero biases."""

@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 
 from taskemb import embedding as emb
+from taskemb import nn
 from taskemb import population as pop
 from taskemb import similarity as sim
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
-from taskemb.config import (RunConfig, parse_methods, parse_quiz_sizes,
-                            section_dump)
+from taskemb.config import RunConfig, parse_methods, parse_quiz_sizes
 from taskemb.envs import load_tasks, sample_tasks, save_tasks
 from taskemb.manifest import Manifest, text_hash
 from taskemb.seeding import make_rng
@@ -31,11 +31,17 @@ from taskemb.stats import fold_mean_stderr
 
 
 def _stage_hash(cfg: RunConfig, sections: tuple[str, ...]) -> str:
-    # output_dir is a location and threads never change results; neither
-    # belongs in the cache key.
-    dump = section_dump(cfg, ["run", "seeds", *sections])
-    lines = [l for l in dump.splitlines()
-             if not l.startswith(("output_dir =", "threads ="))]
+    # `[run]`, `env = ...`, then `[seeds]` and each section's `key = value` lines. output_dir
+    # is a location and threads never change results, so neither is in the key.
+    lines = ["[run]", f"env = {cfg.env}"]
+    for name in ("seeds", *sections):
+        section = getattr(cfg, name)
+        lines.append(f"[{name}]")
+        for f in dataclasses.fields(section):
+            v = getattr(section, f.name)
+            text = ("true" if v else "false") if isinstance(v, bool) else (
+                repr(v) if isinstance(v, float) else str(v))
+            lines.append(f"{f.name} = {text}")
     return text_hash("\n".join(lines) + "\n")
 
 
@@ -144,9 +150,7 @@ def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 
 
 def _prediction_methods(cfg: RunConfig) -> list[str]:
-    return parse_methods(cfg.benchmarks.prediction_methods,
-                         ("ours", "random", "ignore_task", "ignore_agent", "opt",
-                          "predmodel"))
+    return parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
 
 
 def _selection_methods(cfg: RunConfig) -> list[str]:
@@ -167,10 +171,13 @@ def _write_results(path, rows: list[tuple]) -> None:
 
 
 def read_results(path) -> list[tuple[str, str, float, float]]:
+    """Read a result CSV; a bad row raises nn.ArtifactFormatError naming the line."""
     with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = csv.reader(fp)
-        next(reader)
-        return [(m, k, float(a), float(b)) for m, k, a, b in reader]
+        reader = nn.LineReader(fp)
+        with reader.located():
+            rows = reader.csv_rows()
+            next(rows)  # the header
+            return [(m, k, float(a), float(b)) for m, k, a, b in rows]
 
 
 def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
@@ -212,9 +219,7 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
         for method in methods:
             if method == "ours" or method == "predmodel":
                 m = model if method == "ours" else predm
-                beta = b.softnn_beta
-                if b.tune_beta:
-                    beta = prediction.tune_beta(m, train_ds)
+                beta = prediction.tune_beta(m, train_ds)
                 preds = np.array([prediction.predict_softnn(m, ex, beta)
                                   for ex in test_ds], dtype=np.uint8)
             else:

@@ -180,24 +180,8 @@ class Population:
                 run_agent(a)
         return table
 
-    def column_agents(self, reps_per_agent) -> np.ndarray:
-        """Agent index owning each outcome_table column, matching its layout."""
-        reps = np.asarray(reps_per_agent, dtype=np.int64)
-        if reps.ndim == 0:
-            reps = np.full(len(self.snapshots), int(reps))
-        return np.repeat(np.arange(len(self.snapshots)), reps)
-
     def subset(self, indices) -> "Population":
         return Population(self.env, [self.snapshots[i] for i in indices], self.threads)
-
-
-def estimate_pos(task, population: Population, reps_per_agent: int = 10,
-                 rng: np.random.Generator | None = None) -> float:
-    """Monte-Carlo probability of success for one task under the population."""
-    if rng is None:
-        raise ValueError("estimate_pos needs an explicit rng")
-    state = task.state0 if hasattr(task, "state0") else np.asarray(task, dtype=np.float64)
-    return float(population.outcome_table(state[None, :], reps_per_agent, rng).mean())
 
 
 def success_rates(population: Population, states: np.ndarray, reps_per_agent: int,

@@ -46,12 +46,6 @@ class BernoulliPopulation:
             blocks.append(rng.uniform(size=(ids.size, int(reps[a]))) < p[:, None])
         return np.concatenate(blocks, axis=1).astype(np.uint8)
 
-    def column_agents(self, reps_per_agent):
-        reps = np.asarray(reps_per_agent, dtype=np.int64)
-        if reps.ndim == 0:
-            reps = np.full(self.probs.shape[0], int(reps))
-        return np.repeat(np.arange(self.probs.shape[0]), reps)
-
     def joint_distribution(self, task_i, task_j):
         """Exact joint pmf of the two success indicators under a uniform agent draw."""
         pi = self.probs[:, task_i]

@@ -1,12 +1,20 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskemb import embedding as emb
+from taskemb import nn
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.envs import sample_tasks
 from taskemb.seeding import make_rng
+
+from conftest import cut_lengths
+
+DESK_BENCHMARKS = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/benchmarks"
 
 
 def brute_force_silhouette(points, labels):
@@ -145,9 +153,9 @@ class TestSoftNn:
     def test_single_quiz_task_copies_outcome(self):
         s = self.states(2)
         ex = _example(s[:1], [1], s[1])
-        assert prediction.predict_softnn(self.model(), ex) == 1
+        assert prediction.predict_softnn(self.model(), ex, beta=1000.0) == 1
         ex0 = _example(s[:1], [0], s[1])
-        assert prediction.predict_softnn(self.model(), ex0) == 0
+        assert prediction.predict_softnn(self.model(), ex0, beta=1000.0) == 0
 
     def test_exact_match_dominates_at_large_beta(self):
         s = self.states(4)
@@ -304,6 +312,12 @@ class TestSelectionDataset:
             assert np.array_equal(a.gt_sims, b.gt_sims)
 
 
+def oracle_rank(ex):
+    """Ranking from the construction-time estimates themselves (the noise-free oracle)."""
+    return selection._rank(ex.gt_sims,
+                           None if ex.query_type == 1 else ex.pos_options < ex.pos_ref)
+
+
 class TestSelect:
     def resources(self, tiny_population):
         return selection.SelectionResources(
@@ -341,7 +355,7 @@ class TestSelect:
 
     def test_estimate_oracle_reproduces_ground_truth(self, selection_dataset):
         for ex in selection_dataset:
-            rank, _ = selection.select_with_estimates(ex)
+            rank, _ = oracle_rank(ex)
             assert rank[0] == ex.ground_truth
 
     def test_type2_filter_soundness_ours(self, selection_dataset, tiny_population):
@@ -358,11 +372,11 @@ class TestSelect:
 
     def test_rankings_invariant_to_monotone_transform(self, selection_dataset):
         for ex in selection_dataset:
-            base, b0 = selection.select_with_estimates(ex)
+            base, b0 = oracle_rank(ex)
             scaled = selection.SelectionExample(
                 ex.ref_state, ex.option_states, ex.easy_refs, ex.query_type,
                 ex.ground_truth, 2.0 * ex.gt_sims + 1.0, ex.pos_ref, ex.pos_options)
-            moved, b1 = selection.select_with_estimates(scaled)
+            moved, b1 = oracle_rank(scaled)
             assert np.array_equal(base, moved)
             assert b0 == b1
 
@@ -375,3 +389,107 @@ class TestSelect:
         res = selection.SelectionResources(env="multikeynav")
         with pytest.raises(ValueError):
             selection.select("ours", selection_dataset[0], res, make_rng(65))
+
+
+def _quiz_rows(examples):
+    return [(e.quiz_states.tolist(), e.quiz_outcomes.tolist(), e.test_state.tolist(),
+             e.test_outcome, e.agent_index) for e in examples]
+
+
+def _selection_rows(examples):
+    return [(e.ref_state.tolist(), e.option_states.tolist(), e.easy_refs.tolist(),
+             e.query_type, e.ground_truth, e.gt_sims.tolist(), e.pos_ref,
+             e.pos_options.tolist()) for e in examples]
+
+
+def _desk_lines(name, n_lines):
+    """The first n_lines lines of a committed desk benchmark CSV."""
+    with open(DESK_BENCHMARKS / name, encoding="utf-8") as fp:
+        return [next(fp) for _ in range(n_lines)]
+
+
+def _role(line):
+    return (line.split(",") + [""])[1]  # "" for a line cut before its role
+
+
+HYPOTHESIS_FILES = settings(max_examples=100, deadline=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestBenchmarkFileErrors:
+    """Cut or malformed quiz and selection CSVs load a complete prefix or name a line."""
+
+    QUIZ = "".join(_desk_lines("quiz_size_5_test.csv", 1 + 6 * 3))       # 3 examples
+    SELECTION = "".join(_desk_lines("selection_0.csv", 1 + 16 * 3))      # 3 examples
+
+    @HYPOTHESIS_FILES
+    @given(st.data())
+    def test_truncated_quiz_gives_first_examples_or_a_located_error(self, tmp_path, data):
+        # The first 200 examples (header + 6 rows each) of a committed quiz file.
+        full = "".join(_desk_lines("quiz_size_5_test.csv", 1 + 6 * 200)).encode()
+        (tmp_path / "full.csv").write_bytes(full)
+        expected = _quiz_rows(prediction.load_quiz_dataset(tmp_path / "full.csv"))
+        cut = full[:data.draw(cut_lengths(full), label="length")]
+        path = tmp_path / "quiz.csv"
+        path.write_bytes(cut)
+        lines = cut.decode().splitlines()
+        if cut.endswith(b"\n") and len(lines) > 1 and _role(lines[-1]) == "test":
+            n = sum(_role(line) == "test" for line in lines[1:])
+            assert _quiz_rows(prediction.load_quiz_dataset(path)) == expected[:n]
+        else:
+            with pytest.raises(nn.ArtifactFormatError, match=r"quiz\.csv:\d+: "):
+                prediction.load_quiz_dataset(path)
+
+    @HYPOTHESIS_FILES
+    @given(st.data())
+    def test_truncated_selection_gives_first_examples_or_a_located_error(self, tmp_path, data):
+        full_path = DESK_BENCHMARKS / "selection_0.csv"
+        full = full_path.read_bytes()
+        full_lines = full.decode().splitlines()
+        expected = _selection_rows(selection.load_selection_dataset(full_path))
+        cut = full[:data.draw(cut_lengths(full), label="length")]
+        path = tmp_path / "sel.csv"
+        path.write_bytes(cut)
+        lines = cut.decode().splitlines()
+        n = sum(_role(line) == "ref" for line in lines[1:])
+        at_boundary = len(lines) == len(full_lines) or _role(full_lines[len(lines)]) == "ref"
+        if cut.endswith(b"\n") and n and at_boundary:
+            assert _selection_rows(selection.load_selection_dataset(path)) == expected[:n]
+        elif cut.endswith(b"\n") and n == 1 and _role(lines[-1]).startswith("easy_"):
+            # Cut inside its only example: no earlier example shows the easy count.
+            [got] = _selection_rows(selection.load_selection_dataset(path))
+            want = expected[0]
+            assert got[:2] + got[3:] == want[:2] + want[3:]
+            assert got[2] == want[2][: len(got[2])]
+        else:
+            with pytest.raises(nn.ArtifactFormatError, match=r"sel\.csv:\d+: "):
+                selection.load_selection_dataset(path)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:2] + [ls[2].replace(",quiz,", ",hint,")] + ls[3:], 3),
+        (lambda ls: ls[:6] + ls[7:], 7),
+        (lambda ls: ls[:-1], 19),
+        (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0] + ",x\n"] + ls[4:], 4),
+        (lambda ls: ls[:1], 2),
+    ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
+            "bad-float", "no-examples"])
+    def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
+        path = tmp_path / "quiz.csv"
+        path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{path}:{line}:")):
+            prediction.load_quiz_dataset(path)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda ls: ls[:1] + ls[2:], 2),
+        (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:], 3),
+        (lambda ls: ls[:32] + ls[33:], 33),
+        (lambda ls: ls[:5] + [ls[5].replace(",option_3,", ",hint,")] + ls[6:], 6),
+        (lambda ls: ls[:1] + ["0,ref,1,10," + ls[1].split(",", 4)[4]] + ls[2:], 18),
+        (lambda ls: ls[:1], 2),
+    ], ids=["example-0-without-ref", "options-misordered", "one-easy-row-short",
+            "unknown-role", "ground-truth-beyond-options", "no-examples"])
+    def test_malformed_selection_names_file_and_line(self, tmp_path, edit, line):
+        path = tmp_path / "sel.csv"
+        path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{path}:{line}:")):
+            selection.load_selection_dataset(path)

@@ -6,54 +6,86 @@ import pytest
 
 from taskemb import embedding as emb
 from taskemb import nn, similarity as sim
+from taskemb.benchmarks import predmodel as pm
 from taskemb.envs import sample_tasks
 from taskemb.seeding import make_rng
 
 from test_nn import assert_grads_match, finite_diff_grads
 
 
+def triplet_loss(e1, e2, e3):
+    """Scalar oracle: softplus(<e1,e3> - <e1,e2>), near zero when e2 is the clearly closer partner."""
+    return math.log1p(math.exp(float(np.dot(e1, e3) - np.dot(e1, e2))))
+
+
+def norm_pair_loss(e_easy, e_hard):
+    """Scalar oracle: softplus(|e_easy| - |e_hard|), pushing easier tasks toward smaller norms."""
+    return math.log1p(math.exp(float(np.linalg.norm(e_easy) - np.linalg.norm(e_hard))))
+
+
+def batch_of_one(vectors, triplet, pair=None):
+    """`_batch_losses` on one triplet (and one pair, weight 1) over fixed embeddings.
+
+    The net is one identity layer whose weight columns are the vectors, fed
+    one-hot features, so slot k embeds to vectors[k] exactly and the weight
+    gradient's column k is the loss gradient with respect to vectors[k].
+    """
+    e = np.array(vectors, dtype=np.float64)
+    net = nn.Mlp([nn.DenseLayer(e.T.copy(), np.zeros(e.shape[1]), "identity")])
+    model = emb.EmbeddingNet("multikeynav", net, e.shape[1])
+    idx = [np.array([k], dtype=np.intp) for k in (*triplet, *(pair or (0, 0)))]
+    loss, grads = emb._batch_losses(model, np.eye(len(e)), *idx, 1.0 if pair else 0.0,
+                                    want_grads=True)
+    return loss, grads[0].T
+
+
 class TestLosses:
+    """The batched objective at batch size 1 against the scalar oracles above."""
+
     def test_triplet_equal_products_is_ln2(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([0.5, 1.0])
-        e3 = np.array([0.5, -1.0])
-        assert emb.triplet_loss(e1, e2, e3) == pytest.approx(math.log(2.0), rel=1e-12)
+        e = [[1.0, 0.0], [0.5, 1.0], [0.5, -1.0]]
+        assert triplet_loss(*np.array(e)) == pytest.approx(math.log(2.0), rel=1e-12)
+        assert batch_of_one(e, (0, 1, 2))[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_triplet_large_margin_vanishes(self):
-        e1 = np.array([1.0, 0.0])
-        e2 = np.array([10.0, 0.0])
-        e3 = np.array([0.0, 0.0])
-        assert emb.triplet_loss(e1, e2, e3) == pytest.approx(math.exp(-10.0), rel=1e-3)
-        assert emb.triplet_loss(e1, e2, e3) == pytest.approx(4.54e-5, rel=1e-2)
+        e = [[1.0, 0.0], [10.0, 0.0], [0.0, 0.0]]
+        loss, _ = batch_of_one(e, (0, 1, 2))
+        assert loss == pytest.approx(math.exp(-10.0), rel=1e-3)
+        assert loss == pytest.approx(4.54e-5, rel=1e-2)
+        assert loss == pytest.approx(triplet_loss(*np.array(e)), rel=1e-12)
 
     def test_triplet_zero_anchor_is_ln2(self):
         rng = make_rng(1)
         for _ in range(5):
             e2, e3 = rng.normal(size=(2, 4))
-            assert emb.triplet_loss(np.zeros(4), e2, e3) == pytest.approx(math.log(2.0))
+            loss, _ = batch_of_one([np.zeros(4), e2, e3], (0, 1, 2))
+            assert loss == pytest.approx(math.log(2.0))
 
     def test_pair_equal_norms_is_ln2(self):
-        a = np.array([3.0, 4.0])
-        b = np.array([5.0, 0.0])
-        assert emb.norm_pair_loss(a, b) == pytest.approx(math.log(2.0), rel=1e-12)
+        # The triplet's anchor is the zero vector, so it adds exactly ln 2.
+        loss, _ = batch_of_one([[3.0, 4.0], [5.0, 0.0], [0.0, 0.0]], (2, 0, 1), (0, 1))
+        assert loss - math.log(2.0) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_pair_large_margin_vanishes(self):
-        assert emb.norm_pair_loss(np.zeros(2), np.array([10.0, 0.0])) == pytest.approx(
-            math.exp(-10.0), rel=1e-3)
+        a, b = np.zeros(2), np.array([10.0, 0.0])
+        loss, _ = batch_of_one([a, b, np.zeros(2)], (2, 0, 1), (0, 1))
+        assert loss - math.log(2.0) == pytest.approx(math.exp(-10.0), rel=1e-3)
+        assert norm_pair_loss(a, b) == pytest.approx(math.exp(-10.0), rel=1e-3)
 
     def test_triplet_grads_match_finite_differences(self):
         rng = make_rng(2)
         for _ in range(5):
             e1, e2, e3 = rng.normal(size=(3, 5))
-            g1, g2, g3 = emb.triplet_loss_grads(e1, e2, e3)
+            loss, grads = batch_of_one([e1, e2, e3], (0, 1, 2))
+            assert loss == pytest.approx(triplet_loss(e1, e2, e3), rel=1e-12)
             h = 1e-6
-            for vec, grad in ((e1, g1), (e2, g2), (e3, g3)):
+            for vec, grad in ((e1, grads[0]), (e2, grads[1]), (e3, grads[2])):
                 for i in range(5):
                     orig = vec[i]
                     vec[i] = orig + h
-                    up = emb.triplet_loss(e1, e2, e3)
+                    up = triplet_loss(e1, e2, e3)
                     vec[i] = orig - h
-                    down = emb.triplet_loss(e1, e2, e3)
+                    down = triplet_loss(e1, e2, e3)
                     vec[i] = orig
                     num = (up - down) / (2 * h)
                     assert num == pytest.approx(grad[i], rel=1e-4, abs=1e-8)
@@ -62,15 +94,16 @@ class TestLosses:
         rng = make_rng(3)
         for _ in range(5):
             a, b = rng.normal(size=(2, 4)) + 0.5
-            ga, gb = emb.norm_pair_loss_grads(a, b)
+            loss, grads = batch_of_one([a, b, np.zeros(4)], (2, 0, 1), (0, 1))
+            assert loss - math.log(2.0) == pytest.approx(norm_pair_loss(a, b), rel=1e-9)
             h = 1e-6
-            for vec, grad in ((a, ga), (b, gb)):
+            for vec, grad in ((a, grads[0]), (b, grads[1])):
                 for i in range(4):
                     orig = vec[i]
                     vec[i] = orig + h
-                    up = emb.norm_pair_loss(a, b)
+                    up = norm_pair_loss(a, b)
                     vec[i] = orig - h
-                    down = emb.norm_pair_loss(a, b)
+                    down = norm_pair_loss(a, b)
                     vec[i] = orig
                     num = (up - down) / (2 * h)
                     assert num == pytest.approx(grad[i], rel=1e-4, abs=1e-8)
@@ -182,13 +215,6 @@ class TestEmbedApi:
         out = model.embed(states)
         assert out.shape == (100, 3)
 
-    def test_env_mismatch_rejected(self):
-        from taskemb.envs import sample_task
-        model = emb.fresh_embedding_net("multikeynav", 5, make_rng(34))
-        task = sample_task("pointmass", make_rng(35))
-        with pytest.raises(ValueError):
-            model.embed_task(task)
-
     def test_model_file_roundtrip(self, tmp_path):
         model = emb.fresh_embedding_net("pointmass", 3, make_rng(36))
         path = tmp_path / "model.txt"
@@ -197,19 +223,30 @@ class TestEmbedApi:
         assert back.env == "pointmass" and back.dim == 3
         assert np.array_equal(back.net.to_flat(), model.net.to_flat())
 
-    @pytest.mark.parametrize("edit, line_of", [
-        (lambda t: t[: len(t) // 2], lambda t: t.count("\n") + 1),  # cut mid-file
-        (lambda t: t.split("\n", 1)[1], lambda t: 1),                # header missing
-        (lambda t: t + "1 2 3\n", lambda t: t.count("\n")),         # trailing content
-    ])
-    def test_malformed_model_file_names_file_and_line(self, tmp_path, edit, line_of):
+    @pytest.mark.parametrize("kind, edit, line_of", [
+        ("embedding", lambda t: t[: len(t) // 2], lambda t: t.count("\n") + 1),
+        ("embedding", lambda t: t.split("\n", 1)[1], lambda t: 1),
+        ("embedding", lambda t: t + "1 2 3\n", lambda t: t.count("\n")),
+        ("predmodel", lambda t: t.replace('"latent_dim"', '"dim"', 1), lambda t: 1),
+        ("predmodel", lambda t: t + "garbage\n", lambda t: t.count("\n")),
+    ], ids=["embedding-cut-mid-file", "embedding-header-missing",
+            "embedding-trailing-content", "predmodel-header-without-latent-dim",
+            "predmodel-trailing-content"])
+    def test_malformed_model_file_names_file_and_line(self, tmp_path, kind, edit, line_of):
         path = tmp_path / "model.txt"
-        emb.save_embedding_model(emb.fresh_embedding_net("pointmass", 3, make_rng(36)), path)
+        if kind == "embedding":
+            emb.save_embedding_model(emb.fresh_embedding_net("pointmass", 3, make_rng(36)),
+                                     path)
+            load = emb.load_embedding_model
+        else:
+            cfg = pm.PredModelConfig(latent_dim=2, hidden=(4, 4))
+            pm.save_predmodel(pm.fresh_predmodel("pointmass", cfg, make_rng(36)), path)
+            load = pm.load_predmodel
         text = edit(path.read_text())
         path.write_text(text)
         with pytest.raises(nn.ArtifactFormatError,
                            match=re.escape(f"{path}:{line_of(text)}:")):
-            emb.load_embedding_model(path)
+            load(path)
 
     def test_export_csv(self, tmp_path):
         model = emb.fresh_embedding_net("multikeynav", 4, make_rng(37))

@@ -241,7 +241,7 @@ class TestRolloutMachinery:
             assert not np.any(status == envs.ALIVE)
 
     def test_same_seed_identical_trajectory(self):
-        task = envs.sample_task("multikeynav", make_rng(42))
+        task = envs.sample_tasks("multikeynav", 1, make_rng(42))[0]
         o1, t1 = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(),
                               make_rng(7, 8), record=True)
         o2, t2 = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(),
@@ -253,7 +253,7 @@ class TestRolloutMachinery:
 
     def test_trajectory_length_within_horizon(self):
         rng = make_rng(43)
-        task = envs.sample_task("multikeynav", rng)
+        task = envs.sample_tasks("multikeynav", 1, rng)[0]
         _, traj = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(), rng,
                                record=True)
         assert len(traj.actions) <= 40

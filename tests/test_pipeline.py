@@ -5,9 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from taskemb import cli, config as cfgmod, pipeline
 from taskemb.manifest import Manifest, StaleArtifactError, file_hash
+
+from conftest import check_truncations
 
 TINY_CONFIG = """\
 [run]
@@ -79,21 +83,38 @@ def tiny_run(tmp_path_factory):
 
 
 class TestConfig:
-    def test_roundtrip_lossless(self):
-        cfg = cfgmod.RunConfig()
-        cfg.embedding.lr = 0.0012345678901234
-        cfg.population.snap_delta = 1.0 / 3.0
-        back = cfgmod.parse_config(cfgmod.dump_config(cfg))
-        assert back == cfg
-
     def test_unknown_key_rejected(self):
         with pytest.raises(cfgmod.ConfigError, match="unknown key"):
             cfgmod.parse_config("[population]\nbananas = 3\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("[benchmarks]\ntune_beta = false\n", "unknown key 'tune_beta'"),
+        ("[benchmarks]\nsoftnn_beta = 10.0\n", "unknown key 'softnn_beta'"),
+        ("[benchmarks]\nselection_methods = ours,bogus\n", "unknown method 'bogus'"),
+        ("[benchmarks]\nprediction_methods = ours,bogus\n", "unknown method 'bogus'"),
+        ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
+    ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size"])
+    def test_benchmark_settings_checked_at_load(self, text, match):
+        with pytest.raises(cfgmod.ConfigError, match=match):
+            cfgmod.parse_config(text)
+
+    @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
+                             ids=lambda p: p.parent.name)
+    def test_committed_stage_keys_match_their_config(self, manifest_path):
+        # Every committed record must stay a cache hit: its recorded config
+        # hash is the key the shipped config gives that stage today.
+        [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS)
+                 if REPO / c.output_dir == manifest_path.parent]
+        records = Manifest.load(manifest_path.parent).stages
+        assert records
+        for name, record in records.items():
+            stage = pipeline.STAGES[name.removesuffix("-transfer")]
+            assert record.config_hash == pipeline._stage_hash(cfg, stage.sections), name
+
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
         cfg = cfgmod.load_config(path)
-        # The lists parsed only when their stage starts must be valid too.
+        # Every shipped config names at least one method of each kind and a quiz size.
         assert pipeline._prediction_methods(cfg) and pipeline._selection_methods(cfg)
         assert cfgmod.parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
 
@@ -359,7 +380,31 @@ class TestCliErrors:
         assert cli.main(["gen-constraints", "--config", str(cfg)]) == 1
         assert f"{out / 'manifest.txt'}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("typo", ["[population]\nbc_epoch = 3\n",
+                                      "[benchmarks]\nselection_methods = ours,bogus\n",
+                                      "[benchmarks]\nquiz_sizes = 1-x\n"],
+                             ids=["unknown-key", "selection-method", "quiz-size"])
+    def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo):
+        started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
+        monkeypatch.setattr(pipeline, "run_stage", lambda name, *a, **k: started.append(name))
+        out = tmp_path / "run"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"[run]\nenv = multikeynav\noutput_dir = {out}\n{typo}")
+        assert cli.main(["run-all", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert started == []
+        assert not (out / "manifest.txt").exists()
+
     def test_bad_threads_exits_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("[run]\nenv = multikeynav\n")
         assert cli.main(["train-population", "--config", str(cfg), "--threads", "0"]) == 2
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_truncated_results_give_first_rows_or_a_located_error(tmp_path, data):
+    check_truncations(pipeline.read_results,
+                      REPO / "runs/multikeynav-desk/benchmarks/prediction_results.csv",
+                      tmp_path, data)

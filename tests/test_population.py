@@ -133,8 +133,7 @@ class TestOutcomeEstimates:
         # At the door with every key: finish is one action away, so trained
         # agents succeed and the estimate lands high.
         task = np.array([0.95, 1, 1, 1, 1, 0, 0], dtype=float)
-        val = pop.estimate_pos(task, small_population, reps_per_agent=10,
-                               rng=make_rng(60))
+        val = pop.success_rates(small_population, task[None], 10, make_rng(60))[0]
         assert val > 0.3
 
     def test_untrained_uniform_population_rarely_solves_hard_task(self):
@@ -142,7 +141,7 @@ class TestOutcomeEstimates:
         snap = pop.AgentSnapshot(policy.to_flat(), "bc", "none", "none", 0, 0.0)
         single = pop.Population("multikeynav", [snap])
         task = np.array([0.0, 0, 0, 0, 0, 0, 0], dtype=float)  # needs A+B from far left
-        val = pop.estimate_pos(task, single, reps_per_agent=200, rng=make_rng(62))
+        val = pop.success_rates(single, task[None], 200, make_rng(62))[0]
         assert val < 0.1
 
     def test_pos_within_unit_interval(self, small_population):
@@ -169,17 +168,21 @@ class TestOutcomeEstimates:
         easy = np.array([0.95, 1, 1, 1, 1, 0, 0], dtype=float)
         hard = np.array([0.0, 1, 1, 1, 1, 0, 0], dtype=float)
         rng = make_rng(71)
-        pe = pop.estimate_pos(easy, small_population, 50, rng)
-        ph = pop.estimate_pos(hard, small_population, 50, rng)
+        pe = pop.success_rates(small_population, easy[None], 50, rng)[0]
+        ph = pop.success_rates(small_population, hard[None], 50, rng)[0]
         assert pe > ph
 
     def test_outcome_table_layout(self, small_population):
         states = sample_tasks("multikeynav", 4, make_rng(72))
         table = small_population.outcome_table(states, 3, make_rng(73))
         assert table.shape == (4, 3 * len(small_population))
-        agents = small_population.column_agents(3)
-        assert agents.shape == (table.shape[1],)
-        assert agents[0] == 0 and agents[-1] == len(small_population) - 1
+        # Agent a's child stream does not depend on the other agents' counts,
+        # so a table with reps for agent a alone is column block a.
+        for a in (0, len(small_population) - 1):
+            reps = np.zeros(len(small_population), dtype=np.int64)
+            reps[a] = 3
+            alone = small_population.outcome_table(states, reps, make_rng(73))
+            assert np.array_equal(alone, table[:, 3 * a : 3 * a + 3])
 
     def test_outcome_table_deterministic(self, small_population):
         states = sample_tasks("multikeynav", 6, make_rng(74))
