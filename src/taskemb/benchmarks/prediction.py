@@ -21,6 +21,13 @@ from taskemb.population import Population, success_rates
 from taskemb.stats import fold_mean_stderr
 
 METHODS = ("ours", "random", "ignore_task", "ignore_agent", "opt", "predmodel")
+# The grid reaches down to 1 because the learned embedding's distance scale
+# can make every larger beta act as pure nearest-neighbor matching.
+BETA_GRID = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+N_FOLDS = 10
+IGNORE_TASK_ROLLOUTS = 500  # random tasks per example for ignore_task
+IGNORE_AGENT_REPS = 10      # rollouts per agent and test task for ignore_agent
+OPT_ROLLOUTS = 10           # rollouts of the hidden agent per test task for opt
 
 
 @dataclass
@@ -72,15 +79,10 @@ def predict_softnn(model, example: QuizExample, beta: float) -> int:
     return int(softnn_score(model, example, beta) > 0.5)
 
 
-def tune_beta(model, examples: list[QuizExample],
-              grid=(1.0, 10.0, 100.0, 1000.0, 10000.0)) -> float:
-    """Pick the grid beta with the best training-split accuracy.
-
-    The grid reaches down to 1 because the learned embedding's distance scale
-    can make every larger beta act as pure nearest-neighbor matching.
-    """
-    best_beta, best_acc = grid[0], -1.0
-    for beta in grid:
+def tune_beta(model, examples: list[QuizExample]) -> float:
+    """Pick the BETA_GRID beta with the best training-split accuracy."""
+    best_beta, best_acc = BETA_GRID[0], -1.0
+    for beta in BETA_GRID:
         acc = np.mean([predict_softnn(model, ex, beta) == ex.test_outcome
                        for ex in examples])
         if acc > best_acc:
@@ -89,10 +91,7 @@ def tune_beta(model, examples: list[QuizExample],
 
 
 def baseline_predictions(kind: str, examples: list[QuizExample],
-                         population: Population, rng: np.random.Generator,
-                         ignore_task_rollouts: int = 500,
-                         ignore_agent_reps: int = 10,
-                         opt_rollouts: int = 10) -> np.ndarray:
+                         population: Population, rng: np.random.Generator) -> np.ndarray:
     """Predictions of one oracle baseline for a whole dataset.
 
     random flips a coin; ignore_task thresholds the hidden agent's success on
@@ -105,7 +104,7 @@ def baseline_predictions(kind: str, examples: list[QuizExample],
         return (rng.uniform(size=n) < 0.5).astype(np.uint8)
     if kind == "ignore_agent":
         tests = np.stack([ex.test_state for ex in examples])
-        rates = success_rates(population, tests, ignore_agent_reps, rng)
+        rates = success_rates(population, tests, IGNORE_AGENT_REPS, rng)
         return (rates > 0.5).astype(np.uint8)
     if kind not in ("ignore_task", "opt"):
         raise ValueError(f"unknown baseline {kind!r}")
@@ -116,33 +115,33 @@ def baseline_predictions(kind: str, examples: list[QuizExample],
         policy = population.policy(int(a))
         if kind == "ignore_task":
             for i in rows:
-                tasks = sample_tasks(env, ignore_task_rollouts, rng)
+                tasks = sample_tasks(env, IGNORE_TASK_ROLLOUTS, rng)
                 out, _ = rollout_batch(env, tasks, policy, rng)
                 preds[i] = out.mean() > 0.5
         else:  # opt
             batch = np.repeat(np.stack([examples[i].test_state for i in rows]),
-                              opt_rollouts, axis=0)
+                              OPT_ROLLOUTS, axis=0)
             out, _ = rollout_batch(env, batch, policy, rng)
-            rates = out.reshape(rows.size, opt_rollouts).mean(axis=1)
+            rates = out.reshape(rows.size, OPT_ROLLOUTS).mean(axis=1)
             preds[rows] = rates > 0.5
     return preds
 
 
 def eval_prediction(predictions: np.ndarray, outcomes: np.ndarray,
-                    rng: np.random.Generator, n_folds: int = 10):
+                    rng: np.random.Generator):
     """Fold the examples, score each fold, return (mean, stderr, fold accuracies).
 
-    The dataset is truncated to a multiple of n_folds; fold assignment is a
+    The dataset is truncated to a multiple of N_FOLDS; fold assignment is a
     seeded shuffle.
     """
     predictions = np.asarray(predictions)
     outcomes = np.asarray(outcomes)
-    n = (len(predictions) // n_folds) * n_folds
+    n = (len(predictions) // N_FOLDS) * N_FOLDS
     if n == 0:
         raise ValueError("dataset smaller than the fold count")
     order = rng.permutation(len(predictions))[:n]
     correct = (predictions[order] == outcomes[order]).astype(np.float64)
-    fold_accs = correct.reshape(n_folds, -1).mean(axis=1)
+    fold_accs = correct.reshape(N_FOLDS, -1).mean(axis=1)
     mean, stderr = fold_mean_stderr(fold_accs)
     return mean, stderr, fold_accs
 

@@ -17,15 +17,14 @@ from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import ExpertPolicy, get_env
 
+LEARNING_RATE = 1e-3
+
 
 @dataclass
 class PredModelConfig:
     latent_dim: int = 6
     epochs: int = 500
     batch_size: int = 512
-    lr: float = 1e-3
-    alpha_reward: float = 1.0
-    alpha_dynamics: float = 1.0
     beta_kl: float = 0.01
     n_rollouts: int = 10_000
     hidden: tuple[int, int] = (128, 128)
@@ -97,7 +96,7 @@ class PredModelNets:
     def posterior(self, states: np.ndarray):
         ops = get_env(self.env)
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        out = nn.mlp_forward(self.inference, ops.featurize_embed(states))
+        out = nn.mlp_forward(self.inference, ops.featurize(states))
         return out[:, : self.latent_dim], out[:, self.latent_dim :]
 
     def embed(self, states: np.ndarray) -> np.ndarray:
@@ -111,7 +110,7 @@ class PredModelNets:
 def fresh_predmodel(env: str, config: PredModelConfig,
                     rng: np.random.Generator) -> PredModelNets:
     ops = get_env(env)
-    d_in = ops.featurize_embed(np.zeros((1, ops.state_dim))).shape[1]
+    d_in = ops.featurize(np.zeros((1, ops.state_dim))).shape[1]
     d_bar = ops.strip_context(np.zeros((1, ops.state_dim))).shape[1]
     d_act = ops.n_actions
     h1, h2 = config.hidden
@@ -135,12 +134,11 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
                              want_grads: bool = True):
     """Objective on one batch with fixed reparameterization noise.
 
-    loss = beta * mean KL + alpha_r * mean (r_hat - r)^2
-         + alpha_s * mean |s_hat - sbar_next|^2
+    loss = beta * mean KL + mean (r_hat - r)^2 + mean |s_hat - sbar_next|^2
     """
     ops = get_env(nets.env)
     b = batch.s0.shape[0]
-    s0_feat = ops.featurize_embed(batch.s0)
+    s0_feat = ops.featurize(batch.s0)
     inf_out, inf_cache = nn.mlp_forward_cached(nets.inference, s0_feat)
     mean, logvar = inf_out[:, : nets.latent_dim], inf_out[:, nets.latent_dim :]
     sigma = np.exp(0.5 * logvar)
@@ -154,14 +152,13 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
     kl = kl_standard_normal(mean, logvar)
     r_err = r_hat[:, 0] - batch.reward
     s_err = s_hat - batch.sbar_next
-    loss = (config.beta_kl * float(kl.mean())
-            + config.alpha_reward * float(np.mean(r_err**2))
-            + config.alpha_dynamics * float(np.mean(np.sum(s_err**2, axis=1))))
+    loss = (config.beta_kl * float(kl.mean()) + float(np.mean(r_err**2))
+            + float(np.mean(np.sum(s_err**2, axis=1))))
     if not want_grads:
         return loss, None
 
-    d_rhat = (2.0 * config.alpha_reward / b) * r_err[:, None]
-    d_shat = (2.0 * config.alpha_dynamics / b) * s_err
+    d_rhat = (2.0 / b) * r_err[:, None]
+    d_shat = (2.0 / b) * s_err
     r_grads, d_hidden_r = nn.mlp_backward(nets.reward_head, r_cache, d_rhat)
     s_grads, d_hidden_s = nn.mlp_backward(nets.dynamics_head, s_cache, d_shat)
     trunk_grads, d_trunk_in = nn.mlp_backward(nets.trunk, trunk_cache,
@@ -203,7 +200,7 @@ def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelCon
     init_rng, order_rng, noise_rng = rng.spawn(3)
     nets = fresh_predmodel(env, config, init_rng)
     params = nets.parameters()
-    adam = nn.AdamState.init(params, learning_rate=config.lr)
+    adam = nn.AdamState.init(params, learning_rate=LEARNING_RATE)
     n = transitions.s0.shape[0]
     losses = []
     for epoch in range(config.epochs):

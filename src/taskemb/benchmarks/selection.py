@@ -26,13 +26,16 @@ from taskemb.stats import levenshtein
 
 METHODS = ("ours", "ours_wonorm", "random", "state_sim", "trajectory_sim",
            "opt", "opt50", "predmodel")
+N_OPTIONS = 10       # options ranked per example
+N_EASY = 5           # easy reference tasks per dataset
+TRAJECTORY_SEED = 7  # seeds the expert rollouts of trajectory_sim, per task
 
 
 @dataclass
 class SelectionExample:
     ref_state: np.ndarray
-    option_states: np.ndarray   # (n_options, state_dim)
-    easy_refs: np.ndarray       # (n_easy, state_dim), shared per dataset
+    option_states: np.ndarray   # (N_OPTIONS, state_dim)
+    easy_refs: np.ndarray       # (N_EASY, state_dim), shared per dataset
     query_type: int             # 1: most similar; 2: most similar among harder
     ground_truth: int
     gt_sims: np.ndarray         # construction-time similarity estimates per option
@@ -42,35 +45,34 @@ class SelectionExample:
 
 def gen_selection_dataset(env: str, population: Population, n_examples: int,
                           rng: np.random.Generator, mi_reps_per_agent: int = 100,
-                          pos_reps_per_agent: int = 10, n_options: int = 10,
-                          easy_pool_size: int = 500, n_easy: int = 5
+                          pos_reps_per_agent: int = 10, easy_pool_size: int = 500
                           ) -> list[SelectionExample]:
     """Build one dataset of alternating Type-1 / Type-2 examples.
 
-    Easy reference tasks are the n_easy highest success-rate tasks out of a
+    Easy reference tasks are the N_EASY highest success-rate tasks out of a
     sampled pool. A Type-2 example is resampled until at least one option is
     estimated harder than its reference.
     """
     pool_rng, ex_rng, mi_rng = rng.spawn(3)
     pool = sample_tasks(env, easy_pool_size, pool_rng)
     pool_pos = success_rates(population, pool, pos_reps_per_agent, pool_rng)
-    easy_refs = pool[np.argsort(-pool_pos, kind="stable")[:n_easy]]
+    easy_refs = pool[np.argsort(-pool_pos, kind="stable")[:N_EASY]]
 
     query_types = np.where(np.arange(n_examples) % 2 == 0, 1, 2)
     refs = np.empty((n_examples, pool.shape[1]))
-    options = np.empty((n_examples, n_options, pool.shape[1]))
+    options = np.empty((n_examples, N_OPTIONS, pool.shape[1]))
     pos_ref = np.empty(n_examples)
-    pos_opt = np.empty((n_examples, n_options))
+    pos_opt = np.empty((n_examples, N_OPTIONS))
     pending = np.arange(n_examples)
     for _ in range(60):
         if pending.size == 0:
             break
-        draw = sample_tasks(env, pending.size * (1 + n_options), ex_rng)
-        draw = draw.reshape(pending.size, 1 + n_options, -1)
+        draw = sample_tasks(env, pending.size * (1 + N_OPTIONS), ex_rng)
+        draw = draw.reshape(pending.size, 1 + N_OPTIONS, -1)
         rates = success_rates(population,
                               draw.reshape(-1, draw.shape[2]),
                               pos_reps_per_agent, ex_rng)
-        rates = rates.reshape(pending.size, 1 + n_options)
+        rates = rates.reshape(pending.size, 1 + N_OPTIONS)
         ok = (query_types[pending] == 1) | np.any(rates[:, 1:] < rates[:, :1], axis=1)
         sel = pending[ok]
         refs[sel] = draw[ok, 0]
@@ -86,8 +88,8 @@ def gen_selection_dataset(env: str, population: Population, n_examples: int,
                                      mi_reps_per_agent, mi_rng)
     examples = []
     for i in range(n_examples):
-        base = i * (1 + n_options)
-        sims = mi_pairwise(table, base, range(base + 1, base + 1 + n_options))
+        base = i * (1 + N_OPTIONS)
+        sims = mi_pairwise(table, base, range(base + 1, base + 1 + N_OPTIONS))
         if query_types[i] == 1:
             gt = int(np.argmax(sims))
         else:
@@ -112,7 +114,6 @@ class SelectionResources:
     population_half: Population | None = None
     mi_reps_per_agent: int = 100
     pos_reps_per_agent: int = 10
-    trajectory_seed: int = 7
 
 
 def _rank(sims: np.ndarray, harder: np.ndarray | None):
@@ -148,9 +149,9 @@ def _task_digest(state: np.ndarray) -> int:
     return int.from_bytes(hashlib.sha256(state.tobytes()).digest()[:8], "big")
 
 
-def _expert_symbols(env: str, state: np.ndarray, seed: int) -> np.ndarray:
+def _expert_symbols(env: str, state: np.ndarray) -> np.ndarray:
     ops = get_env(env)
-    rng = make_rng(seed, _task_digest(state))
+    rng = make_rng(TRAJECTORY_SEED, _task_digest(state))
     _, _, recs = rollout_batch(env, state[None, :], ExpertPolicy(), rng, record=True)
     actions = recs[0].actions
     if ops.action_kind == "discrete":
@@ -182,13 +183,12 @@ def select(method: str, example: SelectionExample, res: SelectionResources,
         h_ref = _nearest_easy_similarity(-np.linalg.norm(easy - example.ref_state, axis=1))
         return _rank(sims, h_opt < h_ref)
     if method == "trajectory_sim":
-        seed = res.trajectory_seed
-        ref_sym = _expert_symbols(res.env, example.ref_state, seed)
-        opt_sym = [_expert_symbols(res.env, s, seed) for s in example.option_states]
+        ref_sym = _expert_symbols(res.env, example.ref_state)
+        opt_sym = [_expert_symbols(res.env, s) for s in example.option_states]
         sims = -np.array([levenshtein(ref_sym, sym) for sym in opt_sym], dtype=float)
         if example.query_type == 1:
             return _rank(sims, None)
-        easy_sym = [_expert_symbols(res.env, s, seed) for s in example.easy_refs]
+        easy_sym = [_expert_symbols(res.env, s) for s in example.easy_refs]
         h_opt = np.array([
             _nearest_easy_similarity(-np.array([levenshtein(sym, es) for es in easy_sym],
                                                dtype=float))
@@ -237,9 +237,9 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> 
 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
-    """Read save_selection_dataset's CSV; a bad or missing row raises nn.ArtifactFormatError
-    naming the line. A file cut inside its only example cannot show missing easy rows."""
-    examples, counts = [], None  # their array fields collect lists until the return
+    """Read save_selection_dataset's CSV; a bad or missing row, or an example without
+    N_OPTIONS options and N_EASY easy rows, raises nn.ArtifactFormatError naming the line."""
+    examples = []  # their array fields collect lists until the return
     with open(path, "r", newline="", encoding="utf-8") as fp:
         reader = nn.LineReader(fp)
         with reader.located():
@@ -249,10 +249,10 @@ def load_selection_dataset(path) -> list[SelectionExample]:
                 if role in ("ref", "") and examples:  # the last example is complete
                     last = examples[-1]
                     got = (len(last.option_states), len(last.easy_refs))
-                    counts = counts or got
-                    if got != counts or not got[1] or not 0 <= last.ground_truth < got[0]:
+                    if got != (N_OPTIONS, N_EASY) or not 0 <= last.ground_truth < N_OPTIONS:
                         raise ValueError(f"example {len(examples) - 1} has (options, easy) {got}, "
-                                         f"ground truth {last.ground_truth}; example 0 {counts}")
+                                         f"ground truth {last.ground_truth}; expected "
+                                         f"({N_OPTIONS}, {N_EASY})")
                 if not role:
                     break
                 state = np.array([float(v) for v in state])

@@ -1,8 +1,11 @@
-"""Run configuration: flat `key = value` sections, explicit seeds, lossless round-trip.
+"""Run configuration: flat `key = value` sections with explicit seeds.
 
 Every stage of the pipeline reads its settings from one file so a run is
 fully described by (config, code). All randomness flows from the named seeds
-here; nothing samples ambient entropy.
+here; nothing samples ambient entropy. A key the dataclasses below do not
+name is an error. Protocol values the paper fixes (Adam's betas, the
+baselines' rollout budgets, the selection example shape, ...) are module
+constants next to the code that uses them, not keys.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ class Seeds:
 class PopulationSection:
     recipe: str = "masks"        # masks | bias
     target_size: int = 100
-    snap_delta: float = 0.01
     snap_reps: int = 10
     snap_size: int = 1000
     bc_epochs: int = 60
     bc_rollouts: int = 200
     bc_passes: int = 5
-    bc_batch: int = 128
     bc_lr: float = 3e-3
 
 
@@ -69,10 +70,6 @@ class PredModelSection:
     latent_dim: int = 0          # 0: use the environment default
     epochs: int = 500
     batch_size: int = 512
-    lr: float = 1e-3
-    alpha_reward: float = 1.0
-    alpha_dynamics: float = 1.0
-    beta_kl: float = 0.01
     n_rollouts: int = 10000
 
 
@@ -82,9 +79,6 @@ class BenchmarkSection:
     quiz_train_examples: int = 5000
     quiz_test_examples: int = 5000
     prediction_methods: str = "ours,random,ignore_agent,opt"
-    ignore_task_rollouts: int = 500
-    ignore_agent_reps: int = 10
-    opt_rollouts: int = 10
     selection_datasets: int = 4
     selection_examples: int = 50
     selection_methods: str = "ours,ours_wonorm,random,state_sim,trajectory_sim,opt,opt50"
@@ -170,7 +164,10 @@ def parse_config(text: str) -> RunConfig:
         cfg.env = run.pop("env", cfg.env)
         cfg.output_dir = run.pop("output_dir", cfg.output_dir)
         if "threads" in run:
-            cfg.threads = int(run.pop("threads"))
+            try:
+                cfg.threads = int(run.pop("threads"))
+            except ValueError as exc:
+                raise ConfigError(f"[run] threads: {exc}") from exc
         if run:
             raise ConfigError(f"[run] unknown keys {sorted(run)}")
     for name, cls in _SECTIONS.items():

@@ -34,18 +34,12 @@ class EmbeddingNet:
         if single:
             ops.validate_state(states)
             states = states[None, :]
-        out = nn.mlp_forward(self.net, ops.featurize_embed(states))
+        out = nn.mlp_forward(self.net, ops.featurize(states))
         return out[0] if single else out
 
 
-def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator,
-                        hidden: tuple[int, ...] | None = None) -> EmbeddingNet:
-    ops = get_env(env)
-    hidden = ops.embed_hidden if hidden is None else hidden
-    in_dim = ops.featurize_embed(np.zeros((1, ops.state_dim))).shape[1]
-    sizes = [in_dim, *hidden, dim]
-    acts = ["relu"] * len(hidden) + ["identity"]
-    return EmbeddingNet(env, nn.glorot_init(sizes, acts, rng), dim)
+def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator) -> EmbeddingNet:
+    return EmbeddingNet(env, nn.glorot_init(*get_env(env).net_layout(dim), rng), dim)
 
 
 @dataclass
@@ -136,7 +130,7 @@ def constraint_loss(model: EmbeddingNet, pool_states: np.ndarray, cset: Constrai
                     norm_weight: float) -> float:
     """Full-set objective value: per-set means, pairs weighted by norm_weight."""
     ops = get_env(model.env)
-    x_feat = ops.featurize_embed(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
     t1, sim_idx, dis_idx = _constraint_arrays(cset.triplets)
     easy, hard = _pair_arrays(cset.pairs)
     loss, _ = _batch_losses(model, x_feat, t1, sim_idx, dis_idx, easy, hard,
@@ -148,7 +142,7 @@ def triplet_satisfaction(model: EmbeddingNet, pool_states: np.ndarray,
                          triplets: list[TripletConstraint]) -> float:
     """Fraction of triplets whose labeled partner wins on inner product."""
     ops = get_env(model.env)
-    x_feat = ops.featurize_embed(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
     t1, sim_idx, dis_idx = _constraint_arrays(triplets)
     e = nn.mlp_forward(model.net, x_feat)
     good = np.einsum("ij,ij->i", e[t1], e[sim_idx]) > np.einsum("ij,ij->i", e[t1], e[dis_idx])
@@ -172,7 +166,7 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
     ops = get_env(env)
     init_rng, order_rng = rng.spawn(2)
     model = fresh_embedding_net(env, config.dim, init_rng)
-    x_feat = ops.featurize_embed(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
 
     t1, sim_idx, dis_idx = _constraint_arrays(train_set.triplets)
     easy, hard = _pair_arrays(train_set.pairs)

@@ -129,7 +129,6 @@ def action_zero_direction(states) -> np.ndarray:
 
 core.register(core.EnvOps(
     name="cartpolevar",
-    state_dim=7,
     state_fields=("x", "v", "theta", "omega", "force", "taskType", "numSteps"),
     horizon=HORIZON,
     action_kind="discrete",
@@ -140,13 +139,11 @@ core.register(core.EnvOps(
     sample_raw=_sample_raw,
     step_batch=step_batch,
     expert_batch=expert_batch,
-    featurize_policy=_featurize,
-    featurize_embed=_featurize,
+    featurize=_featurize,
     strip_context=_strip_context,
     validate_state=_validate_state,
     bias_filters=dict(_BIAS),
-    policy_hidden=(64, 32),
-    embed_hidden=(64, 32),
+    hidden=(64, 32),
     embed_dim=3,
     embed_dim_wonorm=2,
     action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),

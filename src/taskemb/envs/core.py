@@ -31,7 +31,6 @@ class EnvOps:
     """Bundle of per-environment constants and vectorized operations."""
 
     name: str
-    state_dim: int
     state_fields: tuple[str, ...]
     horizon: int
     action_kind: str            # "discrete" or "box"
@@ -42,16 +41,23 @@ class EnvOps:
     sample_raw: Callable        # (n, rng) -> (n, state_dim) states
     step_batch: Callable        # (states, actions, rng) -> (next_states, status)
     expert_batch: Callable      # (states) -> actions
-    featurize_policy: Callable  # (states) -> policy-net inputs
-    featurize_embed: Callable   # (states) -> embedding-net inputs
+    featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
     validate_state: Callable    # (state vector) -> None, raises EnvError
     bias_filters: dict[str, Callable] = field(default_factory=dict)
-    policy_hidden: tuple[int, ...] = (32, 32)
-    embed_hidden: tuple[int, ...] = (32, 32)
+    hidden: tuple[int, ...] = (32, 32)  # hidden layers of the policy and embedding nets
     embed_dim: int = 6          # default output dim with norm constraints
     embed_dim_wonorm: int = 5   # default without norm constraints
     action_symbols: Callable = None  # (actions) -> int codes for edit distance
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.state_fields)
+
+    def net_layout(self, out_dim: int) -> tuple[list[int], list[str]]:
+        """Layer sizes and activations of a policy or embedding net with out_dim outputs."""
+        in_dim = self.featurize(np.zeros((1, self.state_dim))).shape[1]
+        return [in_dim, *self.hidden, out_dim], ["relu"] * len(self.hidden) + ["identity"]
 
 
 _REGISTRY: dict[str, EnvOps] = {}

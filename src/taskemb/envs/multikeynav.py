@@ -146,7 +146,6 @@ def _make_ops(name: str, variant: str) -> core.EnvOps:
     req = REQUIREMENTS[variant]
     return core.EnvOps(
         name=name,
-        state_dim=7,
         state_fields=("location", "keyA", "keyB", "keyC", "keyD", "doorBit1", "doorBit2"),
         horizon=40,
         action_kind="discrete",
@@ -157,13 +156,11 @@ def _make_ops(name: str, variant: str) -> core.EnvOps:
         sample_raw=_sample_raw,
         step_batch=_make_step(req),
         expert_batch=_make_expert(req),
-        featurize_policy=_identity,
-        featurize_embed=_identity,
+        featurize=_identity,
         strip_context=_strip_context,
         validate_state=_validate_state,
         bias_filters=dict(_BIAS),
-        policy_hidden=(32, 32),
-        embed_hidden=(32, 32),
+        hidden=(32, 32),
         embed_dim=6,
         embed_dim_wonorm=5,
         action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),

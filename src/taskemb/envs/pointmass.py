@@ -153,7 +153,6 @@ _BIAS = {
 
 core.register(core.EnvOps(
     name="pointmass",
-    state_dim=7,
     state_fields=("x", "vx", "y", "vy", "gate_pos", "gate_width", "friction"),
     horizon=HORIZON,
     action_kind="box",
@@ -164,13 +163,11 @@ core.register(core.EnvOps(
     sample_raw=_sample_raw,
     step_batch=step_batch,
     expert_batch=expert_batch,
-    featurize_policy=_identity,
-    featurize_embed=_identity,
+    featurize=_identity,
     strip_context=_strip_context,
     validate_state=_validate_state,
     bias_filters=dict(_BIAS),
-    policy_hidden=(32, 32),
-    embed_hidden=(32, 32),
+    hidden=(32, 32),
     embed_dim=3,
     embed_dim_wonorm=3,
     action_symbols=_action_symbols,

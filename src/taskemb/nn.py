@@ -238,29 +238,27 @@ def sigmoid(x):
     return out
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam accumulators plus hyperparameters; shapes mirror the parameter list."""
+    """Adam accumulators and learning rate; shapes mirror the parameter list."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
     step: int
     learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
 
     @classmethod
-    def init(cls, params: list[np.ndarray], learning_rate: float = 1e-3,
-             beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8) -> "AdamState":
+    def init(cls, params: list[np.ndarray], learning_rate: float = 1e-3) -> "AdamState":
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
             step=0,
             learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 
@@ -273,16 +271,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m2 = state.beta1 * m + (1.0 - state.beta1) * g
-        v2 = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m2 / (1.0 - state.beta1**t)
-        v_hat = v2 / (1.0 - state.beta2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
+        m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m2 / (1.0 - ADAM_BETA1**t)
+        v_hat = v2 / (1.0 - ADAM_BETA2**t)
+        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m2)
         new_v.append(v2)
-    new_state = AdamState(new_m, new_v, t, state.learning_rate, state.beta1,
-                          state.beta2, state.epsilon)
-    return new_params, new_state
+    return new_params, AdamState(new_m, new_v, t, state.learning_rate)
 
 
 def write_weights(net: Mlp, fp) -> None:

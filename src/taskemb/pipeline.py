@@ -106,18 +106,21 @@ def _write_trainlog(path, log: emb.TrainLog) -> None:
         writer.writerow(["test_loss", repr(log.test_loss), ""])
 
 
+def _train_config(cfg: RunConfig, dim: int, norm_weight: float) -> emb.TrainConfig:
+    e = cfg.embedding
+    return emb.TrainConfig(dim=dim, norm_weight=norm_weight, epochs=e.epochs,
+                           batch_size=e.batch_size, lr=e.lr, patience=e.patience)
+
+
 def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
-    e = cfg.embedding
     outputs = []
     # The full model, then the no-norm ablation (pair constraints off).
     for suffix, dim, norm_weight, seed_parts in (
-            ("", cfg.embed_dim(), e.norm_weight, ()),
+            ("", cfg.embed_dim(), cfg.embedding.norm_weight, ()),
             ("_wonorm", cfg.embed_dim_wonorm(), 0.0, (1,))):
-        train_cfg = emb.TrainConfig(dim=dim, norm_weight=norm_weight, epochs=e.epochs,
-                                    batch_size=e.batch_size, lr=e.lr, patience=e.patience)
         model, log = emb.train_embedding(
-            pool, sets["train"], sets["val"], sets["test"], train_cfg,
+            pool, sets["train"], sets["val"], sets["test"], _train_config(cfg, dim, norm_weight),
             make_rng(cfg.seeds.root, cfg.seeds.training, *seed_parts))
         emb.save_embedding_model(model, out_dir / f"model{suffix}.txt")
         _write_trainlog(out_dir / f"trainlog{suffix}.csv", log)
@@ -133,10 +136,7 @@ def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     p = cfg.predmodel
     pm_cfg = pm.PredModelConfig(latent_dim=cfg.predmodel_latent(), epochs=p.epochs,
-                                batch_size=p.batch_size, lr=p.lr,
-                                alpha_reward=p.alpha_reward,
-                                alpha_dynamics=p.alpha_dynamics, beta_kl=p.beta_kl,
-                                n_rollouts=p.n_rollouts)
+                                batch_size=p.batch_size, n_rollouts=p.n_rollouts)
     rng = make_rng(cfg.seeds.root, cfg.seeds.training, 3)
     transitions = pm.collect_transitions(cfg.env, pm_cfg.n_rollouts, rng)
     nets, losses = pm.train_predmodel(cfg.env, transitions, pm_cfg, rng, verbose=True)
@@ -225,11 +225,7 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
             else:
                 base_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 12, size,
                                     methods.index(method))
-                preds = prediction.baseline_predictions(
-                    method, test_ds, popn, base_rng,
-                    ignore_task_rollouts=b.ignore_task_rollouts,
-                    ignore_agent_reps=b.ignore_agent_reps,
-                    opt_rollouts=b.opt_rollouts)
+                preds = prediction.baseline_predictions(method, test_ds, popn, base_rng)
             mean, stderr, _ = prediction.eval_prediction(preds, outcomes,
                                                          make_rng(*fold_rng_parts))
             rows.append((method, str(size), mean, stderr))
@@ -326,17 +322,13 @@ def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 
 def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
-    e = cfg.embedding
     path = out_dir / "dim_sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp)
         writer.writerow(["dim", "best_val_loss", "test_loss"])
         for dim in range(1, 11):
-            train_cfg = emb.TrainConfig(dim=dim, norm_weight=e.norm_weight,
-                                        epochs=e.epochs, batch_size=e.batch_size,
-                                        lr=e.lr, patience=e.patience)
-            _, log = emb.train_embedding(pool, sets["train"], sets["val"],
-                                         sets["test"], train_cfg,
+            _, log = emb.train_embedding(pool, sets["train"], sets["val"], sets["test"],
+                                         _train_config(cfg, dim, cfg.embedding.norm_weight),
                                          make_rng(cfg.seeds.root, cfg.seeds.training,
                                                   4, dim))
             writer.writerow([dim, repr(min(log.val_loss)), repr(log.test_loss)])

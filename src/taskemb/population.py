@@ -20,6 +20,8 @@ from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import ExpertPolicy, get_env
 
 MASK_PENALTY = -1e9
+SNAP_DELTA = 0.01  # validation-score gain that earns a new snapshot
+BC_BATCH = 128     # behavioral-cloning minibatch size
 
 
 def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
@@ -58,7 +60,7 @@ class Policy:
         return get_env(self.env)
 
     def logits(self, states: np.ndarray) -> np.ndarray:
-        x = self.ops.featurize_policy(states)
+        x = self.ops.featurize(states)
         out = nn.mlp_forward(self.net, x)
         if self.action_mask is not None and self.action_mask.any():
             out = out + MASK_PENALTY * self.action_mask
@@ -72,7 +74,7 @@ class Policy:
             logits = self.logits(states)
             gumbel = -np.log(-np.log(rng.uniform(size=logits.shape)))
             return np.argmax(logits + gumbel, axis=1)
-        means = nn.mlp_forward(self.net, ops.featurize_policy(states))
+        means = nn.mlp_forward(self.net, ops.featurize(states))
         noise = rng.normal(size=means.shape)
         return np.clip(means + np.exp(self.log_std) * noise,
                        ops.action_low, ops.action_high)
@@ -84,16 +86,10 @@ class Policy:
         return flat
 
 
-def _policy_layout(ops: envcore.EnvOps) -> tuple[list[int], list[str]]:  # sizes, activations
-    in_dim = ops.featurize_policy(np.zeros((1, ops.state_dim))).shape[1]
-    return ([in_dim, *ops.policy_hidden, ops.n_actions],
-            ["relu"] * len(ops.policy_hidden) + ["identity"])
-
-
 def fresh_policy(env: str, rng: np.random.Generator, mask: str = "none") -> Policy:
     """Glorot-initialized policy with the env's standard architecture."""
     ops = get_env(env)
-    net = nn.glorot_init(*_policy_layout(ops), rng)
+    net = nn.glorot_init(*ops.net_layout(ops.n_actions), rng)
     if ops.action_kind == "discrete":
         return Policy(env, net, action_mask=mask_vector(ops, name=mask))
     return Policy(env, net, log_std=np.zeros(ops.n_actions))
@@ -129,7 +125,7 @@ class Population:
     def policy(self, k: int) -> Policy:
         """Agent k's policy, its net filled from the snapshot's flat parameters (no Glorot draw)."""
         snap, ops = self.snapshots[k], get_env(self.env)
-        sizes, acts = _policy_layout(ops)
+        sizes, acts = ops.net_layout(ops.n_actions)
         net = nn.Mlp([nn.DenseLayer(np.zeros((o, i)), np.zeros(o), a)
                       for i, o, a in zip(sizes[:-1], sizes[1:], acts)])
         n_std = ops.n_actions if ops.action_kind == "box" else 0
@@ -207,13 +203,11 @@ class SubpopSpec:
 @dataclass
 class PopulationConfig:
     target_size: int = 100
-    snap_delta: float = 0.01
     snap_reps: int = 10
     snap_size: int = 1000        # validation tasks (grid envs override)
     bc_epochs: int = 60
     bc_rollouts: int = 200       # expert rollouts per epoch, regenerated each epoch
     bc_passes: int = 5           # optimizer passes over each epoch's dataset
-    bc_batch: int = 128
     bc_lr: float = 3e-3
 
 
@@ -310,7 +304,7 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
 
     The untrained policy is always recorded as snapshot 0. After each epoch
     the policy is scored on the validation tasks (snap_reps rollouts each) and
-    a snapshot is recorded when the score improves by at least snap_delta over
+    a snapshot is recorded when the score improves by at least SNAP_DELTA over
     the last recorded one.
     """
     ops = get_env(env)
@@ -332,18 +326,18 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
         states, actions = _dataset_from_trajectories(ops, trajs, policy.action_mask)
         if states.shape[0] == 0:
             continue
-        x_feat = ops.featurize_policy(states)
+        x_feat = ops.featurize(states)
         for _ in range(cfg.bc_passes):
             order = data_rng.permutation(states.shape[0])
-            for start in range(0, len(order), cfg.bc_batch):
-                idx = order[start : start + cfg.bc_batch]
+            for start in range(0, len(order), BC_BATCH):
+                idx = order[start : start + BC_BATCH]
                 loss, grads = _bc_loss_and_grads(policy, ops, x_feat[idx], actions[idx])
                 if not np.isfinite(loss):
                     raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
                 params, adam = nn.adam_step(params, grads, adam)
                 _apply_params(policy, params)
         s = score()
-        if s >= snapshots[-1].validation_score + cfg.snap_delta:
+        if s >= snapshots[-1].validation_score + SNAP_DELTA:
             snapshots.append(AgentSnapshot(policy.to_flat(), "bc", spec.mask,
                                            spec.bias or "none", len(snapshots), s))
     return snapshots

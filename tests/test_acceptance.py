@@ -133,7 +133,7 @@ class TestCriterion2GradientSuite:
         pool, train, _, _ = planted_constraints(60, 120, 120, seed=5)
         ops = get_env("multikeynav")
         model = emb.fresh_embedding_net("multikeynav", 3, make_rng(3))
-        x_feat = ops.featurize_embed(pool)
+        x_feat = ops.featurize(pool)
         t1, s_idx, d_idx = emb._constraint_arrays(train.triplets)
         easy, hard = emb._pair_arrays(train.pairs)
 
@@ -169,7 +169,7 @@ class TestCriterion2GradientSuite:
             return float(-np.sum(np.log(probs[np.arange(40), actions])) / 40)
 
         _, grads = pop._bc_loss_and_grads(policy, ops_mkn,
-                                          ops_mkn.featurize_policy(states), actions)
+                                          ops_mkn.featurize(states), actions)
         check("discrete log-prob", logprob_loss, policy.net.parameters(), grads, 34, rng)
 
         # Behavioral-cloning loss, diagonal Gaussian NLL, including log_std.
@@ -179,14 +179,14 @@ class TestCriterion2GradientSuite:
         gactions = make_rng(9).uniform(-5, 5, size=(40, 2))
 
         def gauss_loss():
-            means = nn.mlp_forward(gpolicy.net, ops_pm.featurize_policy(gstates))
+            means = nn.mlp_forward(gpolicy.net, ops_pm.featurize(gstates))
             std = np.exp(gpolicy.log_std)
             z = (gactions - means) / std
             logp = -0.5 * np.sum(z**2, axis=1) - np.sum(gpolicy.log_std)
             return float(-logp.sum() / 40)
 
         _, ggrads = pop._bc_loss_and_grads(gpolicy, ops_pm,
-                                           ops_pm.featurize_policy(gstates), gactions)
+                                           ops_pm.featurize(gstates), gactions)
         gparams = gpolicy.net.parameters() + [gpolicy.log_std]
         check("gaussian log-prob", gauss_loss, gparams, ggrads, 30, rng)
 

@@ -455,12 +455,6 @@ class TestBenchmarkFileErrors:
         at_boundary = len(lines) == len(full_lines) or _role(full_lines[len(lines)]) == "ref"
         if cut.endswith(b"\n") and n and at_boundary:
             assert _selection_rows(selection.load_selection_dataset(path)) == expected[:n]
-        elif cut.endswith(b"\n") and n == 1 and _role(lines[-1]).startswith("easy_"):
-            # Cut inside its only example: no earlier example shows the easy count.
-            [got] = _selection_rows(selection.load_selection_dataset(path))
-            want = expected[0]
-            assert got[:2] + got[3:] == want[:2] + want[3:]
-            assert got[2] == want[2][: len(got[2])]
         else:
             with pytest.raises(nn.ArtifactFormatError, match=r"sel\.csv:\d+: "):
                 selection.load_selection_dataset(path)
@@ -486,8 +480,10 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:5] + [ls[5].replace(",option_3,", ",hint,")] + ls[6:], 6),
         (lambda ls: ls[:1] + ["0,ref,1,10," + ls[1].split(",", 4)[4]] + ls[2:], 18),
         (lambda ls: ls[:1], 2),
+        (lambda ls: ls[:15], 16),
     ], ids=["example-0-without-ref", "options-misordered", "one-easy-row-short",
-            "unknown-role", "ground-truth-beyond-options", "no-examples"])
+            "unknown-role", "ground-truth-beyond-options", "no-examples",
+            "only-example-cut-in-its-easy-rows"])
     def test_malformed_selection_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "sel.csv"
         path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))

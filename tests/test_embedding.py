@@ -187,7 +187,7 @@ class TestTraining:
         from taskemb.envs.core import get_env
         ops = get_env("multikeynav")
         model = emb.fresh_embedding_net("multikeynav", 3, make_rng(21))
-        x_feat = ops.featurize_embed(pool)
+        x_feat = ops.featurize(pool)
         t1, sim_idx, dis_idx = emb._constraint_arrays(train.triplets)
         easy, hard = emb._pair_arrays(train.pairs)
 

@@ -71,6 +71,26 @@ eval_tasks = 150
 REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + [REPO / "perfbench" / "mkn_bench.cfg"]
 
+# Config keys that every shipped config leaves at one value, each with the reader
+# that keeps it a key. Any other single-valued key belongs in the code as a constant.
+SINGLE_VALUED_KEYS = {
+    ("population", "snap_reps"): "perfbench: rollouts_dyn sets PopulationConfig.snap_reps = 4",
+    ("constraints", "drop_ties_eps"): "README and ROADMAP item 6: to be chosen from data",
+    ("embedding", "norm_weight"): "perfbench: consumers_mkn builds its TrainConfig from it",
+    ("embedding", "batch_size"): "perfbench: consumers_mkn builds its TrainConfig from it",
+    ("embedding", "lr"): "perfbench: consumers_mkn builds its TrainConfig from it",
+}
+
+
+def _config_keys(cfg: cfgmod.RunConfig) -> dict[tuple[str, str], object]:
+    """(section, key) -> parsed value, for every key a config file can set."""
+    keys = {("run", k): getattr(cfg, k) for k in ("env", "output_dir", "threads")}
+    for name in cfgmod._SECTIONS:
+        section = getattr(cfg, name)
+        keys.update({(name, f.name): getattr(section, f.name)
+                     for f in dataclasses.fields(section)})
+    return keys
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -110,6 +130,14 @@ class TestConfig:
         for name, record in records.items():
             stage = pipeline.STAGES[name.removesuffix("-transfer")]
             assert record.config_hash == pipeline._stage_hash(cfg, stage.sections), name
+
+    def test_every_key_varies_across_shipped_configs_or_names_its_reader(self):
+        values: dict[tuple[str, str], set] = {}
+        for cfg in map(cfgmod.load_config, SHIPPED_CONFIGS):
+            for key, value in _config_keys(cfg).items():
+                values.setdefault(key, set()).add(value)
+        single = {key for key, seen in values.items() if len(seen) < 2}
+        assert single == set(SINGLE_VALUED_KEYS)
 
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
@@ -355,6 +383,39 @@ class TestPipelineRun:
         assert "ArtifactFormatError" in err
 
 
+def test_interrupted_stage_reruns_to_an_uninterrupted_runs_bytes(tmp_path, monkeypatch):
+    # A stage that dies after its first output file gets no manifest record,
+    # so the next run redoes it whole.
+    cfg = cfgmod.load_config(REPO / "configs" / "tiny.cfg")
+    cfg.output_dir = str(tmp_path / "whole")
+    pipeline.run_stage("train-population", cfg)
+    shutil.copytree(tmp_path / "whole", tmp_path / "cut")
+    pipeline.run_stage("gen-constraints", cfg)
+
+    save_tasks = pipeline.save_tasks
+
+    def save_then_die(*args, **kwargs):  # gen-constraints writes pool.csv first
+        save_tasks(*args, **kwargs)
+        raise KeyboardInterrupt
+
+    cfg.output_dir = str(tmp_path / "cut")
+    monkeypatch.setattr(pipeline, "save_tasks", save_then_die)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_stage("gen-constraints", cfg)
+    monkeypatch.undo()
+    cut = tmp_path / "cut" / "constraints"
+    assert [p.name for p in cut.iterdir()] == ["pool.csv"]
+    assert "gen-constraints" not in Manifest.load(tmp_path / "cut").stages
+
+    pipeline.run_stage("gen-constraints", cfg)
+    whole = tmp_path / "whole" / "constraints"
+    assert sorted(p.name for p in cut.iterdir()) == sorted(p.name for p in whole.iterdir())
+    for path in whole.iterdir():
+        assert (cut / path.name).read_bytes() == path.read_bytes(), path.name
+    assert (Manifest.load(tmp_path / "cut").stages["gen-constraints"].outputs
+            == Manifest.load(tmp_path / "whole").stages["gen-constraints"].outputs)
+
+
 class TestCliErrors:
     def test_bad_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -380,18 +441,21 @@ class TestCliErrors:
         assert cli.main(["gen-constraints", "--config", str(cfg)]) == 1
         assert f"{out / 'manifest.txt'}:1:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("typo", ["[population]\nbc_epoch = 3\n",
-                                      "[benchmarks]\nselection_methods = ours,bogus\n",
-                                      "[benchmarks]\nquiz_sizes = 1-x\n"],
-                             ids=["unknown-key", "selection-method", "quiz-size"])
-    def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo):
+    @pytest.mark.parametrize("typo, message", [
+        ("[population]\nbc_epoch = 3\n", "[population] unknown key 'bc_epoch'"),
+        ("[benchmarks]\nselection_methods = ours,bogus\n", "unknown method 'bogus'"),
+        ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
+        ("threads = two\n", "[run] threads: invalid literal"),
+    ], ids=["unknown-key", "selection-method", "quiz-size", "threads"])
+    def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo,
+                                                   message):
         started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
         monkeypatch.setattr(pipeline, "run_stage", lambda name, *a, **k: started.append(name))
         out = tmp_path / "run"
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"[run]\nenv = multikeynav\noutput_dir = {out}\n{typo}")
         assert cli.main(["run-all", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert started == []
         assert not (out / "manifest.txt").exists()
 

@@ -76,7 +76,7 @@ class TestTrainBc:
         assert snaps[0].snapshot_index == 0
         scores = [s.validation_score for s in snaps]
         for prev, cur in zip(scores, scores[1:]):
-            assert cur >= prev + cfg.snap_delta
+            assert cur >= prev + pop.SNAP_DELTA
 
     def test_deterministic_given_seed(self):
         cfg = pop.PopulationConfig(bc_epochs=3, bc_rollouts=60, bc_passes=1,
