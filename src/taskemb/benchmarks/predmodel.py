@@ -15,7 +15,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import ExpertPolicy, get_env
+from taskemb.envs.core import SOLVED, ExpertPolicy, get_env
 
 LEARNING_RATE = 1e-3
 
@@ -53,21 +53,10 @@ def collect_transitions(env: str, n_rollouts: int,
     """Roll the scripted expert on random tasks and flatten every step."""
     ops = get_env(env)
     tasks = sample_tasks(env, n_rollouts, rng)
-    _, status, recs = rollout_batch(env, tasks, ExpertPolicy(), rng, record=True)
-    s0_rows, sbar_rows, act_rows, rewards, next_rows = [], [], [], [], []
-    for task, rec in zip(tasks, recs):
-        n = len(rec.actions)
-        for t in range(n):
-            s0_rows.append(task)
-            sbar_rows.append(rec.states[t])
-            act_rows.append(rec.actions[t])
-            nxt = rec.states[t + 1] if t + 1 < n else rec.final.next_state
-            next_rows.append(nxt)
-            rewards.append(rec.final.reward if t == n - 1 else 0.0)
-    sbar = ops.strip_context(np.stack(sbar_rows))
-    sbar_next = ops.strip_context(np.stack(next_rows))
-    return TransitionBatch(np.stack(s0_rows), sbar, featurize_action(ops, act_rows),
-                           np.asarray(rewards), sbar_next)
+    _, _, steps = rollout_batch(env, tasks, ExpertPolicy(), rng, record=True)
+    return TransitionBatch(tasks[steps.episode], ops.strip_context(steps.states),
+                           featurize_action(ops, steps.actions),
+                           (steps.status == SOLVED) * 1.0, ops.strip_context(steps.next_states))
 
 
 @dataclass
@@ -188,10 +177,14 @@ def load_predmodel(path) -> PredModelNets:
             header = json.loads(reader.line())
             if not isinstance(header, dict) or not {"env", "latent_dim"} <= header.keys():
                 raise ValueError('header must be {"env": ..., "latent_dim": ...}')
-            latent_dim = int(header["latent_dim"])
+            env, latent_dim = get_env(header["env"]).name, int(header["latent_dim"])
             nets = [nn.read_weights(reader) for _ in range(4)]
+            if 2 * latent_dim != nets[0].out_size:
+                raise nn.ArtifactFormatError(
+                    f"{reader.name}:1: header latent_dim {latent_dim} needs "
+                    f"{2 * latent_dim} inference outputs, the net has {nets[0].out_size}")
             reader.expect_end()
-    return PredModelNets(header["env"], latent_dim, *nets)
+    return PredModelNets(env, latent_dim, *nets)
 
 
 def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelConfig,

@@ -152,11 +152,8 @@ def _task_digest(state: np.ndarray) -> int:
 def _expert_symbols(env: str, state: np.ndarray) -> np.ndarray:
     ops = get_env(env)
     rng = make_rng(TRAJECTORY_SEED, _task_digest(state))
-    _, _, recs = rollout_batch(env, state[None, :], ExpertPolicy(), rng, record=True)
-    actions = recs[0].actions
-    if ops.action_kind == "discrete":
-        return ops.action_symbols(np.array(actions, dtype=np.int64))
-    return ops.action_symbols(np.stack(actions)) if actions else np.array([], dtype=np.int64)
+    _, _, steps = rollout_batch(env, state[None, :], ExpertPolicy(), rng, record=True)
+    return ops.action_symbols(steps.actions)
 
 
 def select(method: str, example: SelectionExample, res: SelectionResources,

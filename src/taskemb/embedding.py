@@ -264,10 +264,13 @@ def load_embedding_model(path) -> EmbeddingNet:
             header = json.loads(reader.line())
             if not isinstance(header, dict) or not {"env", "dim"} <= header.keys():
                 raise ValueError('header must be {"env": ..., "dim": ...}')
-            dim = int(header["dim"])
+            env, dim = get_env(header["env"]).name, int(header["dim"])
             net = nn.read_weights(reader)
+            if dim != net.out_size:
+                raise nn.ArtifactFormatError(
+                    f"{reader.name}:1: header dim {dim} != the net's {net.out_size} outputs")
             reader.expect_end()
-    return EmbeddingNet(header["env"], net, dim)
+    return EmbeddingNet(env, net, dim)
 
 
 def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:

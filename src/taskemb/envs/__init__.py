@@ -9,13 +9,11 @@ from taskemb.envs.core import (
     EnvOps,
     ExpertPolicy,
     StepOutcome,
-    Task,
-    Trajectory,
+    Steps,
     UniformRandomPolicy,
     expert_action,
     get_env,
     load_tasks,
-    rollout,
     rollout_batch,
     sample_tasks,
     save_tasks,
@@ -24,8 +22,7 @@ from taskemb.envs.core import (
 
 __all__ = [
     "ALIVE", "SOLVED", "CRASHED", "TIMED_OUT", "FAILED_BY_GAMMA",
-    "EnvOps", "ExpertPolicy", "StepOutcome", "Task", "Trajectory",
+    "EnvOps", "ExpertPolicy", "StepOutcome", "Steps",
     "UniformRandomPolicy", "expert_action", "get_env",
-    "load_tasks", "rollout", "rollout_batch", "sample_tasks",
-    "save_tasks", "step",
+    "load_tasks", "rollout_batch", "sample_tasks", "save_tasks", "step",
 ]

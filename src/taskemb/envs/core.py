@@ -3,7 +3,9 @@
 Environments are value-type state machines over float64 state vectors. Every
 operation has a vectorized form working on ``(B, state_dim)`` batches; the
 scalar API wraps batches of one and adds input validation. Episode status
-codes are small ints so whole batches can be tracked in one array.
+codes are small ints so whole batches can be tracked in one array. Every
+rollout runs through `rollout_batch`; a recorded one returns its steps as one
+flat `Steps` record of arrays rather than per-episode objects.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from taskemb.nn import LineReader
+from taskemb.nn import ArtifactFormatError, LineReader
 
 ALIVE = 0
 SOLVED = 1
@@ -78,18 +80,6 @@ def get_env(name: str) -> EnvOps:
 
 
 @dataclass
-class Task:
-    """One task: an environment plus the initial state that defines it."""
-
-    env: str
-    state0: np.ndarray
-
-    def __post_init__(self):
-        self.state0 = np.asarray(self.state0, dtype=np.float64)
-        get_env(self.env).validate_state(self.state0)
-
-
-@dataclass
 class StepOutcome:
     next_state: np.ndarray
     reward: float
@@ -97,12 +87,14 @@ class StepOutcome:
 
 
 @dataclass
-class Trajectory:
-    """Visited (state, action) pairs plus how the episode ended."""
+class Steps:
+    """Every step of a recorded batch, grouped by episode, each episode in time order."""
 
-    states: list[np.ndarray]
-    actions: list
-    final: StepOutcome
+    episode: np.ndarray      # (N,) batch row of the episode the step belongs to
+    states: np.ndarray       # (N, state_dim) state the action was taken in
+    actions: np.ndarray      # (N,) discrete or (N, n_actions) box actions
+    next_states: np.ndarray  # (N, state_dim)
+    status: np.ndarray       # (N,) step status: ALIVE on every step but the episode's last
 
 
 class ExpertPolicy:
@@ -203,53 +195,37 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     """Run a batch of episodes to termination.
 
     Returns ``(outcomes, status)`` where outcomes is a uint8 success vector,
-    or ``(outcomes, status, trajectories)`` when record is set. Finished
-    episodes drop out of the stepped set, so cost tracks the number of alive
-    episodes per step.
+    or ``(outcomes, status, steps)`` with a `Steps` record when record is set.
+    Finished episodes drop out of the stepped set, so cost tracks the number
+    of alive episodes per step.
     """
     ops = env if isinstance(env, EnvOps) else get_env(env)
     cur = np.array(states0, dtype=np.float64)
     if cur.ndim != 2 or cur.shape[1] != ops.state_dim:
         raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
-    b = cur.shape[0]
-    final, status = cur.copy(), np.full(b, TIMED_OUT, dtype=np.int8)
-    idx = np.arange(b)  # batch rows of the alive episodes, whose states are `cur`
-    recs = [Trajectory([], [], None) for _ in range(b)] if record else None
+    if record and cur.shape[0] == 0:
+        raise EnvError(f"{ops.name}: recording needs at least one episode")
+    status = np.full(cur.shape[0], TIMED_OUT, dtype=np.int8)
+    idx = np.arange(cur.shape[0])  # batch rows of the alive episodes, whose states are `cur`
+    steps = []
     for _ in range(ops.horizon):
         if idx.size == 0:
             break
         actions = policy.act(ops, cur, rng)
         cur_next, st = ops.step_batch(cur, actions, rng)
         if record:
-            for k, i in enumerate(idx):
-                recs[i].states.append(cur[k].copy())
-                recs[i].actions.append(
-                    int(actions[k]) if ops.action_kind == "discrete" else actions[k].copy()
-                )
+            steps.append((idx, cur, actions, cur_next, st))
         done = st != ALIVE
         if done.any():  # write only the finished rows, then compact the alive ones
-            status[idx[done]], final[idx[done]] = st[done], cur_next[done]
+            status[idx[done]] = st[done]
             idx, cur_next = idx[~done], cur_next[~done]
         cur = cur_next
-    final[idx] = cur
     outcomes = (status == SOLVED).astype(np.uint8)
-    if record:
-        for i in range(b):
-            reward = 1.0 if status[i] == SOLVED else 0.0
-            recs[i].final = StepOutcome(final[i].copy(), reward, int(status[i]))
-        return outcomes, status, recs
-    return outcomes, status
-
-
-def rollout(env: str, task: Task | np.ndarray, policy, rng: np.random.Generator,
-            record: bool = False):
-    """One episode from a task's initial state; returns (outcome_bit, trajectory | None)."""
-    state0 = task.state0 if isinstance(task, Task) else np.asarray(task, dtype=np.float64)
-    if record:
-        outcomes, _, recs = rollout_batch(env, state0[None, :], policy, rng, record=True)
-        return int(outcomes[0]), recs[0]
-    outcomes, _ = rollout_batch(env, state0[None, :], policy, rng)
-    return int(outcomes[0]), None
+    if not record:
+        return outcomes, status
+    columns = [np.concatenate(column) for column in zip(*steps)]
+    order = np.argsort(columns[0], kind="stable")
+    return outcomes, status, Steps(*(column[order] for column in columns))
 
 
 def save_tasks(path, env: str, states: np.ndarray) -> None:
@@ -277,8 +253,9 @@ def load_tasks(path) -> tuple[str, np.ndarray]:
                 states.append([float(v) for v in row[1:]])
             if ops is None:
                 raise ValueError("no tasks after the header")
-    if tuple(header[1:]) != ops.state_fields:
-        raise EnvError(f"{path}: header {header[1:]} != {list(ops.state_fields)}")
+            if tuple(header[1:]) != ops.state_fields:
+                raise ArtifactFormatError(f"{reader.name}:1: header {header[1:]} != "
+                                          f"{list(ops.state_fields)}")
     return ops.name, np.array(states)
 
 

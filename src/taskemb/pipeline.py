@@ -360,40 +360,28 @@ def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
             out_dir / "pca.csv", out_dir / "pca_variance.csv"]
 
 
+def _write_pivot(path: Path, corner: str, table: dict) -> Path:
+    """Write a {(row, col): (mean, stderr)} table as CSV: one line per row, a repr'd
+    `<col>_mean` and `<col>_stderr` column per col, both in sorted order."""
+    rows, cols = sorted({r for r, _ in table}), sorted({c for _, c in table})
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.writer(fp)
+        writer.writerow([corner] + [f"{c}_{x}" for c in cols for x in ("mean", "stderr")])
+        for r in rows:
+            writer.writerow([r] + [repr(v) for c in cols for v in table[(r, c)]])
+    return path
+
+
 def _plot_data(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     """Reshape result CSVs into per-figure tables (quiz-size curves, selection bars)."""
     pred = read_results(out_dir / "prediction_results.csv")
-    methods = sorted({m for m, _, _, _ in pred})
-    sizes = sorted({int(k) for _, k, _, _ in pred})
-    table = {(m, int(k)): (mean, se) for m, k, mean, se in pred}
-    fig5 = out_dir / "fig_prediction.csv"
-    with open(fig5, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        header = ["quiz_size"]
-        for m in methods:
-            header += [f"{m}_mean", f"{m}_stderr"]
-        writer.writerow(header)
-        for s in sizes:
-            row = [s]
-            for m in methods:
-                mean, se = table[(m, s)]
-                row += [repr(mean), repr(se)]
-            writer.writerow(row)
     sel = read_results(out_dir / "selection_results.csv")
-    fig6 = out_dir / "fig_selection.csv"
-    sel_methods = sorted({m for m, _, _, _ in sel})
-    sel_table = {(m, k): (mean, se) for m, k, mean, se in sel}
-    with open(fig6, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        keys = ["type1_top1", "type1_top3", "type2_top1", "type2_top3"]
-        writer.writerow(["method"] + [f"{k}_{x}" for k in keys for x in ("mean", "stderr")])
-        for m in sel_methods:
-            row = [m]
-            for k in keys:
-                mean, se = sel_table[(m, k)]
-                row += [repr(mean), repr(se)]
-            writer.writerow(row)
-    return [fig5, fig6]
+    return [
+        _write_pivot(out_dir / "fig_prediction.csv", "quiz_size",
+                     {(int(k), m): (mean, se) for m, k, mean, se in pred}),
+        _write_pivot(out_dir / "fig_selection.csv", "method",
+                     {(m, k): (mean, se) for m, k, mean, se in sel}),
+    ]
 
 
 @dataclasses.dataclass(frozen=True)

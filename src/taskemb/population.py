@@ -186,14 +186,6 @@ def success_rates(population: Population, states: np.ndarray, reps_per_agent: in
     return population.outcome_table(states, reps_per_agent, rng).mean(axis=1)
 
 
-def policy_success(env: str, policy: Policy, states: np.ndarray, reps: int,
-                   rng: np.random.Generator) -> float:
-    """Mean success of one policy over `reps` rollouts per task."""
-    batch = np.repeat(np.asarray(states, dtype=np.float64), reps, axis=0)
-    out, _ = rollout_batch(env, batch, policy, rng)
-    return float(out.mean())
-
-
 @dataclass
 class SubpopSpec:
     mask: str = "none"
@@ -245,22 +237,6 @@ def snapshot_tasks(env: str, cfg: PopulationConfig, rng: np.random.Generator) ->
     return sample_tasks(env, cfg.snap_size, rng)
 
 
-def _dataset_from_trajectories(ops, trajs, mask: np.ndarray | None):
-    states, actions = [], []
-    for traj in trajs:
-        states.extend(traj.states)
-        actions.extend(traj.actions)
-    states = np.asarray(states, dtype=np.float64)
-    if ops.action_kind == "discrete":
-        actions = np.asarray(actions, dtype=np.int64)
-        if mask is not None and mask.any():
-            keep = ~mask[actions]  # demonstrations the masked policy cannot imitate
-            states, actions = states[keep], actions[keep]
-    else:
-        actions = np.asarray(actions, dtype=np.float64)
-    return states, actions
-
-
 def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
     """Cloning loss, cross-entropy or Gaussian NLL, and its grads in `_policy_params` order."""
     out, cache = nn.mlp_forward_cached(policy.net, x_feat)
@@ -310,11 +286,11 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
     ops = get_env(env)
     init_rng, snap_rng, data_rng, eval_rng = rng.spawn(4)
     policy = fresh_policy(env, init_rng, mask=spec.mask)
-    snap_states = snapshot_tasks(env, cfg, snap_rng)
+    snap_batch = np.repeat(snapshot_tasks(env, cfg, snap_rng), cfg.snap_reps, axis=0)
     expert = ExpertPolicy()
 
-    def score() -> float:
-        return policy_success(env, policy, snap_states, cfg.snap_reps, eval_rng)
+    def score() -> float:  # mean success over snap_reps rollouts per validation task
+        return float(rollout_batch(env, snap_batch, policy, eval_rng)[0].mean())
 
     snapshots = [AgentSnapshot(policy.to_flat(), "bc", spec.mask, spec.bias or "none",
                                0, score())]
@@ -322,8 +298,11 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
     adam = nn.AdamState.init(params, learning_rate=cfg.bc_lr)
     for _ in range(cfg.bc_epochs):
         tasks = sample_tasks(env, cfg.bc_rollouts, data_rng, bias=spec.bias)
-        _, _, trajs = rollout_batch(env, tasks, expert, data_rng, record=True)
-        states, actions = _dataset_from_trajectories(ops, trajs, policy.action_mask)
+        _, _, steps = rollout_batch(env, tasks, expert, data_rng, record=True)
+        states, actions = steps.states, steps.actions
+        if policy.action_mask is not None and policy.action_mask.any():
+            keep = ~policy.action_mask[actions]  # demonstrations the masked policy cannot imitate
+            states, actions = states[keep], actions[keep]
         if states.shape[0] == 0:
             continue
         x_feat = ops.featurize(states)

@@ -109,9 +109,8 @@ def estimate_mi(task_i, task_j, population, n_samples: int | None = None,
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     reps = _reps_schedule(n_agents, n_samples, rng)
-    s_i = task_i.state0 if hasattr(task_i, "state0") else np.asarray(task_i, dtype=np.float64)
-    s_j = task_j.state0 if hasattr(task_j, "state0") else np.asarray(task_j, dtype=np.float64)
-    table = population.outcome_table(np.stack([s_i, s_j]), reps, rng)
+    tasks = np.array([task_i, task_j], dtype=np.float64)
+    table = population.outcome_table(tasks, reps, rng)
     return mi_from_outcomes(table[0], table[1])
 
 

@@ -227,11 +227,18 @@ class TestEmbedApi:
         ("embedding", lambda t: t[: len(t) // 2], lambda t: t.count("\n") + 1),
         ("embedding", lambda t: t.split("\n", 1)[1], lambda t: 1),
         ("embedding", lambda t: t + "1 2 3\n", lambda t: t.count("\n")),
+        ("embedding", lambda t: t.replace('"pointmass"', '"env"', 1), lambda t: 1),
+        ("embedding", lambda t: t.replace('"dim": 3', '"dim": 9', 1), lambda t: 1),
         ("predmodel", lambda t: t.replace('"latent_dim"', '"dim"', 1), lambda t: 1),
         ("predmodel", lambda t: t + "garbage\n", lambda t: t.count("\n")),
+        ("predmodel", lambda t: t.replace('"pointmass"', '"env"', 1), lambda t: 1),
+        ("predmodel", lambda t: t.replace('"latent_dim": 2', '"latent_dim": 3', 1),
+         lambda t: 1),
     ], ids=["embedding-cut-mid-file", "embedding-header-missing",
-            "embedding-trailing-content", "predmodel-header-without-latent-dim",
-            "predmodel-trailing-content"])
+            "embedding-trailing-content", "embedding-unknown-env",
+            "embedding-dim-not-the-net-output", "predmodel-header-without-latent-dim",
+            "predmodel-trailing-content", "predmodel-unknown-env",
+            "predmodel-latent-dim-not-the-inference-output"])
     def test_malformed_model_file_names_file_and_line(self, tmp_path, kind, edit, line_of):
         path = tmp_path / "model.txt"
         if kind == "embedding":
@@ -243,6 +250,7 @@ class TestEmbedApi:
             pm.save_predmodel(pm.fresh_predmodel("pointmass", cfg, make_rng(36)), path)
             load = pm.load_predmodel
         text = edit(path.read_text())
+        assert text != path.read_text()
         path.write_text(text)
         with pytest.raises(nn.ArtifactFormatError,
                            match=re.escape(f"{path}:{line_of(text)}:")):

@@ -240,24 +240,14 @@ class TestRolloutMachinery:
             assert np.array_equal(out == 1, status == envs.SOLVED)
             assert not np.any(status == envs.ALIVE)
 
-    def test_same_seed_identical_trajectory(self):
-        task = envs.sample_tasks("multikeynav", 1, make_rng(42))[0]
-        o1, t1 = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(),
-                              make_rng(7, 8), record=True)
-        o2, t2 = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(),
-                              make_rng(7, 8), record=True)
-        assert o1 == o2
-        assert t1.actions == t2.actions
-        assert all(np.array_equal(a, b) for a, b in zip(t1.states, t2.states))
-        assert t1.final.terminal == t2.final.terminal
-
-    def test_trajectory_length_within_horizon(self):
-        rng = make_rng(43)
-        task = envs.sample_tasks("multikeynav", 1, rng)[0]
-        _, traj = envs.rollout("multikeynav", task, envs.UniformRandomPolicy(), rng,
-                               record=True)
-        assert len(traj.actions) <= 40
-        assert len(traj.states) == len(traj.actions)
+    def test_same_seed_identical_record(self):
+        tasks = envs.sample_tasks("multikeynav", 20, make_rng(42))
+        runs = [envs.rollout_batch("multikeynav", tasks, envs.UniformRandomPolicy(),
+                                   make_rng(7, 8), record=True) for _ in range(2)]
+        (o1, st1, r1), (o2, st2, r2) = runs
+        assert np.array_equal(o1, o2) and np.array_equal(st1, st2)
+        for name in ("episode", "states", "actions", "next_states", "status"):
+            assert np.array_equal(getattr(r1, name), getattr(r2, name)), name
 
     def test_gamma_rate_within_ten_percent(self):
         # moveRight forever never crashes and never solves, so every step is
@@ -301,15 +291,47 @@ class TestRolloutMachinery:
         policy = pop.fresh_policy(env, make_rng(47))
         tasks = envs.sample_tasks(env, 300, make_rng(48))
         out, status = envs.rollout_batch(env, tasks, policy, make_rng(49))
-        out_r, status_r, trajs = envs.rollout_batch(env, tasks, policy, make_rng(49), record=True)
+        out_r, status_r, steps = envs.rollout_batch(env, tasks, policy, make_rng(49), record=True)
         assert np.array_equal(out, out_r) and np.array_equal(status, status_r)
-        assert len({len(traj.actions) for traj in trajs}) > 1  # episodes end at different steps
-        for traj, st0, task in zip(trajs, status, tasks):
-            assert traj.final.terminal == st0
-            assert np.array_equal(traj.states[0], task)
-            assert len(traj.actions) == len(traj.states) <= ops.horizon
-            if st0 == envs.TIMED_OUT:
-                assert len(traj.actions) == ops.horizon
+        n = steps.episode.size
+        assert all(a.shape[0] == n for a in (steps.states, steps.actions, steps.next_states,
+                                             steps.status))
+        assert np.all(np.diff(steps.episode) >= 0)  # grouped by episode
+        lengths = np.bincount(steps.episode, minlength=len(tasks))
+        assert len(set(lengths.tolist())) > 1  # episodes end at different steps
+        assert lengths.min() >= 1 and lengths.max() <= ops.horizon
+        first = np.searchsorted(steps.episode, np.arange(len(tasks)))
+        last = first + lengths - 1
+        assert np.array_equal(steps.states[first], tasks)  # each episode starts at its task
+        # Within an episode each step starts where the previous one ended.
+        inner = np.setdiff1d(np.arange(n), first)
+        assert np.array_equal(steps.states[inner], steps.next_states[inner - 1])
+        assert np.all(np.delete(steps.status, last) == envs.ALIVE)
+        timed_out = status == envs.TIMED_OUT
+        assert np.array_equal(steps.status[last][~timed_out], status[~timed_out])
+        assert np.all(steps.status[last][timed_out] == envs.ALIVE)
+        assert np.all(lengths[timed_out] == ops.horizon)
+        with pytest.raises(core.EnvError, match="at least one episode"):
+            envs.rollout_batch(env, tasks[:0], policy, make_rng(49), record=True)
+
+    @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
+    def test_recorded_expert_episode_replays_through_the_scalar_api(self, env):
+        ops = core.get_env(env)
+        for i, task in enumerate(envs.sample_tasks(env, 30, make_rng(53))):
+            _, status, steps = envs.rollout_batch(env, task[None], envs.ExpertPolicy(),
+                                                  make_rng(54, i), record=True)
+            rng, state = make_rng(54, i), task
+            for t in range(steps.episode.size):
+                action = envs.expert_action(env, state)
+                out = envs.step(env, state, action, rng)
+                assert np.array_equal(steps.states[t], state)
+                assert np.array_equal(steps.actions[t], action)
+                assert np.array_equal(steps.next_states[t], out.next_state)
+                assert steps.status[t] == out.terminal
+                state = out.next_state
+            ended = out.terminal != envs.ALIVE
+            assert ended or steps.episode.size == ops.horizon
+            assert status[0] == (out.terminal if ended else envs.TIMED_OUT)
 
     def test_unknown_env_lists_options(self):
         with pytest.raises(core.EnvError, match="multikeynav"):
@@ -326,12 +348,6 @@ class TestTaskFiles:
         assert env == "cartpolevar"
         assert np.array_equal(back, states)
 
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("env,a,b\nmultikeynav,1,2\n")
-        with pytest.raises(core.EnvError, match="header"):
-            envs.load_tasks(path)
-
     def test_malformed_rows_name_file_and_line(self, tmp_path):
         path = tmp_path / "tasks.csv"
         envs.save_tasks(path, "cartpolevar", envs.sample_tasks("cartpolevar", 3, make_rng(52)))
@@ -340,6 +356,7 @@ class TestTaskFiles:
             (lines[:2] + [lines[2].replace(",0.0", "", 1)], 3, "expected 8 fields, got 7"),
             (lines[:3] + [lines[3].replace(",0.0", ",zero", 1)], 4, "could not convert"),
             (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
+            (["env,a,b,c,d,e,f,g\n"] + lines[1:], 1, "header"),
             (lines[:1], 2, "no tasks after the header"),
             ([], 1, "file ends early"),
         ]

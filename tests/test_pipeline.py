@@ -383,6 +383,24 @@ class TestPipelineRun:
         assert "ArtifactFormatError" in err
 
 
+def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):
+    # The multikeynav desk stages that make no rollouts are cheap enough to rerun
+    # in a test; each must write exactly the committed bytes. Only the manifest and
+    # the constraint sets are copied, so every compared output is freshly written.
+    desk = REPO / "runs" / "multikeynav-desk"
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == desk]
+    cfg.output_dir = str(tmp_path)
+    shutil.copy(desk / "manifest.txt", tmp_path)
+    shutil.copytree(desk / "constraints", tmp_path / "constraints")
+    committed = Manifest.load(desk).stages
+    for stage in ("train-embedding", "train-predmodel", "silhouette"):
+        pipeline.run_stage(stage, cfg, force=True)
+        outputs = committed[stage].outputs
+        assert Manifest.load(tmp_path).stages[stage].outputs == outputs, stage
+        for rel in outputs:
+            assert (tmp_path / rel).read_bytes() == (desk / rel).read_bytes(), rel
+
+
 def test_interrupted_stage_reruns_to_an_uninterrupted_runs_bytes(tmp_path, monkeypatch):
     # A stage that dies after its first output file gets no manifest record,
     # so the next run redoes it whole.
