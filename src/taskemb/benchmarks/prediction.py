@@ -9,7 +9,6 @@ population.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,38 +147,33 @@ def eval_prediction(predictions: np.ndarray, outcomes: np.ndarray,
 
 def save_quiz_dataset(path, env: str, examples: list[QuizExample]) -> None:
     """Long-format CSV: one row per task with its role, outcome, and agent."""
-    fields = get_env(env).state_fields
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["example", "role", "outcome", "agent_index", *fields])
+    def rows():
         for i, ex in enumerate(examples):
-            for q in range(len(ex.quiz_states)):
-                writer.writerow([i, "quiz", int(ex.quiz_outcomes[q]), ex.agent_index,
-                                 *[repr(float(v)) for v in ex.quiz_states[q]]])
-            writer.writerow([i, "test", ex.test_outcome, ex.agent_index,
-                             *[repr(float(v)) for v in ex.test_state]])
+            for state, outcome in zip(ex.quiz_states.tolist(), ex.quiz_outcomes.tolist()):
+                yield [i, "quiz", outcome, ex.agent_index, *state]
+            yield [i, "test", ex.test_outcome, ex.agent_index, *ex.test_state.tolist()]
+    nn.write_csv(path, ["example", "role", "outcome", "agent_index",
+                        *get_env(env).state_fields], rows())
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
-    """Read save_quiz_dataset's CSV; a bad row, or an example without its test
-    row, raises nn.ArtifactFormatError naming the line."""
+    """Read save_quiz_dataset's CSV; a bad row, an outcome other than 0 or 1, or an
+    example without its test row raises nn.ArtifactFormatError naming the line."""
     examples, quiz, outs = [], [], []
-    with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            rows = reader.csv_rows()
-            next(rows)  # the header
-            for i, role, outcome, agent, *state in rows:
-                if int(i) != len(examples) or role != "quiz" and (role != "test" or not quiz):
-                    raise ValueError(f"unexpected row: example {i}, role {role!r}")
-                state = np.array([float(v) for v in state])
-                if role == "quiz":
-                    quiz.append(state)
-                    outs.append(int(outcome))
-                    continue
-                examples.append(QuizExample(np.stack(quiz), np.array(outs, dtype=np.uint8),
-                                            state, int(outcome), int(agent)))
-                quiz, outs = [], []
-            if quiz or not examples:
-                raise ValueError(f"example {len(examples)} has no test row")
+    with nn.read_csv(path) as (_, rows):
+        for i, role, outcome, agent, *state in rows:
+            if int(i) != len(examples) or role != "quiz" and (role != "test" or not quiz):
+                raise ValueError(f"unexpected row: example {i}, role {role!r}")
+            if outcome not in ("0", "1"):
+                raise ValueError(f"outcome {outcome!r} is not 0 or 1")
+            state = np.array([float(v) for v in state])
+            if role == "quiz":
+                quiz.append(state)
+                outs.append(int(outcome))
+                continue
+            examples.append(QuizExample(np.stack(quiz), np.array(outs, dtype=np.uint8),
+                                        state, int(outcome), int(agent)))
+            quiz, outs = [], []
+        if quiz or not examples:
+            raise ValueError(f"example {len(examples)} has no test row")
     return examples

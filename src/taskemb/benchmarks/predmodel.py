@@ -99,13 +99,11 @@ class PredModelNets:
 def fresh_predmodel(env: str, config: PredModelConfig,
                     rng: np.random.Generator) -> PredModelNets:
     ops = get_env(env)
-    d_in = ops.featurize(np.zeros((1, ops.state_dim))).shape[1]
     d_bar = ops.strip_context(np.zeros((1, ops.state_dim))).shape[1]
-    d_act = ops.n_actions
     h1, h2 = config.hidden
-    inference = nn.glorot_init([d_in, h1, h2, 2 * config.latent_dim],
+    inference = nn.glorot_init([ops.feature_dim, h1, h2, 2 * config.latent_dim],
                                ["relu", "relu", "identity"], rng)
-    trunk = nn.glorot_init([d_bar + d_act + config.latent_dim, h1, h2],
+    trunk = nn.glorot_init([d_bar + ops.n_actions + config.latent_dim, h1, h2],
                            ["relu", "relu"], rng)
     reward_head = nn.glorot_init([h2, 1], ["identity"], rng)
     dynamics_head = nn.glorot_init([h2, d_bar], ["identity"], rng)
@@ -170,21 +168,23 @@ def save_predmodel(nets: PredModelNets, path) -> None:
 
 
 def load_predmodel(path) -> PredModelNets:
-    """Read a predmodel file; a malformed one raises nn.ArtifactFormatError naming the line."""
-    with open(path, "r", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            header = json.loads(reader.line())
-            if not isinstance(header, dict) or not {"env", "latent_dim"} <= header.keys():
-                raise ValueError('header must be {"env": ..., "latent_dim": ...}')
-            env, latent_dim = get_env(header["env"]).name, int(header["latent_dim"])
-            nets = [nn.read_weights(reader) for _ in range(4)]
-            if 2 * latent_dim != nets[0].out_size:
-                raise nn.ArtifactFormatError(
-                    f"{reader.name}:1: header latent_dim {latent_dim} needs "
-                    f"{2 * latent_dim} inference outputs, the net has {nets[0].out_size}")
-            reader.expect_end()
-    return PredModelNets(env, latent_dim, *nets)
+    """Read a predmodel file; a malformed one, or one whose inference net or trunk does not
+    fit its header's env and latent_dim, raises nn.ArtifactFormatError naming the line."""
+    with nn.read_artifact(path) as reader:
+        header = json.loads(reader.line())
+        if not isinstance(header, dict) or not {"env", "latent_dim"} <= header.keys():
+            raise ValueError('header must be {"env": ..., "latent_dim": ...}')
+        ops, latent_dim = get_env(header["env"]), int(header["latent_dim"])
+        nets = [nn.read_weights(reader) for _ in range(4)]
+        d_bar = ops.strip_context(np.zeros((1, ops.state_dim))).shape[1]
+        need = (ops.feature_dim, 2 * latent_dim, d_bar + ops.n_actions + latent_dim)
+        got = (nets[0].in_size, nets[0].out_size, nets[1].in_size)
+        if need != got:
+            raise nn.ArtifactFormatError(
+                f"{path}:1: header env {ops.name} and latent_dim {latent_dim} need "
+                f"(inference inputs, inference outputs, trunk inputs) {need}, the file has {got}")
+        reader.expect_end()
+    return PredModelNets(ops.name, latent_dim, *nets)
 
 
 def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelConfig,

@@ -9,7 +9,6 @@ filter comes up empty.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -214,59 +213,52 @@ def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) 
 
 
 def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> None:
-    fields = get_env(env).state_fields
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["example", "role", "query_type", "ground_truth", "pos",
-                         "similarity", *fields])
+    def rows():
         for i, ex in enumerate(examples):
-            writer.writerow([i, "ref", ex.query_type, ex.ground_truth,
-                             repr(ex.pos_ref), "",
-                             *[repr(float(v)) for v in ex.ref_state]])
-            for j in range(ex.option_states.shape[0]):
-                writer.writerow([i, f"option_{j}", ex.query_type, "",
-                                 repr(float(ex.pos_options[j])),
-                                 repr(float(ex.gt_sims[j])),
-                                 *[repr(float(v)) for v in ex.option_states[j]]])
-            for j in range(ex.easy_refs.shape[0]):
-                writer.writerow([i, f"easy_{j}", ex.query_type, "", "", "",
-                                 *[repr(float(v)) for v in ex.easy_refs[j]]])
+            yield [i, "ref", ex.query_type, ex.ground_truth, ex.pos_ref, "",
+                   *ex.ref_state.tolist()]
+            options = zip(ex.option_states.tolist(), ex.pos_options.tolist(), ex.gt_sims.tolist())
+            for j, (state, pos, sim) in enumerate(options):
+                yield [i, f"option_{j}", ex.query_type, "", pos, sim, *state]
+            for j, state in enumerate(ex.easy_refs.tolist()):
+                yield [i, f"easy_{j}", ex.query_type, "", "", "", *state]
+    nn.write_csv(path, ["example", "role", "query_type", "ground_truth", "pos", "similarity",
+                        *get_env(env).state_fields], rows())
 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
-    """Read save_selection_dataset's CSV; a bad or missing row, or an example without
-    N_OPTIONS options and N_EASY easy rows, raises nn.ArtifactFormatError naming the line."""
+    """Read save_selection_dataset's CSV; a bad or missing row, a query type other than 1
+    or 2, or an example without N_OPTIONS options and N_EASY easy rows raises
+    nn.ArtifactFormatError naming the line."""
     examples = []  # their array fields collect lists until the return
-    with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            rows = reader.csv_rows()
-            next(rows)  # the header
-            for i, role, qtype, gt, pos, sim, *state in itertools.chain(rows, [[""] * 6]):
-                if role in ("ref", "") and examples:  # the last example is complete
-                    last = examples[-1]
-                    got = (len(last.option_states), len(last.easy_refs))
-                    if got != (N_OPTIONS, N_EASY) or not 0 <= last.ground_truth < N_OPTIONS:
-                        raise ValueError(f"example {len(examples) - 1} has (options, easy) {got}, "
-                                         f"ground truth {last.ground_truth}; expected "
-                                         f"({N_OPTIONS}, {N_EASY})")
-                if not role:
-                    break
-                state = np.array([float(v) for v in state])
-                ex = examples[-1] if examples and int(i) == len(examples) - 1 else None
-                if role == "ref" and int(i) == len(examples):
-                    examples.append(SelectionExample(state, [], [], int(qtype), int(gt), [],
-                                                     float(pos), []))
-                elif ex and role == f"option_{len(ex.option_states)}" and not ex.easy_refs:
-                    ex.option_states.append(state)
-                    ex.pos_options.append(float(pos))
-                    ex.gt_sims.append(float(sim))
-                elif ex and role == f"easy_{len(ex.easy_refs)}":
-                    ex.easy_refs.append(state)
-                else:
-                    raise ValueError(f"unexpected row: example {i}, role {role!r}")
-            if not examples:
-                raise ValueError("no examples after the header")
+    with nn.read_csv(path) as (_, rows):
+        for i, role, qtype, gt, pos, sim, *state in itertools.chain(rows, [[""] * 6]):
+            if role in ("ref", "") and examples:  # the last example is complete
+                last = examples[-1]
+                got = (len(last.option_states), len(last.easy_refs))
+                if got != (N_OPTIONS, N_EASY) or not 0 <= last.ground_truth < N_OPTIONS:
+                    raise ValueError(f"example {len(examples) - 1} has (options, easy) {got}, "
+                                     f"ground truth {last.ground_truth}; expected "
+                                     f"({N_OPTIONS}, {N_EASY})")
+            if not role:
+                break
+            state = np.array([float(v) for v in state])
+            ex = examples[-1] if examples and int(i) == len(examples) - 1 else None
+            if role == "ref" and int(i) == len(examples):
+                if qtype not in ("1", "2"):
+                    raise ValueError(f"query type {qtype!r} is not 1 or 2")
+                examples.append(SelectionExample(state, [], [], int(qtype), int(gt), [],
+                                                 float(pos), []))
+            elif ex and role == f"option_{len(ex.option_states)}" and not ex.easy_refs:
+                ex.option_states.append(state)
+                ex.pos_options.append(float(pos))
+                ex.gt_sims.append(float(sim))
+            elif ex and role == f"easy_{len(ex.easy_refs)}":
+                ex.easy_refs.append(state)
+            else:
+                raise ValueError(f"unexpected row: example {i}, role {role!r}")
+        if not examples:
+            raise ValueError("no examples after the header")
     return [SelectionExample(ex.ref_state, np.stack(ex.option_states), np.stack(ex.easy_refs),
                              ex.query_type, ex.ground_truth, np.array(ex.gt_sims),
                              ex.pos_ref, np.array(ex.pos_options))

@@ -257,20 +257,20 @@ def save_embedding_model(model: EmbeddingNet, path) -> None:
 
 
 def load_embedding_model(path) -> EmbeddingNet:
-    """Read a model file; a malformed one raises nn.ArtifactFormatError naming the line."""
-    with open(path, "r", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            header = json.loads(reader.line())
-            if not isinstance(header, dict) or not {"env", "dim"} <= header.keys():
-                raise ValueError('header must be {"env": ..., "dim": ...}')
-            env, dim = get_env(header["env"]).name, int(header["dim"])
-            net = nn.read_weights(reader)
-            if dim != net.out_size:
-                raise nn.ArtifactFormatError(
-                    f"{reader.name}:1: header dim {dim} != the net's {net.out_size} outputs")
-            reader.expect_end()
-    return EmbeddingNet(env, net, dim)
+    """Read a model file; a malformed one, or one whose net does not fit its header's env
+    and dim, raises nn.ArtifactFormatError naming the line."""
+    with nn.read_artifact(path) as reader:
+        header = json.loads(reader.line())
+        if not isinstance(header, dict) or not {"env", "dim"} <= header.keys():
+            raise ValueError('header must be {"env": ..., "dim": ...}')
+        ops, dim = get_env(header["env"]), int(header["dim"])
+        net = nn.read_weights(reader)
+        if (dim, ops.feature_dim) != (net.out_size, net.in_size):
+            raise nn.ArtifactFormatError(
+                f"{path}:1: header env {ops.name} and dim {dim} need {ops.feature_dim} inputs "
+                f"and {dim} outputs, the net has {net.in_size} and {net.out_size}")
+        reader.expect_end()
+    return EmbeddingNet(ops.name, net, dim)
 
 
 def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:

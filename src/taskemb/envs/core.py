@@ -10,13 +10,12 @@ flat `Steps` record of arrays rather than per-episode objects.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from taskemb.nn import ArtifactFormatError, LineReader
+from taskemb.nn import ArtifactFormatError, read_csv, write_csv
 
 ALIVE = 0
 SOLVED = 1
@@ -56,10 +55,15 @@ class EnvOps:
     def state_dim(self) -> int:
         return len(self.state_fields)
 
+    @property
+    def feature_dim(self) -> int:
+        """Width of `featurize`'s output, the input of every net over this env's tasks."""
+        return self.featurize(np.zeros((1, self.state_dim))).shape[1]
+
     def net_layout(self, out_dim: int) -> tuple[list[int], list[str]]:
         """Layer sizes and activations of a policy or embedding net with out_dim outputs."""
-        in_dim = self.featurize(np.zeros((1, self.state_dim))).shape[1]
-        return [in_dim, *self.hidden, out_dim], ["relu"] * len(self.hidden) + ["identity"]
+        sizes = [self.feature_dim, *self.hidden, out_dim]
+        return sizes, ["relu"] * len(self.hidden) + ["identity"]
 
 
 _REGISTRY: dict[str, EnvOps] = {}
@@ -230,32 +234,23 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
 
 def save_tasks(path, env: str, states: np.ndarray) -> None:
     """Write tasks as CSV: header ``env,<state fields>``, one task per row."""
-    ops = get_env(env)
     states = np.asarray(states, dtype=np.float64)
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["env", *ops.state_fields])
-        for row in states:
-            writer.writerow([env, *[repr(float(v)) for v in row]])
+    write_csv(path, ["env", *get_env(env).state_fields], ([env, *row] for row in states.tolist()))
 
 
 def load_tasks(path) -> tuple[str, np.ndarray]:
     """Read save_tasks' CSV, which holds one env; a bad row raises nn.ArtifactFormatError."""
-    with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = LineReader(fp)
-        with reader.located():
-            rows = reader.csv_rows()
-            header, ops, states = next(rows), None, []
-            for row in rows:
-                ops = ops or get_env(row[0])
-                if row[0] != ops.name:
-                    raise ValueError(f"mixed environments ({ops.name} and {row[0]})")
-                states.append([float(v) for v in row[1:]])
-            if ops is None:
-                raise ValueError("no tasks after the header")
-            if tuple(header[1:]) != ops.state_fields:
-                raise ArtifactFormatError(f"{reader.name}:1: header {header[1:]} != "
-                                          f"{list(ops.state_fields)}")
+    with read_csv(path) as (header, rows):
+        ops, states = None, []
+        for row in rows:
+            ops = ops or get_env(row[0])
+            if row[0] != ops.name:
+                raise ValueError(f"mixed environments ({ops.name} and {row[0]})")
+            states.append([float(v) for v in row[1:]])
+        if ops is None:
+            raise ValueError("no tasks after the header")
+        if tuple(header[1:]) != ops.state_fields:
+            raise ArtifactFormatError(f"{path}:1: header {header[1:]} != {list(ops.state_fields)}")
     return ops.name, np.array(states)
 
 

@@ -319,15 +319,6 @@ class LineReader:
             raise ValueError(f"expected {n} values, got {len(parts)}")
         return parts
 
-    def csv_rows(self):
-        """Yield the header, then every later line, as CSV rows as wide as the header."""
-        header = next(csv.reader([self.line()]))
-        yield header
-        for row in csv.reader(iter(lambda: self.line(end_ok=True), "")):
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            yield row
-
     def expect_end(self, what: str = "content after the last expected line") -> None:
         if self.fp.read().strip():
             self.lineno += 1
@@ -341,6 +332,43 @@ class LineReader:
             raise
         except ValueError as exc:
             raise ArtifactFormatError(f"{self.name}:{self.lineno}: {exc}") from None
+
+
+@contextlib.contextmanager
+def read_artifact(path):
+    """Open a text artifact and yield a LineReader over it; a ValueError raised while
+    it is open becomes an ArtifactFormatError naming `<path>:<line>`."""
+    with open(path, "r", newline="", encoding="utf-8") as fp:
+        reader = LineReader(fp)
+        with reader.located():
+            yield reader
+
+
+@contextlib.contextmanager
+def read_csv(path):
+    """Yield (header, rows) of a CSV artifact: rows iterates the later lines as lists as
+    wide as the header, and a bad one raises ArtifactFormatError naming its line."""
+    with read_artifact(path) as reader:
+        header = next(csv.reader([reader.line()]))
+
+        def rows():
+            for row in csv.reader(iter(lambda: reader.line(end_ok=True), "")):
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                yield row
+        yield header, rows()
+
+
+def write_csv(path, header, rows):
+    """Write a CSV artifact and return its path: UTF-8, a header row, the csv module's CRLF
+    line ends and floats as repr(), the shortest round-trip decimal. NumPy floats become
+    Python floats first; rows of arrays passed as `.tolist()` skip that per-value step."""
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        writer = csv.writer(fp)
+        writer.writerow(header)
+        writer.writerows([float(v) if isinstance(v, np.floating) else v for v in row]
+                         for row in rows)
+    return path
 
 
 def read_weights(fp) -> Mlp:

@@ -9,7 +9,6 @@ a body that writes its artifacts and returns their paths.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import time
 from pathlib import Path
@@ -96,16 +95,6 @@ def _load_constraint_artifacts(cfg: RunConfig, root: Path):
     return pool, sets
 
 
-def _write_trainlog(path, log: emb.TrainLog) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for e, tr, va in zip(log.epochs, log.train_loss, log.val_loss):
-            writer.writerow([e, repr(tr), repr(va)])
-        writer.writerow(["best_epoch", log.best_epoch, ""])
-        writer.writerow(["test_loss", repr(log.test_loss), ""])
-
-
 def _train_config(cfg: RunConfig, dim: int, norm_weight: float) -> emb.TrainConfig:
     e = cfg.embedding
     return emb.TrainConfig(dim=dim, norm_weight=norm_weight, epochs=e.epochs,
@@ -123,8 +112,10 @@ def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
             pool, sets["train"], sets["val"], sets["test"], _train_config(cfg, dim, norm_weight),
             make_rng(cfg.seeds.root, cfg.seeds.training, *seed_parts))
         emb.save_embedding_model(model, out_dir / f"model{suffix}.txt")
-        _write_trainlog(out_dir / f"trainlog{suffix}.csv", log)
-        outputs += [out_dir / f"model{suffix}.txt", out_dir / f"trainlog{suffix}.csv"]
+        outputs += [out_dir / f"model{suffix}.txt", nn.write_csv(
+            out_dir / f"trainlog{suffix}.csv", ["epoch", "train_loss", "val_loss"],
+            [*zip(log.epochs, log.train_loss, log.val_loss),
+             ("best_epoch", log.best_epoch, ""), ("test_loss", log.test_loss, "")])]
 
     random_model = emb.fresh_embedding_net(cfg.env, cfg.embed_dim(),
                                            make_rng(cfg.seeds.root, cfg.seeds.training, 2))
@@ -141,12 +132,8 @@ def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     transitions = pm.collect_transitions(cfg.env, pm_cfg.n_rollouts, rng)
     nets, losses = pm.train_predmodel(cfg.env, transitions, pm_cfg, rng, verbose=True)
     pm.save_predmodel(nets, out_dir / "model.txt")
-    with open(out_dir / "trainlog.csv", "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["epoch", "loss"])
-        for i, loss in enumerate(losses):
-            writer.writerow([i, repr(loss)])
-    return [out_dir / "model.txt", out_dir / "trainlog.csv"]
+    return [out_dir / "model.txt",
+            nn.write_csv(out_dir / "trainlog.csv", ["epoch", "loss"], enumerate(losses))]
 
 
 def _prediction_methods(cfg: RunConfig) -> list[str]:
@@ -162,22 +149,13 @@ def _benchmark_upstream(methods: list[str]) -> list[str]:
     return ["train-population", "train-embedding", *predmodel]
 
 
-def _write_results(path, rows: list[tuple]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["method", "quiz_size_or_type", "mean", "stderr"])
-        for method, key, mean, stderr in rows:
-            writer.writerow([method, key, repr(float(mean)), repr(float(stderr))])
+RESULTS_HEADER = ("method", "quiz_size_or_type", "mean", "stderr")  # both result CSVs
 
 
 def read_results(path) -> list[tuple[str, str, float, float]]:
     """Read a result CSV; a bad row raises nn.ArtifactFormatError naming the line."""
-    with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            rows = reader.csv_rows()
-            next(rows)  # the header
-            return [(m, k, float(a), float(b)) for m, k, a, b in rows]
+    with nn.read_csv(path) as (_, rows):
+        return [(m, k, float(a), float(b)) for m, k, a, b in rows]
 
 
 def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
@@ -231,10 +209,8 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
             rows.append((method, str(size), mean, stderr))
         print(f"  quiz size {size}: " + "  ".join(
             f"{m}={v:.3f}" for m, k, v, _ in rows[-len(methods):]), flush=True)
-    results_path = out_dir / f"prediction_results{suffix}.csv"
-    _write_results(results_path, rows)
-    outputs.append(results_path)
-    return outputs
+    return [*outputs, nn.write_csv(out_dir / f"prediction_results{suffix}.csv",
+                                   RESULTS_HEADER, rows)]
 
 
 def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
@@ -291,10 +267,7 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
                 vals = np.array(acc[method][(t, k)])
                 mean, stderr = fold_mean_stderr(vals)
                 rows.append((method, f"type{t}_top{k}", mean, stderr))
-    results_path = out_dir / "selection_results.csv"
-    _write_results(results_path, rows)
-    outputs.append(results_path)
-    return outputs
+    return [*outputs, nn.write_csv(out_dir / "selection_results.csv", RESULTS_HEADER, rows)]
 
 
 def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
@@ -307,33 +280,27 @@ def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
               "ours_wonorm": emb.load_embedding_model(root / "embedding" / "model_wonorm.txt")}
     if cfg.predmodel.enabled:
         models["predmodel"] = pm.load_predmodel(root / "predmodel" / "model.txt")
-    path = out_dir / "silhouette.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["model", "split", "n_tasks", "score"])
-        for model_name, model in models.items():
-            for split_name, states in (("fresh", fresh), ("pool", pool_split)):
-                score = clusters.silhouette_for_model(model, cfg.env, states)
-                writer.writerow([model_name, split_name, states.shape[0],
-                                 repr(float(score))])
-                print(f"  {model_name}/{split_name}: {score:.3f}", flush=True)
-    return [path]
+    rows = []
+    for model_name, model in models.items():
+        for split_name, states in (("fresh", fresh), ("pool", pool_split)):
+            score = float(clusters.silhouette_for_model(model, cfg.env, states))
+            rows.append((model_name, split_name, states.shape[0], score))
+            print(f"  {model_name}/{split_name}: {score:.3f}", flush=True)
+    return [nn.write_csv(out_dir / "silhouette.csv", ["model", "split", "n_tasks", "score"],
+                         rows)]
 
 
 def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
-    path = out_dir / "dim_sweep.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["dim", "best_val_loss", "test_loss"])
-        for dim in range(1, 11):
-            _, log = emb.train_embedding(pool, sets["train"], sets["val"], sets["test"],
-                                         _train_config(cfg, dim, cfg.embedding.norm_weight),
-                                         make_rng(cfg.seeds.root, cfg.seeds.training,
-                                                  4, dim))
-            writer.writerow([dim, repr(min(log.val_loss)), repr(log.test_loss)])
-            print(f"  dim {dim}: test loss {log.test_loss:.4f}", flush=True)
-    return [path]
+    rows = []
+    for dim in range(1, 11):
+        _, log = emb.train_embedding(pool, sets["train"], sets["val"], sets["test"],
+                                     _train_config(cfg, dim, cfg.embedding.norm_weight),
+                                     make_rng(cfg.seeds.root, cfg.seeds.training, 4, dim))
+        rows.append((dim, min(log.val_loss), log.test_loss))
+        print(f"  dim {dim}: test loss {log.test_loss:.4f}", flush=True)
+    return [nn.write_csv(out_dir / "dim_sweep.csv", ["dim", "best_val_loss", "test_loss"],
+                         rows)]
 
 
 def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
@@ -342,34 +309,23 @@ def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
                           make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
     emb.export_embeddings(out_dir / "embeddings.csv", model, states)
     save_tasks(out_dir / "tasks.csv", cfg.env, states)
-    vectors = model.embed(states)
     k = min(2, model.dim)
-    proj, ratios = emb.pca_project(vectors, k)
-    with open(out_dir / "pca.csv", "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["task_index"] + [f"p_{i + 1}" for i in range(k)] + ["label"])
-        labels = clusters.cluster_labels(cfg.env, states)
-        for i in range(proj.shape[0]):
-            writer.writerow([i, *[repr(float(v)) for v in proj[i]], int(labels[i])])
-    with open(out_dir / "pca_variance.csv", "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["component", "explained_variance_ratio"])
-        for i, ratio in enumerate(ratios):
-            writer.writerow([i + 1, repr(float(ratio))])
+    proj, ratios = emb.pca_project(model.embed(states), k)
+    labels = clusters.cluster_labels(cfg.env, states)
+    pca_rows = ([i, *row, int(c)] for i, (row, c) in enumerate(zip(proj.tolist(), labels)))
     return [out_dir / "embeddings.csv", out_dir / "tasks.csv",
-            out_dir / "pca.csv", out_dir / "pca_variance.csv"]
+            nn.write_csv(out_dir / "pca.csv",
+                         ["task_index", *(f"p_{i + 1}" for i in range(k)), "label"], pca_rows),
+            nn.write_csv(out_dir / "pca_variance.csv", ["component", "explained_variance_ratio"],
+                         enumerate(ratios, start=1))]
 
 
 def _write_pivot(path: Path, corner: str, table: dict) -> Path:
     """Write a {(row, col): (mean, stderr)} table as CSV: one line per row, a repr'd
     `<col>_mean` and `<col>_stderr` column per col, both in sorted order."""
     rows, cols = sorted({r for r, _ in table}), sorted({c for _, c in table})
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow([corner] + [f"{c}_{x}" for c in cols for x in ("mean", "stderr")])
-        for r in rows:
-            writer.writerow([r] + [repr(v) for c in cols for v in table[(r, c)]])
-    return path
+    return nn.write_csv(path, [corner, *(f"{c}_{x}" for c in cols for x in ("mean", "stderr"))],
+                        ([r, *(v for c in cols for v in table[(r, c)])] for r in rows))
 
 
 def _plot_data(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:

@@ -393,26 +393,24 @@ _AGENT_KEYS = ["method", "mask", "bias", "snapshot", "score"]
 
 def _read_population_manifest(path: Path) -> tuple[envcore.EnvOps, list[tuple]]:
     """(env ops, one (method, mask, bias, snapshot, score) per agent), checked line by line."""
-    with open(path, "r", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():  # an unknown env's EnvError is a ValueError too
-            head = {}
-            for key, parse in (("env", get_env), ("count", int)):
-                name, value = reader.fields(2)
-                if name != key:
-                    raise ValueError(f"expected the {key!r} line, got {name!r}")
-                head[key] = parse(value)
-            count = head["count"]
-            if count < 1:
-                raise ValueError("count must be at least 1")
-            records = []
-            for k in range(count):
-                parts = reader.fields(12)
-                if parts[:2] != ["agent", str(k)] or parts[2::2] != _AGENT_KEYS:
-                    raise ValueError(f"expected 'agent {k}' then {', '.join(_AGENT_KEYS)}")
-                method, mask, bias, snapshot, score = parts[3::2]
-                records.append((method, mask, bias, int(snapshot), float(score)))
-            reader.expect_end(f"agent line beyond count {count}")
+    with nn.read_artifact(path) as reader:  # an unknown env's EnvError is a ValueError too
+        head = {}
+        for key, parse in (("env", get_env), ("count", int)):
+            name, value = reader.fields(2)
+            if name != key:
+                raise ValueError(f"expected the {key!r} line, got {name!r}")
+            head[key] = parse(value)
+        count = head["count"]
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        records = []
+        for k in range(count):
+            parts = reader.fields(12)
+            if parts[:2] != ["agent", str(k)] or parts[2::2] != _AGENT_KEYS:
+                raise ValueError(f"expected 'agent {k}' then {', '.join(_AGENT_KEYS)}")
+            method, mask, bias, snapshot, score = parts[3::2]
+            records.append((method, mask, bias, int(snapshot), float(score)))
+        reader.expect_end(f"agent line beyond count {count}")
     return head["env"], records
 
 
@@ -430,13 +428,11 @@ def load_population(directory) -> Population:
     ops, records = _read_population_manifest(directory / "manifest")
     snapshots = []
     for k, record in enumerate(records):
-        with open(directory / f"agent_{k}.txt", "r", encoding="utf-8") as fp:
-            reader = nn.LineReader(fp)
-            with reader.located():
-                flat = nn.read_weights(reader).to_flat()
-                if ops.action_kind == "box":
-                    log_std = [float(v) for v in reader.fields(ops.n_actions)]
-                    flat = np.concatenate([flat, np.array(log_std)])
-                reader.expect_end()
+        with nn.read_artifact(directory / f"agent_{k}.txt") as reader:
+            flat = nn.read_weights(reader).to_flat()
+            if ops.action_kind == "box":
+                log_std = [float(v) for v in reader.fields(ops.n_actions)]
+                flat = np.concatenate([flat, np.array(log_std)])
+            reader.expect_end()
         snapshots.append(AgentSnapshot(flat, *record))
     return Population(ops.name, snapshots)

@@ -12,7 +12,6 @@ of re-rolling every pair.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,32 +197,26 @@ def gen_constraint_splits(pool_states: np.ndarray, population,
 
 def save_constraints(path, cset: ConstraintSet) -> None:
     """CSV rows `kind,task1,task2,task3,label,est1,est2`; task columns are pool row indices."""
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["kind", "task1", "task2", "task3", "label", "est1", "est2"])
-        for t in cset.triplets:
-            writer.writerow(["mi", t.task1, t.task2, t.task3, t.label,
-                             repr(t.est12), repr(t.est13)])
-        for p in cset.pairs:
-            writer.writerow(["norm", p.task1, p.task2, "", p.label,
-                             repr(p.pos1), repr(p.pos2)])
+    nn.write_csv(path, ["kind", "task1", "task2", "task3", "label", "est1", "est2"],
+                 [*(["mi", t.task1, t.task2, t.task3, t.label, t.est12, t.est13]
+                    for t in cset.triplets),
+                  *(["norm", p.task1, p.task2, "", p.label, p.pos1, p.pos2] for p in cset.pairs)])
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
-    """Read save_constraints' CSV; a bad row raises nn.ArtifactFormatError naming its line."""
+    """Read save_constraints' CSV; a bad row, a negative task index or a label other than
+    0 or 1 raises nn.ArtifactFormatError naming its line."""
     triplets, pairs = [], []
-    with open(path, "r", newline="", encoding="utf-8") as fp:
-        reader = nn.LineReader(fp)
-        with reader.located():
-            rows = reader.csv_rows()
-            next(rows)  # the header
-            for kind, t1, t2, t3, label, e1, e2 in rows:
-                if kind == "mi":
-                    triplets.append(TripletConstraint(int(t1), int(t2), int(t3),
-                                                      int(label), float(e1), float(e2)))
-                elif kind == "norm":
-                    pairs.append(PairConstraint(int(t1), int(t2), int(label),
-                                                float(e1), float(e2)))
-                else:
-                    raise ValueError(f"unknown constraint kind {kind!r}")
+    with nn.read_csv(path) as (_, rows):
+        for kind, t1, t2, t3, label, e1, e2 in rows:
+            if kind not in ("mi", "norm"):
+                raise ValueError(f"unknown constraint kind {kind!r}")
+            tasks = [int(t) for t in (t1, t2, t3)[: 3 if kind == "mi" else 2]]
+            if min(tasks) < 0 or label not in ("0", "1"):
+                raise ValueError(f"need task indices >= 0 and a label of 0 or 1, "
+                                 f"got {tasks} and {label!r}")
+            if kind == "mi":
+                triplets.append(TripletConstraint(*tasks, int(label), float(e1), float(e2)))
+            else:
+                pairs.append(PairConstraint(*tasks, int(label), float(e1), float(e2)))
     return ConstraintSet(env, triplets, pairs)

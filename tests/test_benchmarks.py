@@ -465,8 +465,9 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:-1], 19),
         (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0] + ",x\n"] + ls[4:], 4),
         (lambda ls: ls[:1], 2),
+        (lambda ls: ls[:1] + [ls[1].replace(",quiz,1,", ",quiz,5,", 1)] + ls[2:], 2),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
-            "bad-float", "no-examples"])
+            "bad-float", "no-examples", "outcome-not-0-or-1"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
@@ -481,9 +482,10 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:1] + ["0,ref,1,10," + ls[1].split(",", 4)[4]] + ls[2:], 18),
         (lambda ls: ls[:1], 2),
         (lambda ls: ls[:15], 16),
+        (lambda ls: ls[:1] + [ls[1].replace(",ref,1,", ",ref,3,", 1)] + ls[2:], 2),
     ], ids=["example-0-without-ref", "options-misordered", "one-easy-row-short",
             "unknown-role", "ground-truth-beyond-options", "no-examples",
-            "only-example-cut-in-its-easy-rows"])
+            "only-example-cut-in-its-easy-rows", "query-type-not-1-or-2"])
     def test_malformed_selection_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "sel.csv"
         path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))

@@ -234,11 +234,15 @@ class TestEmbedApi:
         ("predmodel", lambda t: t.replace('"pointmass"', '"env"', 1), lambda t: 1),
         ("predmodel", lambda t: t.replace('"latent_dim": 2', '"latent_dim": 3', 1),
          lambda t: 1),
+        ("embedding", lambda t: t.replace('"pointmass"', '"cartpolevar"', 1), lambda t: 1),
+        ("predmodel", lambda t: t.replace('"pointmass"', '"cartpolevar"', 1), lambda t: 1),
     ], ids=["embedding-cut-mid-file", "embedding-header-missing",
             "embedding-trailing-content", "embedding-unknown-env",
             "embedding-dim-not-the-net-output", "predmodel-header-without-latent-dim",
             "predmodel-trailing-content", "predmodel-unknown-env",
-            "predmodel-latent-dim-not-the-inference-output"])
+            "predmodel-latent-dim-not-the-inference-output",
+            "embedding-env-relabeled-to-another-input-width",
+            "predmodel-env-relabeled-to-another-input-width"])
     def test_malformed_model_file_names_file_and_line(self, tmp_path, kind, edit, line_of):
         path = tmp_path / "model.txt"
         if kind == "embedding":

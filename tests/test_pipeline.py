@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taskemb import cli, config as cfgmod, pipeline
+from taskemb import cli, config as cfgmod, nn, pipeline
+from taskemb import similarity as sim
+from taskemb.benchmarks import prediction, selection
+from taskemb.envs import load_tasks, save_tasks
 from taskemb.manifest import Manifest, StaleArtifactError, file_hash
 
 from conftest import check_truncations
@@ -399,6 +402,38 @@ def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):
         assert Manifest.load(tmp_path).stages[stage].outputs == outputs, stage
         for rel in outputs:
             assert (tmp_path / rel).read_bytes() == (desk / rel).read_bytes(), rel
+
+
+def _resave(src: Path, dst: Path) -> None:
+    """Load a committed CSV with its loader and write it again the way its stage does."""
+    if src.name == "pool.csv":
+        save_tasks(dst, *load_tasks(src))
+    elif src.name in ("train.csv", "val.csv", "test.csv"):
+        sim.save_constraints(dst, sim.load_constraints(src, "multikeynav"))
+    elif src.name.startswith("quiz_size_"):
+        prediction.save_quiz_dataset(dst, "multikeynav", prediction.load_quiz_dataset(src))
+    elif src.name.endswith("_results.csv"):
+        nn.write_csv(dst, pipeline.RESULTS_HEADER, pipeline.read_results(src))
+    else:
+        selection.save_selection_dataset(dst, "multikeynav",
+                                         selection.load_selection_dataset(src))
+
+
+@pytest.mark.parametrize("rel", [
+    *(f"multikeynav-desk/constraints/{n}.csv" for n in ("pool", "train", "val", "test")),
+    *(f"multikeynav-desk/benchmarks/quiz_size_{size}_{split}.csv"
+      for size in (1, 20) for split in ("train", "test")),
+    *(f"multikeynav-desk/benchmarks/selection_{d}.csv" for d in range(4)),
+    "multikeynav-desk/benchmarks/prediction_results.csv",
+    "multikeynav-desk/benchmarks/selection_results.csv",
+    "cartpolevar-desk/constraints/pool.csv",
+])
+def test_committed_csv_loads_and_saves_to_its_bytes(tmp_path, rel):
+    # The stages that write these files make rollouts and are never rerun here, so
+    # this is the check that their loaders and writers keep the committed bytes.
+    src = REPO / "runs" / rel
+    _resave(src, tmp_path / src.name)
+    assert (tmp_path / src.name).read_bytes() == src.read_bytes()
 
 
 def test_interrupted_stage_reruns_to_an_uninterrupted_runs_bytes(tmp_path, monkeypatch):

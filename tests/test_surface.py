@@ -102,3 +102,18 @@ def test_allowed_names_exist_and_are_needed():
         assert qualname in defined, f"{qualname} is allowed but not defined"
         assert not _reached(index, *defined[qualname]), (
             f"{qualname} is reached by the program; drop it from ALLOWED")
+
+
+def test_only_nn_imports_csv():
+    # The CSV format (header, line ends, float text) lives in nn.write_csv and
+    # nn.read_csv; a module that imports csv itself would spell it out again.
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "csv" in modules:
+                importers.append(path.relative_to(PACKAGE).as_posix())
+    assert importers == ["nn.py"]
