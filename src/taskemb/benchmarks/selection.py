@@ -20,7 +20,7 @@ from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import ExpertPolicy, get_env
 from taskemb.population import Population, success_rates
 from taskemb.seeding import make_rng
-from taskemb.similarity import mi_pairwise
+from taskemb.similarity import mutual_information
 from taskemb.stats import levenshtein
 
 METHODS = ("ours", "ours_wonorm", "random", "state_sim", "trajectory_sim",
@@ -85,20 +85,14 @@ def gen_selection_dataset(env: str, population: Population, n_examples: int,
     all_tasks = np.concatenate([refs[:, None, :], options], axis=1)
     table = population.outcome_table(all_tasks.reshape(-1, all_tasks.shape[2]),
                                      mi_reps_per_agent, mi_rng)
-    examples = []
-    for i in range(n_examples):
-        base = i * (1 + N_OPTIONS)
-        sims = mi_pairwise(table, base, range(base + 1, base + 1 + N_OPTIONS))
-        if query_types[i] == 1:
-            gt = int(np.argmax(sims))
-        else:
-            harder = pos_opt[i] < pos_ref[i]
-            masked = np.where(harder, sims, -np.inf)
-            gt = int(np.argmax(masked))
-        examples.append(SelectionExample(refs[i], options[i], easy_refs,
-                                         int(query_types[i]), gt, sims,
-                                         float(pos_ref[i]), pos_opt[i].copy()))
-    return examples
+    table = table.reshape(n_examples, 1 + N_OPTIONS, -1)
+    sims = mutual_information(table[:, :1], table[:, 1:])
+    # Type 1 ranks every option; Type 2 only those estimated harder than the reference.
+    eligible = (query_types[:, None] == 1) | (pos_opt < pos_ref[:, None])
+    gts = np.argmax(np.where(eligible, sims, -np.inf), axis=1)
+    return [SelectionExample(refs[i], options[i], easy_refs, int(query_types[i]), int(gts[i]),
+                             sims[i], float(pos_ref[i]), pos_opt[i])
+            for i in range(n_examples)]
 
 
 @dataclass
@@ -199,7 +193,7 @@ def select(method: str, example: SelectionExample, res: SelectionResources,
             raise ValueError(f"selection method {method!r} needs its population resource")
         stack = np.concatenate([example.ref_state[None, :], example.option_states])
         table = popn.outcome_table(stack, res.mi_reps_per_agent, rng)
-        sims = mi_pairwise(table, 0, range(1, 1 + n_opt))
+        sims = mutual_information(table[0], table[1:])
         if example.query_type == 1:
             return _rank(sims, None)
         pos = popn.outcome_table(stack, res.pos_reps_per_agent, rng).mean(axis=1)

@@ -50,7 +50,6 @@ class ConstraintSection:
     n_norm_test: int = 1000
     mi_reps_per_agent: int = 100
     pos_reps_per_agent: int = 10
-    drop_ties_eps: float = 0.0
 
 
 @dataclass

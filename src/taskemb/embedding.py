@@ -17,7 +17,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs.core import get_env
-from taskemb.similarity import ConstraintSet, PairConstraint, TripletConstraint
+from taskemb.similarity import ConstraintSet
 
 
 @dataclass
@@ -61,19 +61,13 @@ class TrainLog:
     test_loss: float = float("nan")
 
 
-def _constraint_arrays(triplets: list[TripletConstraint]):
-    t1 = np.array([t.task1 for t in triplets], dtype=np.intp)
-    sim_idx = np.array([t.task2 if t.label == 1 else t.task3 for t in triplets],
-                       dtype=np.intp)
-    dis_idx = np.array([t.task3 if t.label == 1 else t.task2 for t in triplets],
-                       dtype=np.intp)
-    return t1, sim_idx, dis_idx
-
-
-def _pair_arrays(pairs: list[PairConstraint]):
-    easy = np.array([p.task1 if p.label == 1 else p.task2 for p in pairs], dtype=np.intp)
-    hard = np.array([p.task2 if p.label == 1 else p.task1 for p in pairs], dtype=np.intp)
-    return easy, hard
+def _oriented(cset: ConstraintSet):
+    """Pool indices (anchor, similar, dissimilar, easy, hard), each row put in label order."""
+    t, p = cset.triplets, cset.pairs
+    first_similar, first_easy = cset.triplet_labels == 1, cset.pair_labels == 1
+    return (t[:, 0], np.where(first_similar, t[:, 1], t[:, 2]),
+            np.where(first_similar, t[:, 2], t[:, 1]),
+            np.where(first_easy, p[:, 0], p[:, 1]), np.where(first_easy, p[:, 1], p[:, 0]))
 
 
 def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
@@ -88,8 +82,8 @@ def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
 
     def accumulate(states_idx, grad_out):
         nonlocal param_grads
-        out, cache = nn.mlp_forward_cached(model.net, x_feat[states_idx])
-        grads, _ = nn.mlp_backward(model.net, cache, grad_out(out) if callable(grad_out) else grad_out)
+        _, cache = nn.mlp_forward_cached(model.net, x_feat[states_idx])
+        grads, _ = nn.mlp_backward(model.net, cache, grad_out)
         if param_grads is None:
             param_grads = grads
         else:
@@ -131,19 +125,16 @@ def constraint_loss(model: EmbeddingNet, pool_states: np.ndarray, cset: Constrai
     """Full-set objective value: per-set means, pairs weighted by norm_weight."""
     ops = get_env(model.env)
     x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
-    t1, sim_idx, dis_idx = _constraint_arrays(cset.triplets)
-    easy, hard = _pair_arrays(cset.pairs)
-    loss, _ = _batch_losses(model, x_feat, t1, sim_idx, dis_idx, easy, hard,
-                            norm_weight, want_grads=False)
+    loss, _ = _batch_losses(model, x_feat, *_oriented(cset), norm_weight, want_grads=False)
     return loss
 
 
 def triplet_satisfaction(model: EmbeddingNet, pool_states: np.ndarray,
-                         triplets: list[TripletConstraint]) -> float:
-    """Fraction of triplets whose labeled partner wins on inner product."""
+                         cset: ConstraintSet) -> float:
+    """Fraction of the set's triplets whose labeled partner wins on inner product."""
     ops = get_env(model.env)
     x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
-    t1, sim_idx, dis_idx = _constraint_arrays(triplets)
+    t1, sim_idx, dis_idx, _, _ = _oriented(cset)
     e = nn.mlp_forward(model.net, x_feat)
     good = np.einsum("ij,ij->i", e[t1], e[sim_idx]) > np.einsum("ij,ij->i", e[t1], e[dis_idx])
     return float(good.mean())
@@ -151,16 +142,16 @@ def triplet_satisfaction(model: EmbeddingNet, pool_states: np.ndarray,
 
 def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
                     val_set: ConstraintSet, test_set: ConstraintSet,
-                    config: TrainConfig, rng: np.random.Generator,
-                    verbose: bool = False) -> tuple[EmbeddingNet, TrainLog]:
+                    config: TrainConfig,
+                    rng: np.random.Generator) -> tuple[EmbeddingNet, TrainLog]:
     """Minibatch Adam on the constraint objective with early stopping.
 
     Constraints are a fixed pool reused across epochs. Returns the parameters
     with the best validation loss and logs the test loss at those parameters.
     """
-    if not train_set.triplets:
+    if len(train_set.triplets) == 0:
         raise ValueError("empty triplet constraint set")
-    if config.norm_weight > 0.0 and not train_set.pairs:
+    if config.norm_weight > 0.0 and len(train_set.pairs) == 0:
         raise ValueError("empty pair constraint set with norm_weight > 0")
     env = train_set.env
     ops = get_env(env)
@@ -168,8 +159,7 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
     model = fresh_embedding_net(env, config.dim, init_rng)
     x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
 
-    t1, sim_idx, dis_idx = _constraint_arrays(train_set.triplets)
-    easy, hard = _pair_arrays(train_set.pairs)
+    t1, sim_idx, dis_idx, easy, hard = _oriented(train_set)
 
     params = model.net.parameters()
     adam = nn.AdamState.init(params, learning_rate=config.lr)
@@ -206,8 +196,6 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
         log.epochs.append(epoch)
         log.train_loss.append(epoch_loss / steps)
         log.val_loss.append(val_loss)
-        if verbose and epoch % 20 == 0:
-            print(f"  epoch {epoch}: train {epoch_loss / steps:.4f} val {val_loss:.4f}")
         if val_loss < best_val:
             best_val = val_loss
             best_flat = model.net.to_flat()

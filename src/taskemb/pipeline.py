@@ -77,7 +77,7 @@ def _generate_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Pat
         pool, popn,
         [(c.n_mi_train, c.n_norm_train), (c.n_mi_val, c.n_norm_val),
          (c.n_mi_test, c.n_norm_test)],
-        rng, c.mi_reps_per_agent, c.pos_reps_per_agent, c.drop_ties_eps)
+        rng, c.mi_reps_per_agent, c.pos_reps_per_agent)
     save_tasks(out_dir / "pool.csv", cfg.env, pool)
     outputs = [out_dir / "pool.csv"]
     for split, cset in zip(("train", "val", "test"), splits):
@@ -92,6 +92,13 @@ def _load_constraint_artifacts(cfg: RunConfig, root: Path):
     _, pool = load_tasks(out_dir / "pool.csv")
     sets = {split: sim.load_constraints(out_dir / f"{split}.csv", cfg.env)
             for split in ("train", "val", "test")}
+    for split, cset in sets.items():
+        # Row k of a constraint CSV is its line k + 2: the triplets, then the pairs.
+        for line, tasks in enumerate([*cset.triplets.tolist(), *cset.pairs.tolist()], start=2):
+            if max(tasks) >= len(pool):
+                raise nn.ArtifactFormatError(
+                    f"{out_dir / split}.csv:{line}: task index {max(tasks)} is outside the "
+                    f"pool of {len(pool)} tasks")
     return pool, sets
 
 

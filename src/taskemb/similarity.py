@@ -30,57 +30,27 @@ def bernoulli_entropy(p) -> float | np.ndarray:
     return float(h) if np.isscalar(p) or arr.ndim == 0 else h
 
 
-@dataclass
-class MutualInfoEstimate:
-    """Plug-in mutual information between two success indicators, in nats."""
+def mutual_information(first, second) -> float | np.ndarray:
+    """Plug-in I_hat = H(first) - H(first | second), in nats, between aligned 0/1 rows.
 
-    value: float
-    n_i: int          # successes on the first task
-    n_j: int          # successes on the second task
-    n_i_j_1: int      # successes on the first among second-task successes
-    n_i_j_0: int      # successes on the first among second-task failures
-    n_samples: int
-
-    def __post_init__(self):
-        if not (0 <= self.n_i_j_1 <= self.n_j
-                and 0 <= self.n_i_j_0 <= self.n_samples - self.n_j
-                and self.n_i_j_1 + self.n_i_j_0 == self.n_i):
-            raise ValueError("inconsistent outcome counts")
-
-
-def mi_from_counts(n_i: int, n_j: int, n_i_j_1: int, n_i_j_0: int,
-                   n_samples: int) -> MutualInfoEstimate:
-    """I_hat = H(first) - H(first | second) from paired success counts.
-
-    Conditional terms whose conditioning event has empirical probability zero
-    contribute nothing.
+    The last axis holds the draws (column k of both shares one agent draw); leading axes
+    broadcast, so a row against a stack of rows gives one value per stacked row. A
+    conditional term whose conditioning event never occurs contributes nothing.
     """
-    n = n_samples
-    h_i = bernoulli_entropy(n_i / n)
-    cond = 0.0
-    if n_j > 0:
-        cond += (n_j / n) * bernoulli_entropy(n_i_j_1 / n_j)
-    if n_j < n:
-        cond += (1.0 - n_j / n) * bernoulli_entropy(n_i_j_0 / (n - n_j))
-    return MutualInfoEstimate(h_i - cond, n_i, n_j, n_i_j_1, n_i_j_0, n)
-
-
-def mi_from_outcomes(o_i: np.ndarray, o_j: np.ndarray) -> MutualInfoEstimate:
-    """Estimate from two aligned outcome rows (column k shares one agent draw)."""
-    o_i = np.asarray(o_i).astype(bool)
-    o_j = np.asarray(o_j).astype(bool)
-    if o_i.shape != o_j.shape or o_i.ndim != 1:
-        raise ValueError("outcome rows must be 1-d and aligned")
-    n = o_i.size
-    n_i = int(o_i.sum())
-    n_j = int(o_j.sum())
-    n_i_j_1 = int((o_i & o_j).sum())
-    return mi_from_counts(n_i, n_j, n_i_j_1, n_i - n_i_j_1, n)
-
-
-def mi_pairwise(table: np.ndarray, ref: int, others: np.ndarray | list) -> np.ndarray:
-    """I_hat between one reference row and several other rows of a shared table."""
-    return np.array([mi_from_outcomes(table[ref], table[j]).value for j in others])
+    first = np.asarray(first, dtype=bool)
+    second = np.asarray(second, dtype=bool)
+    n = first.shape[-1]
+    if n < 1 or second.shape[-1] != n:
+        raise ValueError("outcome rows must be aligned and non-empty")
+    n_i = np.count_nonzero(first, axis=-1)
+    n_j = np.count_nonzero(second, axis=-1)
+    n_i_j_1 = np.count_nonzero(first & second, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        given_1 = np.where(n_j > 0, n_i_j_1 / n_j, 0.0)
+        given_0 = np.where(n_j < n, (n_i - n_i_j_1) / (n - n_j), 0.0)
+    p_j = n_j / n
+    return bernoulli_entropy(n_i / n) - (p_j * bernoulli_entropy(given_1)
+                                         + (1.0 - p_j) * bernoulli_entropy(given_0))
 
 
 def _reps_schedule(n_agents: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +63,8 @@ def _reps_schedule(n_agents: int, n_samples: int, rng: np.random.Generator) -> n
 
 
 def estimate_mi(task_i, task_j, population, n_samples: int | None = None,
-                rng: np.random.Generator | None = None) -> MutualInfoEstimate:
-    """Paired-rollout mutual information estimate between two tasks.
+                rng: np.random.Generator | None = None) -> float:
+    """Paired-rollout mutual information estimate (nats) between two tasks.
 
     Each of the n_samples draws picks an agent and rolls out both tasks under
     it. Draws are stratified over the population (the default budget is 100
@@ -110,7 +80,7 @@ def estimate_mi(task_i, task_j, population, n_samples: int | None = None,
     reps = _reps_schedule(n_agents, n_samples, rng)
     tasks = np.array([task_i, task_j], dtype=np.float64)
     table = population.outcome_table(tasks, reps, rng)
-    return mi_from_outcomes(table[0], table[1])
+    return float(mutual_information(table[0], table[1]))
 
 
 @dataclass
@@ -126,97 +96,83 @@ class TripletConstraint:
 
 
 @dataclass
-class PairConstraint:
-    """Ordered task pair: label 1 means task1 has the higher success probability."""
-
-    task1: int
-    task2: int
-    label: int
-    pos1: float
-    pos2: float
-
-
-@dataclass
 class ConstraintSet:
-    """Triplet and pair constraints over a shared task pool (indices into it)."""
+    """Row-aligned constraint arrays over a shared task pool (entries index pool rows).
+
+    Triplet label 1: task2 is more similar to task1 than task3 is. Pair label 1: the
+    first task has the higher success rate.
+    """
 
     env: str
-    triplets: list[TripletConstraint]
-    pairs: list[PairConstraint]
+    triplets: np.ndarray        # (n, 3) task1, task2, task3
+    triplet_labels: np.ndarray  # (n,) 0 or 1
+    mi: np.ndarray              # (n, 2) estimates for (task1, task2) and (task1, task3)
+    pairs: np.ndarray           # (m, 2) task1, task2
+    pair_labels: np.ndarray     # (m,) 0 or 1
+    pos: np.ndarray             # (m, 2) success rates of task1 and task2
 
 
 def label_triplet(table: np.ndarray, i1: int, i2: int, i3: int) -> TripletConstraint:
-    est12 = mi_from_outcomes(table[i1], table[i2]).value
-    est13 = mi_from_outcomes(table[i1], table[i3]).value
-    return TripletConstraint(i1, i2, i3, int(est12 > est13), est12, est13)
+    est12, est13 = mutual_information(table[i1], table[[i2, i3]])
+    return TripletConstraint(i1, i2, i3, int(est12 > est13), float(est12), float(est13))
 
 
 def gen_constraint_splits(pool_states: np.ndarray, population,
                           counts: list[tuple[int, int]], rng: np.random.Generator,
                           mi_reps_per_agent: int = 100,
-                          pos_reps_per_agent: int = 10,
-                          drop_ties_eps: float = 0.0) -> list[ConstraintSet]:
+                          pos_reps_per_agent: int = 10) -> list[ConstraintSet]:
     """Sample several constraint sets (e.g. train/val/test) over one task pool.
 
     The expensive outcome tables are built once: mi_reps_per_agent draws per
     agent label all triplets, an independent pos_reps_per_agent table labels
-    pair difficulty. Each requested (n_mi, n_norm) split then draws its own
-    constraints. With drop_ties_eps > 0, triplets whose two similarity
-    estimates differ by less than eps are resampled instead of labeled
-    arbitrarily.
+    pair difficulty. Each requested (n_mi, n_norm) split then draws its
+    triplets, then its pairs, and labels them all at once.
     """
     pool_states = np.asarray(pool_states, dtype=np.float64)
     n_pool = pool_states.shape[0]
     mi_rng, pos_rng, draw_rng = rng.spawn(3)
-    table = population.outcome_table(pool_states, mi_reps_per_agent, mi_rng)
+    table = population.outcome_table(pool_states, mi_reps_per_agent, mi_rng).astype(bool)
     pos = population.outcome_table(pool_states, pos_reps_per_agent, pos_rng).mean(axis=1)
 
     sets = []
     for n_mi, n_norm in counts:
         if n_mi < 1 or n_norm < 1:
             raise ValueError("constraint counts must be >= 1")
-        triplets: list[TripletConstraint] = []
-        attempts = 0
-        while len(triplets) < n_mi:
-            i1, i2, i3 = draw_rng.integers(0, n_pool, size=3)
-            c = label_triplet(table, int(i1), int(i2), int(i3))
-            attempts += 1
-            if drop_ties_eps > 0.0 and abs(c.est12 - c.est13) < drop_ties_eps:
-                if attempts > 100 * n_mi:
-                    raise RuntimeError("drop-ties threshold rejects nearly all triplets")
-                continue
-            triplets.append(c)
-        pairs: list[PairConstraint] = []
-        for _ in range(n_norm):
-            i4, i5 = draw_rng.integers(0, n_pool, size=2)
-            pairs.append(PairConstraint(int(i4), int(i5), int(pos[i4] > pos[i5]),
-                                        float(pos[i4]), float(pos[i5])))
-        sets.append(ConstraintSet(population.env, triplets, pairs))
+        triplets = draw_rng.integers(0, n_pool, size=(n_mi, 3))
+        pairs = draw_rng.integers(0, n_pool, size=(n_norm, 2))
+        mi = mutual_information(table[triplets[:, :1]], table[triplets[:, 1:]])
+        sets.append(ConstraintSet(population.env, triplets, (mi[:, 0] > mi[:, 1]).astype(int),
+                                  mi, pairs, (pos[pairs[:, 0]] > pos[pairs[:, 1]]).astype(int),
+                                  pos[pairs]))
     return sets
 
 
 def save_constraints(path, cset: ConstraintSet) -> None:
     """CSV rows `kind,task1,task2,task3,label,est1,est2`; task columns are pool row indices."""
     nn.write_csv(path, ["kind", "task1", "task2", "task3", "label", "est1", "est2"],
-                 [*(["mi", t.task1, t.task2, t.task3, t.label, t.est12, t.est13]
-                    for t in cset.triplets),
-                  *(["norm", p.task1, p.task2, "", p.label, p.pos1, p.pos2] for p in cset.pairs)])
+                 [*(["mi", *t, label, *est] for t, label, est in zip(
+                     cset.triplets.tolist(), cset.triplet_labels.tolist(), cset.mi.tolist())),
+                  *(["norm", *p, "", label, *est] for p, label, est in zip(
+                      cset.pairs.tolist(), cset.pair_labels.tolist(), cset.pos.tolist()))])
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
     """Read save_constraints' CSV; a bad row, a negative task index or a label other than
     0 or 1 raises nn.ArtifactFormatError naming its line."""
-    triplets, pairs = [], []
-    with nn.read_csv(path) as (_, rows):
-        for kind, t1, t2, t3, label, e1, e2 in rows:
-            if kind not in ("mi", "norm"):
+    rows = {"mi": [], "norm": []}
+    with nn.read_csv(path) as (_, lines):
+        for kind, t1, t2, t3, label, e1, e2 in lines:
+            if kind not in rows:
                 raise ValueError(f"unknown constraint kind {kind!r}")
             tasks = [int(t) for t in (t1, t2, t3)[: 3 if kind == "mi" else 2]]
             if min(tasks) < 0 or label not in ("0", "1"):
                 raise ValueError(f"need task indices >= 0 and a label of 0 or 1, "
                                  f"got {tasks} and {label!r}")
-            if kind == "mi":
-                triplets.append(TripletConstraint(*tasks, int(label), float(e1), float(e2)))
-            else:
-                pairs.append(PairConstraint(*tasks, int(label), float(e1), float(e2)))
-    return ConstraintSet(env, triplets, pairs)
+            rows[kind].append((tasks, int(label), (float(e1), float(e2))))
+
+    def columns(kind, width):
+        tasks, labels, est = zip(*rows[kind]) if rows[kind] else ((), (), ())
+        return (np.array(tasks, dtype=np.intp).reshape(-1, width),
+                np.array(labels, dtype=int), np.array(est, dtype=np.float64).reshape(-1, 2))
+
+    return ConstraintSet(env, *columns("mi", 3), *columns("norm", 2))

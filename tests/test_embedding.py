@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -119,19 +120,13 @@ def planted_constraints(n_pool, n_tri, n_pair, seed):
     true = teacher.embed(pool)
 
     def make(n_t, n_p, draw):
-        triplets, pairs = [], []
-        for _ in range(n_t):
-            i1, i2, i3 = draw.integers(0, n_pool, size=3)
-            s12 = float(true[i1] @ true[i2])
-            s13 = float(true[i1] @ true[i3])
-            triplets.append(sim.TripletConstraint(int(i1), int(i2), int(i3),
-                                                  int(s12 > s13), s12, s13))
-        for _ in range(n_p):
-            i4, i5 = draw.integers(0, n_pool, size=2)
-            n4 = float(np.linalg.norm(true[i4]))
-            n5 = float(np.linalg.norm(true[i5]))
-            pairs.append(sim.PairConstraint(int(i4), int(i5), int(n4 < n5), -n4, -n5))
-        return sim.ConstraintSet("multikeynav", triplets, pairs)
+        triplets = draw.integers(0, n_pool, size=(n_t, 3))
+        pairs = draw.integers(0, n_pool, size=(n_p, 2))
+        sims = np.einsum("kd,kjd->kj", true[triplets[:, 0]], true[triplets[:, 1:]])
+        neg_norms = -np.linalg.norm(true[pairs], axis=2)  # the smaller norm is the easier
+        return sim.ConstraintSet("multikeynav", triplets, (sims[:, 0] > sims[:, 1]).astype(int),
+                                 sims, pairs, (neg_norms[:, 0] > neg_norms[:, 1]).astype(int),
+                                 neg_norms)
 
     draw = make_rng(seed, 1)
     return pool, make(n_tri, n_pair, draw), make(300, 300, draw), make(300, 300, draw)
@@ -149,7 +144,7 @@ class TestTraining:
         pool, train, val, test = planted_constraints(250, 2500, 2500, seed=12)
         cfg = emb.TrainConfig(dim=2, norm_weight=0.4, epochs=150, patience=30)
         model, log = emb.train_embedding(pool, train, val, test, cfg, make_rng(13))
-        sat = emb.triplet_satisfaction(model, pool, test.triplets)
+        sat = emb.triplet_satisfaction(model, pool, test)
         assert sat >= 0.95
         assert log.test_loss < 0.35
 
@@ -168,10 +163,8 @@ class TestTraining:
         model = emb.fresh_embedding_net("multikeynav", 3, make_rng(17))
         base = emb.constraint_loss(model, pool, train, 0.0)
         # Flip every pair label: with norm_weight 0 the objective cannot move.
-        flipped = sim.ConstraintSet(
-            train.env, train.triplets,
-            [sim.PairConstraint(p.task1, p.task2, 1 - p.label, p.pos2, p.pos1)
-             for p in train.pairs])
+        flipped = dataclasses.replace(train, pair_labels=1 - train.pair_labels,
+                                      pos=train.pos[:, ::-1])
         assert emb.constraint_loss(model, pool, flipped, 0.0) == base
 
     def test_training_deterministic(self):
@@ -188,8 +181,7 @@ class TestTraining:
         ops = get_env("multikeynav")
         model = emb.fresh_embedding_net("multikeynav", 3, make_rng(21))
         x_feat = ops.featurize(pool)
-        t1, sim_idx, dis_idx = emb._constraint_arrays(train.triplets)
-        easy, hard = emb._pair_arrays(train.pairs)
+        t1, sim_idx, dis_idx, easy, hard = emb._oriented(train)
 
         def loss_fn():
             val, _ = emb._batch_losses(model, x_feat, t1, sim_idx, dis_idx,

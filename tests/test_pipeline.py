@@ -78,7 +78,6 @@ SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.cfg")) + [REPO / "perfbench" / "mk
 # that keeps it a key. Any other single-valued key belongs in the code as a constant.
 SINGLE_VALUED_KEYS = {
     ("population", "snap_reps"): "perfbench: rollouts_dyn sets PopulationConfig.snap_reps = 4",
-    ("constraints", "drop_ties_eps"): "README and ROADMAP item 6: to be chosen from data",
     ("embedding", "norm_weight"): "perfbench: consumers_mkn builds its TrainConfig from it",
     ("embedding", "batch_size"): "perfbench: consumers_mkn builds its TrainConfig from it",
     ("embedding", "lr"): "perfbench: consumers_mkn builds its TrainConfig from it",
@@ -116,7 +115,9 @@ class TestConfig:
         ("[benchmarks]\nselection_methods = ours,bogus\n", "unknown method 'bogus'"),
         ("[benchmarks]\nprediction_methods = ours,bogus\n", "unknown method 'bogus'"),
         ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
-    ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size"])
+        ("[constraints]\ndrop_ties_eps = 0.01\n", "unknown key 'drop_ties_eps'"),
+    ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
+            "drop_ties_eps"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -384,6 +385,26 @@ class TestPipelineRun:
         err = capsys.readouterr().err
         assert f"{agent}:{kept.count(chr(10)) + 1}:" in err
         assert "ArtifactFormatError" in err
+
+
+@pytest.mark.parametrize("split, line, edit, index", [
+    ("train", 2, lambda row: "mi,99999," + row.split(",", 2)[2], 99999),
+    ("val", 801, lambda row: "norm,774,800," + row.split(",", 3)[3], 800),
+], ids=["triplet-task1", "last-pair-task2"])
+def test_task_index_beyond_the_pool_is_a_located_error(tmp_path, split, line, edit, index):
+    # Copies of the committed desk files (800 pool tasks), one index pushed past the pool.
+    shutil.copytree(REPO / "runs" / "multikeynav-desk" / "constraints", tmp_path / "constraints")
+    path = tmp_path / "constraints" / f"{split}.csv"
+    with open(path, newline="", encoding="utf-8") as fp:
+        rows = fp.readlines()
+    rows[line - 1] = edit(rows[line - 1])
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        fp.writelines(rows)
+    cfg = cfgmod.parse_config("[run]\nenv = multikeynav\n")
+    with pytest.raises(nn.ArtifactFormatError,
+                       match=f"{split}.csv:{line}: task index {index} is outside the pool "
+                             f"of 800 tasks"):
+        pipeline._load_constraint_artifacts(cfg, tmp_path)
 
 
 def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):

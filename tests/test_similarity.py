@@ -54,8 +54,8 @@ class TestMiEstimator:
     def test_self_information_equals_entropy(self):
         rng = make_rng(1)
         o = (rng.uniform(size=500) < 0.3).astype(np.uint8)
-        est = sim.mi_from_outcomes(o, o)
-        assert est.value == pytest.approx(sim.bernoulli_entropy(o.mean()), abs=1e-12)
+        est = sim.mutual_information(o, o)
+        assert est == pytest.approx(sim.bernoulli_entropy(o.mean()), abs=1e-12)
 
     def test_two_deterministic_agents_give_ln2(self):
         # Agent 1 solves both tasks, agent 2 solves neither: the success
@@ -63,7 +63,7 @@ class TestMiEstimator:
         popn = BernoulliPopulation([[1.0, 1.0], [0.0, 0.0]])
         est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=10_000,
                               rng=make_rng(2))
-        assert est.value == pytest.approx(math.log(2.0), abs=1e-9)
+        assert est == pytest.approx(math.log(2.0), abs=1e-9)
         exact = exact_mutual_information(*popn.joint_distribution(0, 1))
         assert exact == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -73,9 +73,9 @@ class TestMiEstimator:
         n = 10_000
         rng = make_rng(3)
         table = popn.outcome_table(np.stack([_task(0), _task(1)]), n, rng)
-        est = sim.mi_from_outcomes(table[0], table[1])
+        est = sim.mutual_information(table[0], table[1])
         sigma = jackknife_sigma(table[0], table[1])
-        assert abs(est.value - 0.0) <= 3.0 * sigma + 1e-6
+        assert abs(est - 0.0) <= 3.0 * sigma + 1e-6
 
     def test_deterministic_mixtures_match_exact_mi(self):
         rng = make_rng(4)
@@ -89,7 +89,7 @@ class TestMiEstimator:
             popn = BernoulliPopulation(np.array(probs, dtype=float))
             exact = exact_mutual_information(*popn.joint_distribution(0, 1))
             est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=10_000, rng=rng)
-            assert est.value == pytest.approx(exact, abs=0.02)
+            assert est == pytest.approx(exact, abs=0.02)
 
     def test_noisy_population_matches_exact_mi(self):
         rng = make_rng(5)
@@ -97,43 +97,69 @@ class TestMiEstimator:
         popn = BernoulliPopulation(probs)
         exact = exact_mutual_information(*popn.joint_distribution(0, 1))
         est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=30_000, rng=rng)
-        assert est.value == pytest.approx(exact, abs=0.02)
+        assert est == pytest.approx(exact, abs=0.02)
 
     def test_default_sample_budget_is_hundred_per_agent(self):
-        popn = BernoulliPopulation([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-        est = sim.estimate_mi(_task(0), _task(1), popn, rng=make_rng(6))
-        assert est.n_samples == 300
+        shapes = []
 
-    def test_counts_consistent(self):
+        class Recording(BernoulliPopulation):
+            def outcome_table(self, states, reps_per_agent, rng):
+                table = super().outcome_table(states, reps_per_agent, rng)
+                shapes.append(table.shape)
+                return table
+
+        popn = Recording([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        sim.estimate_mi(_task(0), _task(1), popn, rng=make_rng(6))
+        assert shapes == [(2, 300)]
+
+    def test_stack_matches_row_by_row(self):
+        # One row against a stack gives each row's own estimate, bit for bit and
+        # equal to the loop reference, including all-0 and all-1 rows on either side.
         rng = make_rng(7)
-        o_i = (rng.uniform(size=1000) < 0.4).astype(np.uint8)
-        o_j = (rng.uniform(size=1000) < 0.6).astype(np.uint8)
-        est = sim.mi_from_outcomes(o_i, o_j)
-        assert est.n_i_j_1 + est.n_i_j_0 == est.n_i
-        assert est.n_i_j_1 <= est.n_j
-        assert est.n_i_j_0 <= est.n_samples - est.n_j
+        table = (rng.uniform(size=(12, 500)) < rng.uniform(size=(12, 1))).astype(np.uint8)
+        table[3], table[7] = 0, 1
+        for ref in (0, 3, 7):
+            stacked = sim.mutual_information(table[ref], table)
+            assert stacked.shape == (12,)
+            assert stacked.tolist() == [sim.mutual_information(table[ref], row)
+                                        for row in table]
+            assert stacked.tolist() == [scalar_mi(table[ref], row) for row in table]
 
     @settings(max_examples=200)
     @given(outcome_rows)
     def test_symmetry_and_nonnegativity_on_shared_tables(self, rows):
         o_i = np.array(rows[0], dtype=np.uint8)
         o_j = np.array(rows[1], dtype=np.uint8)
-        ij = sim.mi_from_outcomes(o_i, o_j)
-        ji = sim.mi_from_outcomes(o_j, o_i)
-        assert ij.value == pytest.approx(ji.value, abs=1e-12)
-        assert ij.value >= -1e-12
+        ij = sim.mutual_information(o_i, o_j)
+        ji = sim.mutual_information(o_j, o_i)
+        assert ij == pytest.approx(ji, abs=1e-12)
+        assert ij >= -1e-12
 
     @settings(max_examples=200)
     @given(outcome_rows)
     def test_bounded_by_min_entropy_and_self_dominates(self, rows):
         o_i = np.array(rows[0], dtype=np.uint8)
         o_j = np.array(rows[1], dtype=np.uint8)
-        est = sim.mi_from_outcomes(o_i, o_j)
+        est = sim.mutual_information(o_i, o_j)
         h_i = sim.bernoulli_entropy(o_i.mean())
         h_j = sim.bernoulli_entropy(o_j.mean())
-        assert est.value <= min(h_i, h_j) + 1e-9
+        assert est <= min(h_i, h_j) + 1e-9
         # Self-MI is the row's entropy, so it dominates MI with anything else.
-        assert sim.mi_from_outcomes(o_i, o_i).value >= est.value - 1e-12
+        assert sim.mutual_information(o_i, o_i) >= est - 1e-12
+
+
+def scalar_mi(o_i, o_j):
+    """Loop reference for mutual_information: counts, then one scalar term at a time."""
+    o_i, o_j = [int(v) for v in o_i], [int(v) for v in o_j]
+    n = len(o_i)
+    n_i, n_j = sum(o_i), sum(o_j)
+    n_i_j_1 = sum(1 for a, b in zip(o_i, o_j) if a and b)
+    cond = 0.0
+    if n_j > 0:
+        cond += (n_j / n) * sim.bernoulli_entropy(n_i_j_1 / n_j)
+    if n_j < n:
+        cond += (1.0 - n_j / n) * sim.bernoulli_entropy((n_i - n_i_j_1) / (n - n_j))
+    return sim.bernoulli_entropy(n_i / n) - cond
 
 
 def jackknife_sigma(o_i, o_j):
@@ -156,9 +182,7 @@ def jackknife_sigma(o_i, o_j):
             continue
         c = full_counts.copy()
         c[cell] -= 1
-        n11_, n10_, n01_, n00_ = c
-        est = sim.mi_from_counts(n11_ + n10_, n11_ + n01_, n11_, n10_, n - 1)
-        loo_values.append(est.value)
+        loo_values.append(exact_mutual_information(*(c / (n - 1))))
         weights.append(full_counts[cell])
     loo_values = np.array(loo_values)
     weights = np.array(weights, dtype=float)
@@ -186,19 +210,37 @@ class TestConstraints:
         [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(40, 30)],
                                            make_rng(10), mi_reps_per_agent=50,
                                            pos_reps_per_agent=10)
-        assert len(cset.triplets) == 40
-        assert len(cset.pairs) == 30
+        assert cset.triplets.shape == (40, 3) and cset.mi.shape == (40, 2)
+        assert cset.triplet_labels.shape == (40,)
+        assert cset.pairs.shape == (30, 2) and cset.pos.shape == (30, 2)
+        assert cset.pair_labels.shape == (30,)
 
     def test_labels_antisymmetric_under_swap(self):
         [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(60, 1)],
                                            make_rng(11), mi_reps_per_agent=50)
-        for t in cset.triplets:
-            if t.est12 != t.est13:
-                assert t.label == int(t.est12 > t.est13)
-                flipped = sim.TripletConstraint(t.task1, t.task3, t.task2,
-                                                int(t.est13 > t.est12),
-                                                t.est13, t.est12)
-                assert flipped.label == 1 - t.label
+        est12, est13 = cset.mi.T
+        assert np.array_equal(cset.triplet_labels, est12 > est13)
+        # Swapping task2 and task3 swaps the estimates, so a non-tied label flips.
+        differ = est12 != est13
+        assert differ.any()
+        assert np.array_equal((est13 > est12)[differ], 1 - cset.triplet_labels[differ])
+
+    def test_splits_label_like_label_triplet_bit_for_bit(self):
+        # Tasks 3 (never solved) and 4 (always solved) give all-0 and all-1 rows.
+        popn = self.make_population()
+        splits = sim.gen_constraint_splits(self.pool(), popn, [(300, 5), (51, 7)],
+                                           make_rng(16), mi_reps_per_agent=30)
+        mi_rng, _, _ = make_rng(16).spawn(3)
+        table = popn.outcome_table(self.pool(), 30, mi_rng)
+        assert not table[3].any() and table[4].all()
+        for cset in splits:
+            assert np.isin([3, 4], cset.triplets).all()
+            for (i1, i2, i3), label, (est12, est13) in zip(
+                    cset.triplets.tolist(), cset.triplet_labels.tolist(), cset.mi.tolist()):
+                t = sim.label_triplet(table, i1, i2, i3)
+                assert (t.label, t.est12, t.est13) == (label, est12, est13)
+                assert (est12, est13) == (scalar_mi(table[i1], table[i2]),
+                                          scalar_mi(table[i1], table[i3]))
 
     def test_easy_vs_unsolvable_pair_labeled_easy_first(self):
         popn = self.make_population()
@@ -207,18 +249,11 @@ class TestConstraints:
         # Task 4 solved by everyone, task 3 by no one.
         assert pos[4] > pos[3]
         [cset] = sim.gen_constraint_splits(self.pool(), popn, [(1, 200)], make_rng(13))
-        for p in cset.pairs:
-            if p.task1 == 4 and p.task2 == 3:
-                assert p.label == 1
-            if p.task1 == 3 and p.task2 == 4:
-                assert p.label == 0
-
-    def test_drop_ties_removes_near_ties(self):
-        [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(50, 1)],
-                                           make_rng(14), mi_reps_per_agent=50,
-                                           drop_ties_eps=0.01)
-        for t in cset.triplets:
-            assert abs(t.est12 - t.est13) >= 0.01
+        for (t1, t2), label in zip(cset.pairs.tolist(), cset.pair_labels.tolist()):
+            if (t1, t2) == (4, 3):
+                assert label == 1
+            if (t1, t2) == (3, 4):
+                assert label == 0
 
     def test_csv_roundtrip(self, tmp_path):
         [cset] = sim.gen_constraint_splits(self.pool(), self.make_population(), [(25, 17)],
@@ -226,13 +261,9 @@ class TestConstraints:
         path = tmp_path / "constraints.csv"
         sim.save_constraints(path, cset)
         back = sim.load_constraints(path, cset.env)
-        assert len(back.triplets) == 25 and len(back.pairs) == 17
-        for a, b in zip(cset.triplets, back.triplets):
-            assert (a.task1, a.task2, a.task3, a.label) == (b.task1, b.task2, b.task3, b.label)
-            assert a.est12 == b.est12 and a.est13 == b.est13
-        for a, b in zip(cset.pairs, back.pairs):
-            assert (a.task1, a.task2, a.label) == (b.task1, b.task2, b.label)
-            assert a.pos1 == b.pos1 and a.pos2 == b.pos2
+        assert back.env == cset.env
+        for field in ("triplets", "triplet_labels", "mi", "pairs", "pair_labels", "pos"):
+            assert np.array_equal(getattr(back, field), getattr(cset, field)), field
 
     def test_malformed_rows_name_file_and_line(self, tmp_path):
         lines = (DESK_CONSTRAINTS / "train.csv").read_text().splitlines(keepends=True)[:4]
@@ -257,7 +288,8 @@ class TestConstraints:
     @given(st.data())
     def test_truncated_constraints_give_first_rows_or_a_located_error(self, tmp_path, data):
         def load(path):
-            cset = sim.load_constraints(path, "multikeynav")
-            return [(type(c).__name__, *vars(c).values()) for c in cset.triplets + cset.pairs]
+            c = sim.load_constraints(path, "multikeynav")
+            return [*zip(c.triplets.tolist(), c.triplet_labels.tolist(), c.mi.tolist()),
+                    *zip(c.pairs.tolist(), c.pair_labels.tolist(), c.pos.tolist())]
 
         check_truncations(load, DESK_CONSTRAINTS / "train.csv", tmp_path, data)
