@@ -9,6 +9,7 @@ population.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ N_FOLDS = 10
 IGNORE_TASK_ROLLOUTS = 500  # random tasks per example for ignore_task
 IGNORE_AGENT_REPS = 10      # rollouts per agent and test task for ignore_agent
 OPT_ROLLOUTS = 10           # rollouts of the hidden agent per test task for opt
+SOFTNN_BLOCK = 256          # examples per embed call in softnn_scores; bounds its memory
 
 
 @dataclass
@@ -59,34 +61,38 @@ def gen_quiz_dataset(env: str, population: Population, quiz_size: int,
     ]
 
 
-def softnn_score(model, example: QuizExample, beta: float) -> float:
-    """Distance-weighted quiz-outcome average in embedding space.
+def softnn_scores(model, examples: list[QuizExample], betas) -> np.ndarray:
+    """Distance-weighted quiz-outcome averages in embedding space, shape (len(betas), n).
 
-    Weights exp(-beta * d^2) are normalized after shifting by the smallest
-    distance, so huge beta cannot underflow every weight.
+    Weights exp(-beta * d^2) are normalized after shifting each example's distances by
+    their smallest, so huge beta cannot underflow every weight. Each block of examples,
+    which share one quiz size, is one embed call: its quiz rows, then its test rows.
     """
-    if beta <= 0:
+    if min(betas) <= 0:
         raise ValueError("beta must be positive")
-    quiz_e = model.embed(example.quiz_states)
-    test_e = model.embed(example.test_state)
-    d2 = np.sum((quiz_e - test_e) ** 2, axis=1)
-    w = np.exp(-beta * (d2 - d2.min()))
-    return float(np.sum(example.quiz_outcomes * w) / np.sum(w))
+    betas = np.asarray(betas, dtype=np.float64)[:, None, None]
+    scores = np.empty((betas.shape[0], len(examples)))
+    for lo in range(0, len(examples), SOFTNN_BLOCK):
+        block = examples[lo:lo + SOFTNN_BLOCK]
+        quiz = np.stack([ex.quiz_states for ex in block])
+        n, k, _ = quiz.shape
+        e = model.embed(np.concatenate([*quiz, [ex.test_state for ex in block]]))
+        d2 = np.sum((e[:n * k].reshape(n, k, -1) - e[n * k:, None]) ** 2, axis=2)
+        w = np.exp(-betas * (d2 - d2.min(axis=1, keepdims=True)))
+        outcomes = np.stack([ex.quiz_outcomes for ex in block])
+        scores[:, lo:lo + n] = np.sum(outcomes * w, axis=2) / np.sum(w, axis=2)
+    return scores
 
 
 def predict_softnn(model, example: QuizExample, beta: float) -> int:
-    return int(softnn_score(model, example, beta) > 0.5)
+    return int(softnn_scores(model, [example], [beta])[0, 0] > 0.5)
 
 
 def tune_beta(model, examples: list[QuizExample]) -> float:
-    """Pick the BETA_GRID beta with the best training-split accuracy."""
-    best_beta, best_acc = BETA_GRID[0], -1.0
-    for beta in BETA_GRID:
-        acc = np.mean([predict_softnn(model, ex, beta) == ex.test_outcome
-                       for ex in examples])
-        if acc > best_acc:
-            best_beta, best_acc = beta, acc
-    return best_beta
+    """Pick the BETA_GRID beta with the best training-split accuracy, the first on ties."""
+    outcomes = np.array([ex.test_outcome for ex in examples])
+    accs = np.mean((softnn_scores(model, examples, BETA_GRID) > 0.5) == outcomes, axis=1)
+    return BETA_GRID[int(np.argmax(accs))]
 
 
 def baseline_predictions(kind: str, examples: list[QuizExample],
@@ -157,23 +163,28 @@ def save_quiz_dataset(path, env: str, examples: list[QuizExample]) -> None:
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
-    """Read save_quiz_dataset's CSV; a bad row, an outcome other than 0 or 1, or an
-    example without its test row raises nn.ArtifactFormatError naming the line."""
-    examples, quiz, outs = [], [], []
-    with nn.read_csv(path) as (_, rows):
+    """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
+    other than 0 or 1, an example without its test row or with another quiz size than
+    example 0 raises nn.ArtifactFormatError naming the line."""
+    states, outcomes, agents, n_quiz = array("d"), bytearray(), [], 0
+    with nn.read_csv(path) as (header, rows):
         for i, role, outcome, agent, *state in rows:
-            if int(i) != len(examples) or role != "quiz" and (role != "test" or not quiz):
+            if int(i) != len(agents) or role != "quiz" and (role != "test" or not n_quiz):
                 raise ValueError(f"unexpected row: example {i}, role {role!r}")
             if outcome not in ("0", "1"):
                 raise ValueError(f"outcome {outcome!r} is not 0 or 1")
-            state = np.array([float(v) for v in state])
+            states.extend(map(float, state))
+            outcomes.append(outcome == "1")
             if role == "quiz":
-                quiz.append(state)
-                outs.append(int(outcome))
+                n_quiz += 1
                 continue
-            examples.append(QuizExample(np.stack(quiz), np.array(outs, dtype=np.uint8),
-                                        state, int(outcome), int(agent)))
-            quiz, outs = [], []
-        if quiz or not examples:
-            raise ValueError(f"example {len(examples)} has no test row")
-    return examples
+            if agents and n_quiz != k:
+                raise ValueError(f"example {i} has {n_quiz} quiz rows, example 0 has {k}")
+            agents.append(int(agent))
+            k, n_quiz = n_quiz, 0
+        if n_quiz or not agents:
+            raise ValueError(f"example {len(agents)} has no test row")
+    states = np.frombuffer(states).reshape(len(agents), k + 1, len(header) - 4)
+    outcomes = np.frombuffer(outcomes, dtype=np.uint8).reshape(len(agents), k + 1)
+    return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)
+            for s, o, a in zip(states, outcomes, agents)]

@@ -74,36 +74,31 @@ def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
                   easy, hard, norm_weight: float, want_grads: bool):
     """Mean triplet loss + norm_weight * mean pair loss, with net parameter grads.
 
-    Each embedding slot is a separate forward pass through the shared net;
-    parameter gradients from all slots accumulate.
+    Each embedding slot is one cached forward pass through the shared net, whose cache
+    its backward pass reuses; parameter gradients from all slots accumulate.
     """
     param_grads = None
     total = 0.0
 
-    def accumulate(states_idx, grad_out):
+    def accumulate(cache, grad_out):
         nonlocal param_grads
-        _, cache = nn.mlp_forward_cached(model.net, x_feat[states_idx])
         grads, _ = nn.mlp_backward(model.net, cache, grad_out)
-        if param_grads is None:
-            param_grads = grads
-        else:
-            param_grads = [a + b for a, b in zip(param_grads, grads)]
+        param_grads = grads if param_grads is None else [a + b for a, b in zip(param_grads, grads)]
 
-    e1 = nn.mlp_forward(model.net, x_feat[t1])
-    e_sim = nn.mlp_forward(model.net, x_feat[sim_idx])
-    e_dis = nn.mlp_forward(model.net, x_feat[dis_idx])
+    (e1, c1), (e_sim, c_sim), (e_dis, c_dis) = (nn.mlp_forward_cached(model.net, x_feat[i])
+                                                for i in (t1, sim_idx, dis_idx))
     diffs = np.einsum("ij,ij->i", e1, e_dis) - np.einsum("ij,ij->i", e1, e_sim)
     total += float(np.mean(nn.softplus(diffs)))
     if want_grads:
         b = t1.size
         s = nn.sigmoid(diffs)[:, None] / b
-        accumulate(t1, s * (e_dis - e_sim))
-        accumulate(sim_idx, -s * e1)
-        accumulate(dis_idx, s * e1)
+        accumulate(c1, s * (e_dis - e_sim))
+        accumulate(c_sim, -s * e1)
+        accumulate(c_dis, s * e1)
 
     if norm_weight > 0.0 and easy.size:
-        e_easy = nn.mlp_forward(model.net, x_feat[easy])
-        e_hard = nn.mlp_forward(model.net, x_feat[hard])
+        (e_easy, c_easy), (e_hard, c_hard) = (nn.mlp_forward_cached(model.net, x_feat[i])
+                                              for i in (easy, hard))
         n_easy = np.linalg.norm(e_easy, axis=1)
         n_hard = np.linalg.norm(e_hard, axis=1)
         pair_diffs = n_easy - n_hard
@@ -114,8 +109,8 @@ def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
             with np.errstate(invalid="ignore", divide="ignore"):
                 u_easy = np.where(n_easy[:, None] > 0, e_easy / n_easy[:, None], 0.0)
                 u_hard = np.where(n_hard[:, None] > 0, e_hard / n_hard[:, None], 0.0)
-            accumulate(easy, s[:, None] * u_easy)
-            accumulate(hard, -s[:, None] * u_hard)
+            accumulate(c_easy, s[:, None] * u_easy)
+            accumulate(c_hard, -s[:, None] * u_hard)
 
     return total, param_grads
 

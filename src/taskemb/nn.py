@@ -313,6 +313,10 @@ class LineReader:
             raise ValueError("file ends early" if not line else "line is cut short")
         return line
 
+    def __iter__(self):  # the lines left; the end-of-file read counts one, as in line()
+        while line := self.line(end_ok=True):
+            yield line
+
     def fields(self, n: int) -> list[str]:
         parts = self.line().split()
         if len(parts) != n:
@@ -352,7 +356,7 @@ def read_csv(path):
         header = next(csv.reader([reader.line()]))
 
         def rows():
-            for row in csv.reader(iter(lambda: reader.line(end_ok=True), "")):
+            for row in csv.reader(reader):
                 if len(row) != len(header):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 yield row

@@ -205,8 +205,7 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
             if method == "ours" or method == "predmodel":
                 m = model if method == "ours" else predm
                 beta = prediction.tune_beta(m, train_ds)
-                preds = np.array([prediction.predict_softnn(m, ex, beta)
-                                  for ex in test_ds], dtype=np.uint8)
+                preds = (prediction.softnn_scores(m, test_ds, [beta])[0] > 0.5).astype(np.uint8)
             else:
                 base_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 12, size,
                                     methods.index(method))

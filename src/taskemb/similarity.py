@@ -157,17 +157,17 @@ def save_constraints(path, cset: ConstraintSet) -> None:
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
-    """Read save_constraints' CSV; a bad row, a negative task index or a label other than
-    0 or 1 raises nn.ArtifactFormatError naming its line."""
-    rows = {"mi": [], "norm": []}
+    """Read save_constraints' CSV; a bad row, a task index below 0 or beyond np.intp, or a
+    label other than 0 or 1 raises nn.ArtifactFormatError naming its line."""
+    rows, intp_max = {"mi": [], "norm": []}, np.iinfo(np.intp).max
     with nn.read_csv(path) as (_, lines):
         for kind, t1, t2, t3, label, e1, e2 in lines:
             if kind not in rows:
                 raise ValueError(f"unknown constraint kind {kind!r}")
             tasks = [int(t) for t in (t1, t2, t3)[: 3 if kind == "mi" else 2]]
-            if min(tasks) < 0 or label not in ("0", "1"):
-                raise ValueError(f"need task indices >= 0 and a label of 0 or 1, "
-                                 f"got {tasks} and {label!r}")
+            if not 0 <= min(tasks) <= max(tasks) <= intp_max or label not in ("0", "1"):
+                raise ValueError(f"need task indices >= 0 and <= {intp_max} and a label of "
+                                 f"0 or 1, got {tasks} and {label!r}")
             rows[kind].append((tasks, int(label), (float(e1), float(e2))))
 
     def columns(kind, width):

@@ -41,16 +41,14 @@ def fold_mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def levenshtein(a, b) -> int:
-    """Edit distance between two symbol sequences (two-row dynamic program)."""
-    a = list(a)
-    b = list(b)
+    """Edit distance between two symbol sequences (two-row dynamic program on Python values)."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
     if len(a) < len(b):
         a, b = b, a
-    prev = np.arange(len(b) + 1)
+    prev = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
-        cur = np.empty(len(b) + 1, dtype=np.int64)
-        cur[0] = i
+        cur = [i]
         for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = cur
-    return int(prev[-1])
+    return prev[-1]

@@ -143,6 +143,13 @@ def _example(quiz_states, quiz_outcomes, test_state, test_outcome=0):
                                   test_outcome, 0)
 
 
+def _softnn_reference(model, ex, beta):
+    """One example's soft-NN score, its quiz and test state embedded in separate calls."""
+    d2 = np.sum((model.embed(ex.quiz_states) - model.embed(ex.test_state)) ** 2, axis=1)
+    w = np.exp(-beta * (d2 - d2.min()))
+    return np.sum(ex.quiz_outcomes * w) / np.sum(w)
+
+
 class TestSoftNn:
     def model(self):
         return emb.fresh_embedding_net("multikeynav", 4, make_rng(20))
@@ -173,21 +180,44 @@ class TestSoftNn:
         s = self.states(6)
         outcomes = [1, 0, 1, 0, 1]
         ex = _example(s[:5], outcomes, s[5])
-        base = prediction.softnn_score(self.model(), ex, 100.0)
+        base = prediction.softnn_scores(self.model(), [ex], [100.0])
         perm = [3, 1, 4, 0, 2]
         ex_p = _example(s[perm], [outcomes[i] for i in perm], s[5])
-        assert prediction.softnn_score(self.model(), ex_p, 100.0) == pytest.approx(base, rel=1e-12)
+        assert prediction.softnn_scores(self.model(), [ex_p], [100.0]) == pytest.approx(
+            base, rel=1e-12)
 
     def test_huge_beta_numerically_safe(self):
         s = self.states(4)
         ex = _example(s[:3], [1, 0, 1], s[3])
-        score = prediction.softnn_score(self.model(), ex, 1e8)
-        assert np.isfinite(score)
+        assert np.isfinite(prediction.softnn_scores(self.model(), [ex], [1e8])).all()
 
     def test_beta_must_be_positive(self):
         s = self.states(2)
-        with pytest.raises(ValueError):
-            prediction.softnn_score(self.model(), _example(s[:1], [1], s[1]), 0.0)
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                prediction.softnn_scores(self.model(), [_example(s[:1], [1], s[1])], [1.0, beta])
+
+    def test_blocks_predict_as_one_example_at_a_time(self):
+        # More examples than one block, the last block partial: one embed call per
+        # block, and every beta's predictions match the per-example reference.
+        n, k = 2 * prediction.SOFTNN_BLOCK + 37, 5
+        s = self.states(n * (k + 1)).reshape(n, k + 1, -1)
+        outcomes = make_rng(22).integers(0, 2, size=(n, k + 1))
+        examples = [_example(x[:-1], o[:-1], x[-1], o[-1]) for x, o in zip(s, outcomes)]
+        model, calls = self.model(), []
+        embed = model.embed
+
+        def counting_embed(states):
+            calls.append(len(states))
+            return embed(states)
+
+        model.embed = counting_embed
+        scores = prediction.softnn_scores(model, examples, prediction.BETA_GRID)
+        assert calls == [prediction.SOFTNN_BLOCK * (k + 1)] * 2 + [37 * (k + 1)]
+        alone = np.array([[_softnn_reference(model, ex, beta) for ex in examples]
+                          for beta in prediction.BETA_GRID])
+        assert np.array_equal(scores > 0.5, alone > 0.5)
+        assert scores == pytest.approx(alone, abs=1e-9)
 
 
 class TestBaselines:
@@ -466,8 +496,9 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0] + ",x\n"] + ls[4:], 4),
         (lambda ls: ls[:1], 2),
         (lambda ls: ls[:1] + [ls[1].replace(",quiz,1,", ",quiz,5,", 1)] + ls[2:], 2),
+        (lambda ls: ls[:7] + ls[8:], 12),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
-            "bad-float", "no-examples", "outcome-not-0-or-1"])
+            "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))

@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from taskemb import cli, config as cfgmod, nn, pipeline
+from taskemb import embedding as emb
 from taskemb import similarity as sim
 from taskemb.benchmarks import prediction, selection
 from taskemb.envs import load_tasks, save_tasks
 from taskemb.manifest import Manifest, StaleArtifactError, file_hash
+from taskemb.seeding import make_rng
 
 from conftest import check_truncations
 
@@ -423,6 +425,30 @@ def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):
         assert Manifest.load(tmp_path).stages[stage].outputs == outputs, stage
         for rel in outputs:
             assert (tmp_path / rel).read_bytes() == (desk / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("run, size, suffix", [
+    *(("multikeynav-desk", size, "") for size in range(1, 21)),
+    ("multikeynav-bias-desk", 20, "_transfer"),
+], ids=[*(f"size-{size}" for size in range(1, 21)), "transfer"])
+def test_committed_quiz_files_give_the_committed_ours_row(run, size, suffix):
+    # eval-prediction makes rollouts and is never rerun here; its soft-NN half is.
+    # Every prediction must come out as when the committed row was written: the
+    # stage's blocked scoring, one example at a time, and the folded accuracy.
+    root = REPO / "runs" / run
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == root]
+    model = emb.load_embedding_model(root / "embedding" / "model.txt")
+    bench = root / "benchmarks"
+    train = prediction.load_quiz_dataset(bench / f"quiz_size_{size}_train{suffix}.csv")
+    test = prediction.load_quiz_dataset(bench / f"quiz_size_{size}_test{suffix}.csv")
+    beta = prediction.tune_beta(model, train)
+    preds = (prediction.softnn_scores(model, test, [beta])[0] > 0.5).astype(np.uint8)
+    assert preds.tolist() == [prediction.predict_softnn(model, ex, beta) for ex in test]
+    mean, stderr, _ = prediction.eval_prediction(
+        preds, [ex.test_outcome for ex in test],
+        make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 11, size))
+    committed = pipeline.read_results(bench / f"prediction_results{suffix}.csv")
+    assert ("ours", str(size), mean, stderr) in committed
 
 
 def _resave(src: Path, dst: Path) -> None:

@@ -274,6 +274,8 @@ class TestConstraints:
             (2, lambda t: t.replace(",0.", ",0.x", 1), "could not convert"),
             (2, lambda t: t.replace("mi,", "pair,", 1), "unknown constraint kind 'pair'"),
             (2, lambda t: t.replace("mi,", "mi,-", 1), r"need task indices >= 0 .* \[-228,"),
+            (2, lambda t: t.replace("mi,", "mi,100000000000000000000", 1),
+             r"need task indices >= 0 and <= \d+ .* \[100000000000000000000228,"),
             (3, lambda t: t.replace(",0,", ",7,", 1), r"need .* label of 0 or 1, got .* '7'"),
             (4, lambda t: t[:-1], "line is cut short"),
         ]
