@@ -48,12 +48,7 @@ def gen_quiz_dataset(env: str, population: Population, quiz_size: int,
     agent_idx = rng.integers(0, len(population), size=n_examples)
     states = sample_tasks(env, n_examples * (quiz_size + 1), rng)
     states = states.reshape(n_examples, quiz_size + 1, -1)
-    outcomes = np.empty((n_examples, quiz_size + 1), dtype=np.uint8)
-    for a in np.unique(agent_idx):
-        rows = np.where(agent_idx == a)[0]
-        batch = states[rows].reshape(-1, states.shape[2])
-        out, _ = rollout_batch(env, batch, population.policy(int(a)), rng)
-        outcomes[rows] = out.reshape(rows.size, quiz_size + 1)
+    outcomes = population.rollouts(agent_idx, states, rng)
     return [
         QuizExample(states[i, :-1], outcomes[i, :-1], states[i, -1],
                     int(outcomes[i, -1]), int(agent_idx[i]))
@@ -107,28 +102,23 @@ def baseline_predictions(kind: str, examples: list[QuizExample],
     n = len(examples)
     if kind == "random":
         return (rng.uniform(size=n) < 0.5).astype(np.uint8)
+    tests = np.stack([ex.test_state for ex in examples])
     if kind == "ignore_agent":
-        tests = np.stack([ex.test_state for ex in examples])
         rates = success_rates(population, tests, IGNORE_AGENT_REPS, rng)
         return (rates > 0.5).astype(np.uint8)
-    if kind not in ("ignore_task", "opt"):
+    agent_idx = np.array([ex.agent_index for ex in examples])
+    if kind == "opt":
+        tries = np.repeat(tests[:, None], OPT_ROLLOUTS, axis=1)
+        return (population.rollouts(agent_idx, tries, rng).mean(axis=1) > 0.5).astype(np.uint8)
+    if kind != "ignore_task":
         raise ValueError(f"unknown baseline {kind!r}")
     preds = np.empty(n, dtype=np.uint8)
-    agent_idx = np.array([ex.agent_index for ex in examples])
-    for a in np.unique(agent_idx):
-        rows = np.where(agent_idx == a)[0]
+    for a in np.unique(agent_idx):  # random tasks are drawn between the agent's rollouts
         policy = population.policy(int(a))
-        if kind == "ignore_task":
-            for i in rows:
-                tasks = sample_tasks(env, IGNORE_TASK_ROLLOUTS, rng)
-                out, _ = rollout_batch(env, tasks, policy, rng)
-                preds[i] = out.mean() > 0.5
-        else:  # opt
-            batch = np.repeat(np.stack([examples[i].test_state for i in rows]),
-                              OPT_ROLLOUTS, axis=0)
-            out, _ = rollout_batch(env, batch, policy, rng)
-            rates = out.reshape(rows.size, OPT_ROLLOUTS).mean(axis=1)
-            preds[rows] = rates > 0.5
+        for i in np.flatnonzero(agent_idx == a):
+            tasks = sample_tasks(env, IGNORE_TASK_ROLLOUTS, rng)
+            out, _ = rollout_batch(env, tasks, policy, rng)
+            preds[i] = out.mean() > 0.5
     return preds
 
 

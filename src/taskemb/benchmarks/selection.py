@@ -10,7 +10,7 @@ filter comes up empty.
 from __future__ import annotations
 
 import hashlib
-import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,8 @@ METHODS = ("ours", "ours_wonorm", "random", "state_sim", "trajectory_sim",
 N_OPTIONS = 10       # options ranked per example
 N_EASY = 5           # easy reference tasks per dataset
 TRAJECTORY_SEED = 7  # seeds the expert rollouts of trajectory_sim, per task
+# The rows of one example in a selection CSV, in order.
+ROLES = ("ref", *(f"option_{j}" for j in range(N_OPTIONS)), *(f"easy_{j}" for j in range(N_EASY)))
 
 
 @dataclass
@@ -109,96 +111,98 @@ class SelectionResources:
     pos_reps_per_agent: int = 10
 
 
-def _rank(sims: np.ndarray, harder: np.ndarray | None):
-    """Full ranking: harder-filtered options first (when any), by similarity.
-
-    Returns (ranking, boundary) where the first `boundary` entries satisfy the
-    hardness predicate; boundary 0 means the filter was empty and the fallback
-    ranking over all options applies.
-    """
-    order = np.argsort(-sims, kind="stable")
-    if harder is None or not harder.any():
-        return order, 0
-    hard_part = order[harder[order]]
-    soft_part = order[~harder[order]]
-    return np.concatenate([hard_part, soft_part]), int(harder.sum())
-
-
-def _embedding_rank(model, example: SelectionExample):
-    e_ref = model.embed(example.ref_state)
-    e_opt = model.embed(example.option_states)
-    sims = e_opt @ e_ref
-    if example.query_type == 1:
-        return _rank(sims, None)
-    harder = np.linalg.norm(e_opt, axis=1) > np.linalg.norm(e_ref)
-    return _rank(sims, harder)
-
-
-def _nearest_easy_similarity(sim_to_easy: np.ndarray) -> float:
-    return float(sim_to_easy.max())
+def _rank(sims: np.ndarray, harder: np.ndarray):
+    """Full rankings of each row of (n, N_OPTIONS) similarities: the row's harder options
+    first, each part by similarity. Returns (rankings, boundaries): the first boundaries[i]
+    entries of row i are its harder options; 0 means none was, and the row is the
+    fallback ranking over all options."""
+    order = np.argsort(-sims, axis=1, kind="stable")
+    harder_first = np.argsort(~np.take_along_axis(harder, order, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(order, harder_first, axis=1), harder.sum(axis=1)
 
 
 def _task_digest(state: np.ndarray) -> int:
     return int.from_bytes(hashlib.sha256(state.tobytes()).digest()[:8], "big")
 
 
-def _expert_symbols(env: str, state: np.ndarray) -> np.ndarray:
-    ops = get_env(env)
-    rng = make_rng(TRAJECTORY_SEED, _task_digest(state))
-    _, _, steps = rollout_batch(env, state[None, :], ExpertPolicy(), rng, record=True)
-    return ops.action_symbols(steps.actions)
+def _expert_symbols(env: str, states: np.ndarray) -> list[np.ndarray]:
+    """The expert's action symbols on each task; a task that appears more than once is
+    rolled out once, on the stream its own digest seeds."""
+    ops, symbols = get_env(env), {}
+    for state in states:
+        key = state.tobytes()
+        if key not in symbols:
+            rng = make_rng(TRAJECTORY_SEED, _task_digest(state))
+            _, _, steps = rollout_batch(ops, state[None, :], ExpertPolicy(), rng, record=True)
+            symbols[key] = ops.action_symbols(steps.actions)
+    return [symbols[state.tobytes()] for state in states]
 
 
-def select(method: str, example: SelectionExample, res: SelectionResources,
-           rng: np.random.Generator):
-    """Rank the options for one example. Returns (ranking, hardness_boundary)."""
-    n_opt = example.option_states.shape[0]
+def _trajectory_distances(env: str, tasks: np.ndarray, easy: np.ndarray, type2: np.ndarray):
+    """Edit distances between expert action symbols for (n, 1 + N_OPTIONS) ref-then-option
+    tasks: each option's to its ref, (n, N_OPTIONS), and each task's to its nearest easy
+    reference, (n, 1 + N_OPTIONS), computed on the Type-2 rows only (0 elsewhere)."""
+    n, width, d = tasks.shape
+    symbols = _expert_symbols(env, np.concatenate([tasks.reshape(-1, d),
+                                                   easy[type2].reshape(-1, d)]))
+    rows = [symbols[i:i + width] for i in range(0, n * width, width)]
+    easy_rows = [symbols[i:i + N_EASY] for i in range(n * width, len(symbols), N_EASY)]
+    dist = np.array([[levenshtein(ref, s) for s in opts] for ref, *opts in rows], dtype=float)
+    nearest = np.zeros((n, width))
+    for i, easy_sym in zip(np.flatnonzero(type2), easy_rows):
+        nearest[i] = [min(levenshtein(s, e) for e in easy_sym) for s in rows[i]]
+    return dist, nearest
+
+
+def rank_options(method: str, examples: list[SelectionExample], res: SelectionResources,
+                 rng: np.random.Generator):
+    """Rank the options of every example with one method: (rankings (n, N_OPTIONS),
+    boundaries (n,)) as `_rank` gives them, the hardness filter on Type-2 rows only. random
+    draws one permutation per example and opt / opt50 one MI table, then for Type 2 one
+    success-rate table, per example in order; the embedding methods make one embed call."""
+    tasks = np.stack([np.concatenate([ex.ref_state[None], ex.option_states]) for ex in examples])
+    n, _, d = tasks.shape  # each row: the ref, then its N_OPTIONS options
+    type2 = np.array([ex.query_type == 2 for ex in examples])
     if method == "random":
-        return rng.permutation(n_opt), 0
+        return np.stack([rng.permutation(N_OPTIONS) for _ in examples]), np.zeros(n, int)
     if method in ("ours", "ours_wonorm", "predmodel"):
         model = {"ours": res.model, "ours_wonorm": res.model_wonorm,
                  "predmodel": res.predmodel}[method]
         if model is None:
             raise ValueError(f"selection method {method!r} needs its model resource")
-        return _embedding_rank(model, example)
-    if method == "state_sim":
-        sims = -np.linalg.norm(example.option_states - example.ref_state, axis=1)
-        if example.query_type == 1:
-            return _rank(sims, None)
-        easy = example.easy_refs
-        h_opt = np.array([
-            _nearest_easy_similarity(-np.linalg.norm(easy - s, axis=1))
-            for s in example.option_states
-        ])
-        h_ref = _nearest_easy_similarity(-np.linalg.norm(easy - example.ref_state, axis=1))
-        return _rank(sims, h_opt < h_ref)
-    if method == "trajectory_sim":
-        ref_sym = _expert_symbols(res.env, example.ref_state)
-        opt_sym = [_expert_symbols(res.env, s) for s in example.option_states]
-        sims = -np.array([levenshtein(ref_sym, sym) for sym in opt_sym], dtype=float)
-        if example.query_type == 1:
-            return _rank(sims, None)
-        easy_sym = [_expert_symbols(res.env, s) for s in example.easy_refs]
-        h_opt = np.array([
-            _nearest_easy_similarity(-np.array([levenshtein(sym, es) for es in easy_sym],
-                                               dtype=float))
-            for sym in opt_sym
-        ])
-        h_ref = _nearest_easy_similarity(-np.array([levenshtein(ref_sym, es) for es in easy_sym],
-                                                   dtype=float))
-        return _rank(sims, h_opt < h_ref)
+        e = model.embed(np.concatenate([tasks[:, 0], tasks[:, 1:].reshape(-1, d)]))
+        e_ref, e_opt = e[:n, :, None], e[n:].reshape(n, N_OPTIONS, -1)
+        harder = np.linalg.norm(e_opt, axis=2) > np.linalg.norm(e_ref, axis=1)
+        return _rank((e_opt @ e_ref)[:, :, 0], type2[:, None] & harder)
+    if method in ("state_sim", "trajectory_sim"):
+        # An option is harder when its nearest easy reference lies farther than the ref's.
+        easy = np.stack([ex.easy_refs for ex in examples])
+        if method == "state_sim":
+            dist = np.linalg.norm(tasks[:, 1:] - tasks[:, :1], axis=2)
+            nearest = np.linalg.norm(easy[:, None] - tasks[:, :, None], axis=3).min(axis=2)
+        else:
+            dist, nearest = _trajectory_distances(res.env, tasks, easy, type2)
+        return _rank(-dist, type2[:, None] & (nearest[:, 1:] > nearest[:, :1]))
     if method in ("opt", "opt50"):
         popn = res.population if method == "opt" else res.population_half
         if popn is None:
             raise ValueError(f"selection method {method!r} needs its population resource")
-        stack = np.concatenate([example.ref_state[None, :], example.option_states])
-        table = popn.outcome_table(stack, res.mi_reps_per_agent, rng)
-        sims = mutual_information(table[0], table[1:])
-        if example.query_type == 1:
-            return _rank(sims, None)
-        pos = popn.outcome_table(stack, res.pos_reps_per_agent, rng).mean(axis=1)
-        return _rank(sims, pos[1:] < pos[0])
+        sims, harder = np.empty((n, N_OPTIONS)), np.zeros((n, N_OPTIONS), dtype=bool)
+        for i, stack in enumerate(tasks):
+            table = popn.outcome_table(stack, res.mi_reps_per_agent, rng)
+            sims[i] = mutual_information(table[0], table[1:])
+            if type2[i]:
+                pos = popn.outcome_table(stack, res.pos_reps_per_agent, rng).mean(axis=1)
+                harder[i] = pos[1:] < pos[0]
+        return _rank(sims, harder)
     raise ValueError(f"unknown selection method {method!r}; options: {', '.join(METHODS)}")
+
+
+def select(method: str, example: SelectionExample, res: SelectionResources,
+           rng: np.random.Generator):
+    """(ranking, hardness boundary) of one example: rank_options on a one-example list."""
+    rankings, boundaries = rank_options(method, [example], res, rng)
+    return rankings[0], int(boundaries[0])
 
 
 def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) -> float:
@@ -221,39 +225,34 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> 
 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
-    """Read save_selection_dataset's CSV; a bad or missing row, a query type other than 1
-    or 2, or an example without N_OPTIONS options and N_EASY easy rows raises
+    """Read save_selection_dataset's CSV into views of one state array. Each example is
+    the ROLES rows in order; another row, a query type other than 1 or 2, a ground truth
+    that is not an option index, no example or a last one cut short raises
     nn.ArtifactFormatError naming the line."""
-    examples = []  # their array fields collect lists until the return
+    states, pos, sims, labels, n = array("d"), array("d"), array("d"), [], -1
     with nn.read_csv(path) as (_, rows):
-        for i, role, qtype, gt, pos, sim, *state in itertools.chain(rows, [[""] * 6]):
-            if role in ("ref", "") and examples:  # the last example is complete
-                last = examples[-1]
-                got = (len(last.option_states), len(last.easy_refs))
-                if got != (N_OPTIONS, N_EASY) or not 0 <= last.ground_truth < N_OPTIONS:
-                    raise ValueError(f"example {len(examples) - 1} has (options, easy) {got}, "
-                                     f"ground truth {last.ground_truth}; expected "
-                                     f"({N_OPTIONS}, {N_EASY})")
-            if not role:
-                break
-            state = np.array([float(v) for v in state])
-            ex = examples[-1] if examples and int(i) == len(examples) - 1 else None
-            if role == "ref" and int(i) == len(examples):
+        for n, (i, role, qtype, gt, p, sim, *state) in enumerate(rows):
+            k, j = divmod(n, len(ROLES))
+            if int(i) != k or role != ROLES[j]:
+                raise ValueError(f"unexpected row: example {i}, role {role!r}")
+            if j == 0:
                 if qtype not in ("1", "2"):
                     raise ValueError(f"query type {qtype!r} is not 1 or 2")
-                examples.append(SelectionExample(state, [], [], int(qtype), int(gt), [],
-                                                 float(pos), []))
-            elif ex and role == f"option_{len(ex.option_states)}" and not ex.easy_refs:
-                ex.option_states.append(state)
-                ex.pos_options.append(float(pos))
-                ex.gt_sims.append(float(sim))
-            elif ex and role == f"easy_{len(ex.easy_refs)}":
-                ex.easy_refs.append(state)
-            else:
-                raise ValueError(f"unexpected row: example {i}, role {role!r}")
-        if not examples:
-            raise ValueError("no examples after the header")
-    return [SelectionExample(ex.ref_state, np.stack(ex.option_states), np.stack(ex.easy_refs),
-                             ex.query_type, ex.ground_truth, np.array(ex.gt_sims),
-                             ex.pos_ref, np.array(ex.pos_options))
-            for ex in examples]
+                if not 0 <= int(gt) < N_OPTIONS:
+                    raise ValueError(f"ground truth {gt} is not an option index")
+                labels.append((int(qtype), int(gt)))
+            if j <= N_OPTIONS:
+                pos.append(float(p))
+            if 0 < j <= N_OPTIONS:
+                sims.append(float(sim))
+            states.extend(map(float, state))
+        n_examples, cut = divmod(n + 1, len(ROLES))
+        if cut or not n_examples:
+            raise ValueError(f"example {n_examples} has {cut} of its {len(ROLES)} rows" if cut
+                             else "no examples after the header")
+    states = np.frombuffer(states).reshape(n_examples, len(ROLES), -1)
+    pos = np.frombuffer(pos).reshape(n_examples, 1 + N_OPTIONS)
+    sims = np.frombuffer(sims).reshape(n_examples, N_OPTIONS)
+    return [SelectionExample(s[0], s[1:1 + N_OPTIONS], s[1 + N_OPTIONS:], qtype, gt, sim,
+                             float(p[0]), p[1:])
+            for s, p, sim, (qtype, gt) in zip(states, pos, sims, labels)]

@@ -179,6 +179,14 @@ def parse_config(text: str) -> RunConfig:
     parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
     parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
     parse_methods(cfg.benchmarks.selection_methods, selection.METHODS)
+    # Smaller counts leave a benchmark nothing to score: the pool holds the easy references, a
+    # dataset needs one example of each query type, and the test split is cut into N_FOLDS.
+    for key, least in (("selection_pool", selection.N_EASY), ("selection_examples", 2),
+                       ("selection_datasets", 1), ("quiz_train_examples", 1),
+                       ("quiz_test_examples", prediction.N_FOLDS)):
+        if getattr(cfg.benchmarks, key) < least:
+            raise ConfigError(f"[benchmarks] {key} must be at least {least}, "
+                              f"got {getattr(cfg.benchmarks, key)}")
     return cfg
 
 

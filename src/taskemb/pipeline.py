@@ -224,20 +224,16 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     methods = _selection_methods(cfg)
     popn = _load_population(cfg, root)
     res = selection.SelectionResources(
-        env=cfg.env,
-        model=emb.load_embedding_model(root / "embedding" / "model.txt"),
-        population=popn,
-        mi_reps_per_agent=b.selection_mi_reps,
-        pos_reps_per_agent=b.selection_pos_reps,
-    )
-    res.model_wonorm = emb.load_embedding_model(root / "embedding" / "model_wonorm.txt")
+        env=cfg.env, model=emb.load_embedding_model(root / "embedding" / "model.txt"),
+        model_wonorm=emb.load_embedding_model(root / "embedding" / "model_wonorm.txt"),
+        population=popn, mi_reps_per_agent=b.selection_mi_reps,
+        pos_reps_per_agent=b.selection_pos_reps)
     if "predmodel" in methods:
         res.predmodel = pm.load_predmodel(root / "predmodel" / "model.txt")
 
     outputs = []
-    # accuracy[method][(qtype, k)] -> list over datasets
-    acc: dict[str, dict[tuple[int, int], list[float]]] = {
-        m: {(t, k): [] for t in (1, 2) for k in (1, 3)} for m in methods}
+    # acc[method][(query type, k)]: the top-k accuracy of each dataset
+    acc = {m: {(t, k): [] for t in (1, 2) for k in (1, 3)} for m in methods}
     for d in range(b.selection_datasets):
         ds_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 20, d)
         dataset = selection.gen_selection_dataset(
@@ -253,26 +249,18 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
             half = half_rng.choice(len(popn), size=max(1, len(popn) // 2),
                                    replace=False)
             res.population_half = popn.subset(sorted(half))
+        query_types = np.array([ex.query_type for ex in dataset])
+        gts = np.array([ex.ground_truth for ex in dataset])
         for method in methods:
             m_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 22, d,
                              methods.index(method))
-            by_type: dict[int, list] = {1: [], 2: []}
-            for ex in dataset:
-                rank, _ = selection.select(method, ex, res, m_rng)
-                by_type[ex.query_type].append((rank, ex.ground_truth))
-            for t in (1, 2):
-                ranks = [r for r, _ in by_type[t]]
-                gts = [g for _, g in by_type[t]]
-                for k in (1, 3):
-                    acc[method][(t, k)].append(selection.topk_accuracy(ranks, gts, k))
+            rankings, _ = selection.rank_options(method, dataset, res, m_rng)
+            for (t, k), vals in acc[method].items():
+                is_t = query_types == t
+                vals.append(selection.topk_accuracy(rankings[is_t], gts[is_t], k))
         print(f"  selection dataset {d} done", flush=True)
-    rows = []
-    for method in methods:
-        for t in (1, 2):
-            for k in (1, 3):
-                vals = np.array(acc[method][(t, k)])
-                mean, stderr = fold_mean_stderr(vals)
-                rows.append((method, f"type{t}_top{k}", mean, stderr))
+    rows = [(method, f"type{t}_top{k}", *fold_mean_stderr(vals))
+            for method in methods for (t, k), vals in acc[method].items()]
     return [*outputs, nn.write_csv(out_dir / "selection_results.csv", RESULTS_HEADER, rows)]
 
 

@@ -176,6 +176,18 @@ class Population:
                 run_agent(a)
         return table
 
+    def rollouts(self, agent_idx: np.ndarray, states: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+        """Success bits of one episode per task of states (n, ..., state_dim), row i run by
+        agent agent_idx[i]; agents run in index order, one rollout_batch each on rng."""
+        outcomes = np.empty(states.shape[:-1], dtype=np.uint8)
+        for a in np.unique(agent_idx):
+            rows = np.flatnonzero(agent_idx == a)
+            out, _ = rollout_batch(self.env, states[rows].reshape(-1, states.shape[-1]),
+                                   self.policy(int(a)), rng)
+            outcomes[rows] = out.reshape(rows.size, *states.shape[1:-1])
+        return outcomes
+
     def subset(self, indices) -> "Population":
         return Population(self.env, [self.snapshots[i] for i in indices], self.threads)
 

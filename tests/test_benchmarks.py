@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from taskemb import embedding as emb
 from taskemb import nn
 from taskemb.benchmarks import clusters, prediction, selection
+from taskemb.benchmarks import predmodel as pm
 from taskemb.envs import sample_tasks
 from taskemb.seeding import make_rng
 
@@ -344,8 +345,9 @@ class TestSelectionDataset:
 
 def oracle_rank(ex):
     """Ranking from the construction-time estimates themselves (the noise-free oracle)."""
-    return selection._rank(ex.gt_sims,
-                           None if ex.query_type == 1 else ex.pos_options < ex.pos_ref)
+    harder = (ex.query_type == 2) & (ex.pos_options < ex.pos_ref)
+    rankings, boundaries = selection._rank(ex.gt_sims[None], harder[None])
+    return rankings[0], int(boundaries[0])
 
 
 class TestSelect:
@@ -382,6 +384,20 @@ class TestSelect:
                 rank, boundary = selection.select(method, ex, res, rng)
                 assert sorted(rank) == list(range(10))
                 assert 0 <= boundary <= 10
+
+    @pytest.mark.parametrize("method", selection.METHODS)
+    def test_select_per_example_equals_rank_options(self, selection_dataset, tiny_population,
+                                                    method):
+        res = self.resources(tiny_population)
+        res.predmodel = pm.fresh_predmodel("multikeynav", pm.PredModelConfig(hidden=(16, 16)),
+                                           make_rng(67))
+        rng = make_rng(66)
+        one_by_one = [selection.select(method, ex, res, rng) for ex in selection_dataset]
+        rankings, boundaries = selection.rank_options(method, selection_dataset, res,
+                                                      make_rng(66))
+        assert rankings.shape == (len(selection_dataset), selection.N_OPTIONS)
+        for (rank, boundary), row, b in zip(one_by_one, rankings, boundaries):
+            assert rank.tolist() == row.tolist() and boundary == b
 
     def test_estimate_oracle_reproduces_ground_truth(self, selection_dataset):
         for ex in selection_dataset:
@@ -510,7 +526,7 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:2] + [ls[3], ls[2]] + ls[4:], 3),
         (lambda ls: ls[:32] + ls[33:], 33),
         (lambda ls: ls[:5] + [ls[5].replace(",option_3,", ",hint,")] + ls[6:], 6),
-        (lambda ls: ls[:1] + ["0,ref,1,10," + ls[1].split(",", 4)[4]] + ls[2:], 18),
+        (lambda ls: ls[:1] + ["0,ref,1,10," + ls[1].split(",", 4)[4]] + ls[2:], 2),
         (lambda ls: ls[:1], 2),
         (lambda ls: ls[:15], 16),
         (lambda ls: ls[:1] + [ls[1].replace(",ref,1,", ",ref,3,", 1)] + ls[2:], 2),

@@ -15,6 +15,7 @@ from taskemb.benchmarks import prediction, selection
 from taskemb.envs import load_tasks, save_tasks
 from taskemb.manifest import Manifest, StaleArtifactError, file_hash
 from taskemb.seeding import make_rng
+from taskemb.stats import fold_mean_stderr
 
 from conftest import check_truncations
 
@@ -118,11 +119,27 @@ class TestConfig:
         ("[benchmarks]\nprediction_methods = ours,bogus\n", "unknown method 'bogus'"),
         ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
         ("[constraints]\ndrop_ties_eps = 0.01\n", "unknown key 'drop_ties_eps'"),
+        ("[benchmarks]\nselection_pool = 4\n",
+         r"\[benchmarks\] selection_pool must be at least 5"),
+        ("[benchmarks]\nselection_examples = 1\n",
+         r"\[benchmarks\] selection_examples must be at least 2"),
+        ("[benchmarks]\nselection_datasets = 0\n",
+         r"\[benchmarks\] selection_datasets must be at least 1"),
+        ("[benchmarks]\nquiz_test_examples = 9\n",
+         r"\[benchmarks\] quiz_test_examples must be at least 10"),
+        ("[benchmarks]\nquiz_train_examples = 0\n",
+         r"\[benchmarks\] quiz_train_examples must be at least 1"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
-            "drop_ties_eps"])
+            "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
+            "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
+
+    def test_smallest_benchmark_counts_load(self):
+        cfgmod.parse_config("[benchmarks]\nselection_pool = 5\nselection_examples = 2\n"
+                            "selection_datasets = 1\nquiz_train_examples = 1\n"
+                            "quiz_test_examples = 10\n")
 
     @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
                              ids=lambda p: p.parent.name)
@@ -451,6 +468,33 @@ def test_committed_quiz_files_give_the_committed_ours_row(run, size, suffix):
     assert ("ours", str(size), mean, stderr) in committed
 
 
+@pytest.mark.parametrize("method", ["ours", "ours_wonorm", "random", "state_sim",
+                                    "trajectory_sim"])
+def test_committed_selection_datasets_give_the_committed_rows(method):
+    # eval-selection draws its datasets with rollouts and is never rerun here; its methods
+    # that need no population are. Each must rank every committed dataset as when the
+    # committed rows were written, with the stage's per-method stream.
+    root = REPO / "runs" / "multikeynav-desk"
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == root]
+    seeds = cfg.seeds
+    res = selection.SelectionResources(
+        env=cfg.env, model=emb.load_embedding_model(root / "embedding" / "model.txt"),
+        model_wonorm=emb.load_embedding_model(root / "embedding" / "model_wonorm.txt"))
+    accs = {(t, k): [] for t in (1, 2) for k in (1, 3)}
+    for d in range(cfg.benchmarks.selection_datasets):
+        dataset = selection.load_selection_dataset(root / "benchmarks" / f"selection_{d}.csv")
+        rng = make_rng(seeds.root, seeds.benchmarks, 22, d,
+                       pipeline._selection_methods(cfg).index(method))
+        rankings, _ = selection.rank_options(method, dataset, res, rng)
+        for (t, k), vals in accs.items():
+            rows = [i for i, ex in enumerate(dataset) if ex.query_type == t]
+            vals.append(selection.topk_accuracy(rankings[rows],
+                                                [dataset[i].ground_truth for i in rows], k))
+    committed = pipeline.read_results(root / "benchmarks" / "selection_results.csv")
+    for (t, k), vals in accs.items():
+        assert (method, f"type{t}_top{k}", *fold_mean_stderr(vals)) in committed
+
+
 def _resave(src: Path, dst: Path) -> None:
     """Load a committed CSV with its loader and write it again the way its stage does."""
     if src.name == "pool.csv":
@@ -546,7 +590,8 @@ class TestCliErrors:
         ("[benchmarks]\nselection_methods = ours,bogus\n", "unknown method 'bogus'"),
         ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
         ("threads = two\n", "[run] threads: invalid literal"),
-    ], ids=["unknown-key", "selection-method", "quiz-size", "threads"])
+        ("[benchmarks]\nselection_pool = 3\n", "[benchmarks] selection_pool must be at least 5"),
+    ], ids=["unknown-key", "selection-method", "quiz-size", "threads", "selection-pool"])
     def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo,
                                                    message):
         started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
