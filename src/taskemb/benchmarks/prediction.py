@@ -16,7 +16,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import get_env
+from taskemb.envs.core import check_state_fields, get_env
 from taskemb.population import Population, success_rates
 from taskemb.stats import fold_mean_stderr
 
@@ -153,11 +153,12 @@ def save_quiz_dataset(path, env: str, examples: list[QuizExample]) -> None:
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
-    """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
-    other than 0 or 1, an example without its test row or with another quiz size than
-    example 0 raises nn.ArtifactFormatError naming the line."""
+    """Read save_quiz_dataset's CSV into views of one state array; state columns that are
+    no env's, a bad row, an outcome other than 0 or 1, an example without its test row or
+    with another quiz size than example 0 raises nn.ArtifactFormatError naming the line."""
     states, outcomes, agents, n_quiz = array("d"), bytearray(), [], 0
     with nn.read_csv(path) as (header, rows):
+        check_state_fields(header[4:])
         for i, role, outcome, agent, *state in rows:
             if int(i) != len(agents) or role != "quiz" and (role != "test" or not n_quiz):
                 raise ValueError(f"unexpected row: example {i}, role {role!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import ExpertPolicy, get_env
+from taskemb.envs.core import ExpertPolicy, check_state_fields, get_env
 from taskemb.population import Population, success_rates
 from taskemb.seeding import make_rng
 from taskemb.similarity import mutual_information
@@ -226,11 +226,12 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
     """Read save_selection_dataset's CSV into views of one state array. Each example is
-    the ROLES rows in order; another row, a query type other than 1 or 2, a ground truth
-    that is not an option index, no example or a last one cut short raises
-    nn.ArtifactFormatError naming the line."""
+    the ROLES rows in order; state columns that are no env's, another row, a query type
+    other than 1 or 2, a ground truth that is not an option index, no example or a last
+    one cut short raises nn.ArtifactFormatError naming the line."""
     states, pos, sims, labels, n = array("d"), array("d"), array("d"), [], -1
-    with nn.read_csv(path) as (_, rows):
+    with nn.read_csv(path) as (header, rows):
+        check_state_fields(header[6:])
         for n, (i, role, qtype, gt, p, sim, *state) in enumerate(rows):
             k, j = divmod(n, len(ROLES))
             if int(i) != k or role != ROLES[j]:

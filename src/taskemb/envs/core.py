@@ -83,6 +83,12 @@ def get_env(name: str) -> EnvOps:
         ) from None
 
 
+def check_state_fields(fields) -> None:
+    """Raise ValueError unless fields are some registered env's state fields, in order."""
+    if tuple(fields) not in {ops.state_fields for ops in _REGISTRY.values()}:
+        raise ValueError(f"state columns {list(fields)} are no environment's state fields")
+
+
 @dataclass
 class StepOutcome:
     next_state: np.ndarray
@@ -194,29 +200,60 @@ def expert_action(env: str, state: np.ndarray):
     return action
 
 
+class _SegmentDraws:
+    """A lockstep step's rng: it has only `uniform`, and a full-size draw takes n_i values
+    from each segment's rng."""
+
+    def __init__(self, rngs, counts):
+        self.rngs, self.counts, self.total = rngs, counts, int(sum(counts))
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if size not in (self.total, (self.total,)):
+            raise EnvError(f"lockstep steps draw only uniform(size={self.total}), got {size}")
+        return np.concatenate([r.uniform(low, high, size=n)
+                               for r, n in zip(self.rngs, self.counts)])
+
+
 def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
-                  rng: np.random.Generator, record: bool = False):
+                  rng: np.random.Generator, record: bool = False, sizes=None):
     """Run a batch of episodes to termination.
 
     Returns ``(outcomes, status)`` where outcomes is a uint8 success vector,
     or ``(outcomes, status, steps)`` with a `Steps` record when record is set.
     Finished episodes drop out of the stepped set, so cost tracks the number
     of alive episodes per step.
+
+    With sizes ``(n_1, ..., n_k)``, policy and rng are k-sequences and the
+    batch is k consecutive segments in lockstep: segment i acts through
+    policy[i] on rng[i], then one `step_batch` call steps every alive row,
+    drawing each segment's share from its rng[i], as a call on it alone would.
     """
     ops = env if isinstance(env, EnvOps) else get_env(env)
-    cur = np.array(states0, dtype=np.float64)
+    cur = np.asarray(states0, dtype=np.float64)  # never written: each step returns new states
     if cur.ndim != 2 or cur.shape[1] != ops.state_dim:
         raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
     if record and cur.shape[0] == 0:
         raise EnvError(f"{ops.name}: recording needs at least one episode")
+    policies, rngs, sizes = (policy, rng, sizes) if sizes is not None else (
+        [policy], [rng], [cur.shape[0]])
+    if not len(policies) == len(rngs) == len(sizes) or sum(sizes) != cur.shape[0]:
+        raise EnvError(f"{ops.name}: need one policy and rng per segment, sizes summing to B")
+    edges = np.cumsum([0, *sizes])  # segment i holds batch rows edges[i]:edges[i + 1]
     status = np.full(cur.shape[0], TIMED_OUT, dtype=np.int8)
     idx = np.arange(cur.shape[0])  # batch rows of the alive episodes, whose states are `cur`
     steps = []
     for _ in range(ops.horizon):
         if idx.size == 0:
             break
-        actions = policy.act(ops, cur, rng)
-        cur_next, st = ops.step_batch(cur, actions, rng)
+        bounds = idx.searchsorted(edges)  # segment i's alive rows are cur[bounds[i]:bounds[i + 1]]
+        live = [i for i in range(len(sizes)) if bounds[i] < bounds[i + 1]]
+        acts = [policies[i].act(ops, cur[bounds[i]:bounds[i + 1]], rngs[i]) for i in live]
+        if len(live) == 1:  # a lone segment steps on its own rng
+            actions, draws = acts[0], rngs[live[0]]
+        else:
+            actions = np.concatenate(acts)
+            draws = _SegmentDraws([rngs[i] for i in live], np.diff(bounds)[live])
+        cur_next, st = ops.step_batch(cur, actions, draws)
         if record:
             steps.append((idx, cur, actions, cur_next, st))
         done = st != ALIVE

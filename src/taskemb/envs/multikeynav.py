@@ -28,6 +28,12 @@ FINISH = 6
 ACTION_NAMES = ("moveLeft", "moveRight", "pickKeyA", "pickKeyB", "pickKeyC",
                 "pickKeyD", "finish")
 
+# Per action: move sign, state column a pick sets (0: none), segment needed (moves: any).
+MOVE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+KEY_COLUMN = np.array([0, 0, 1, 2, 3, 4, 0])
+SEGMENT_LO = np.array([-np.inf, -np.inf, *KEY_SEGMENTS[:, 0], DOOR_SEGMENT[0]])
+SEGMENT_HI = np.array([np.inf, np.inf, *KEY_SEGMENTS[:, 1], DOOR_SEGMENT[1]])
+
 # Required keys per door type (rows: door index from bits, cols: key A..D).
 REQUIREMENTS = {
     "standard": np.array([
@@ -51,32 +57,22 @@ def _make_step(req: np.ndarray):
         eps = rng.uniform(-STEP_NOISE, STEP_NOISE, size=b)
         fail_u = rng.uniform(0.0, 1.0, size=b)
         new = states.copy()
-        status = np.full(b, core.ALIVE, dtype=np.int8)
         loc = states[:, 0]
 
-        left = actions == MOVE_LEFT
-        right = actions == MOVE_RIGHT
-        new[left, 0] = np.clip(loc[left] - (STEP_SIZE + eps[left]), 0.0, 1.0)
-        new[right, 0] = np.clip(loc[right] + (STEP_SIZE + eps[right]), 0.0, 1.0)
+        sign = MOVE_SIGN[actions]
+        new[:, 0] = np.where(sign != 0.0, np.clip(loc + sign * (STEP_SIZE + eps), 0.0, 1.0), loc)
+        # Moves succeed anywhere; a pick or finish off its segment crashes.
+        ok = (loc >= SEGMENT_LO[actions]) & (loc <= SEGMENT_HI[actions])
+        picked = np.flatnonzero(ok & (KEY_COLUMN[actions] > 0))
+        new[picked, KEY_COLUMN[actions[picked]]] = 1.0
+        status = np.where(ok, np.int8(core.ALIVE), np.int8(core.CRASHED))
 
-        for k in range(4):
-            pick = actions == PICK0 + k
-            if not pick.any():
-                continue
-            lo, hi = KEY_SEGMENTS[k]
-            on_segment = (loc >= lo) & (loc <= hi)
-            new[pick & on_segment, 1 + k] = 1.0
-            status[pick & ~on_segment] = core.CRASHED
+        fin = np.flatnonzero(ok & (actions == FINISH))
+        if fin.size:
+            has_keys = np.all(states[fin, 1:5] >= req[_door_index(states[fin])], axis=1)
+            status[fin] = np.where(has_keys, np.int8(core.SOLVED), np.int8(core.CRASHED))
 
-        fin = actions == FINISH
-        if fin.any():
-            at_door = (loc >= DOOR_SEGMENT[0]) & (loc <= DOOR_SEGMENT[1])
-            has_keys = np.all(states[:, 1:5] >= req[_door_index(states)], axis=1)
-            status[fin & at_door & has_keys] = core.SOLVED
-            status[fin & ~(at_door & has_keys)] = core.CRASHED
-
-        alive = status == core.ALIVE
-        status[alive & (fail_u < 1.0 - GAMMA)] = core.FAILED_BY_GAMMA
+        status[(status == core.ALIVE) & (fail_u < 1.0 - GAMMA)] = core.FAILED_BY_GAMMA
         return new, status
 
     return step_batch

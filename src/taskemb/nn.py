@@ -130,13 +130,13 @@ def glorot_init(sizes: list[int], activations: list[str], rng: np.random.Generat
     return Mlp(layers)
 
 
-def _apply_activation(act: str, z: np.ndarray) -> np.ndarray:
+def _apply_activation(act: str, z: np.ndarray, out=None) -> np.ndarray:
     if act == "identity":
         return z
     if act == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if act == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if act == "softmax":
         return softmax(z)
     raise ValueError(f"unknown activation {act!r}")
@@ -148,7 +148,9 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
     if h.ndim != 2 or h.shape[1] != net.in_size:
         raise LayerShapeError(0, f"input shape {np.shape(x)} != (B, {net.in_size})")
     for layer in net.layers:
-        h = _apply_activation(layer.activation, h @ layer.weights.T + layer.biases)
+        h = h @ layer.weights.T  # a new array, so the bias and activation go in place
+        h += layer.biases
+        h = _apply_activation(layer.activation, h, out=h)
     return h[0] if np.ndim(x) == 1 else h
 
 

@@ -22,6 +22,7 @@ from taskemb.envs.core import ExpertPolicy, get_env
 MASK_PENALTY = -1e9
 SNAP_DELTA = 0.01  # validation-score gain that earns a new snapshot
 BC_BATCH = 128     # behavioral-cloning minibatch size
+LOCKSTEP_ROWS = 16384  # rows per lockstep group of consecutive agents in `outcome_table`
 
 
 def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
@@ -63,21 +64,21 @@ class Policy:
         x = self.ops.featurize(states)
         out = nn.mlp_forward(self.net, x)
         if self.action_mask is not None and self.action_mask.any():
-            out = out + MASK_PENALTY * self.action_mask
+            out += MASK_PENALTY * self.action_mask
         return out
 
     def action_probs(self, states: np.ndarray) -> np.ndarray:
         return nn.softmax(self.logits(states))
 
     def act(self, ops: envcore.EnvOps, states: np.ndarray, rng) -> np.ndarray:
-        if ops.action_kind == "discrete":
-            logits = self.logits(states)
-            gumbel = -np.log(-np.log(rng.uniform(size=logits.shape)))
-            return np.argmax(logits + gumbel, axis=1)
+        if ops.action_kind == "discrete":  # Gumbel-max, noise formed in place
+            logits, u = self.logits(states), rng.uniform(size=(states.shape[0], ops.n_actions))
+            logits -= np.log(np.negative(np.log(u, out=u), out=u), out=u)  # - log(-log u)
+            return np.argmax(logits, axis=1)
         means = nn.mlp_forward(self.net, ops.featurize(states))
         noise = rng.normal(size=means.shape)
-        return np.clip(means + np.exp(self.log_std) * noise,
-                       ops.action_low, ops.action_high)
+        means += np.multiply(noise, np.exp(self.log_std), out=noise)
+        return np.clip(means, ops.action_low, ops.action_high, out=means)
 
     def to_flat(self) -> np.ndarray:
         flat = self.net.to_flat()
@@ -140,40 +141,45 @@ class Population:
 
         Column block a*reps..(a+1)*reps holds agent a's repetitions, so column
         l of any two rows shares the same sampled agent, as a paired-rollout
-        estimator requires. Every episode gets fresh randomness from a
-        per-agent child stream; with threads > 1 agents run concurrently into
-        disjoint column slices, so the thread count never changes the result.
+        estimator requires. Each agent acts and steps on its own child stream,
+        in lockstep with the consecutive agents of its group (at most
+        LOCKSTEP_ROWS rows unless alone); with threads > 1 groups run concurrently
+        into disjoint column slices, so the thread count never changes the result.
         """
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        n_agents = len(self.snapshots)
+        n_agents, n = len(self.snapshots), states.shape[0]
         reps = np.asarray(reps_per_agent, dtype=np.int64)
         if reps.ndim == 0:
             reps = np.full(n_agents, int(reps))
         if reps.shape != (n_agents,) or np.any(reps < 0):
             raise ValueError("reps_per_agent must be a scalar or one count per agent")
-        table = np.empty((states.shape[0], int(reps.sum())), dtype=np.uint8)
+        table = np.empty((n, int(reps.sum())), dtype=np.uint8)
         cols = np.concatenate([[0], np.cumsum(reps)])
         agent_rngs = rng.spawn(n_agents)
-        if threads is None:
-            threads = self.threads
+        threads = self.threads if threads is None else threads
+        groups = []
+        for a in np.flatnonzero(reps):
+            if groups and n * (reps[groups[-1]].sum() + reps[a]) <= LOCKSTEP_ROWS:
+                groups[-1].append(a)
+            else:
+                groups.append([a])
 
-        def run_agent(a: int) -> None:
-            r = int(reps[a])
-            if r == 0:
-                return
-            policy = self.policy(a)
-            batch = np.repeat(states, r, axis=0)
-            out, _ = rollout_batch(self.env, batch, policy, agent_rngs[a])
-            table[:, cols[a] : cols[a + 1]] = out.reshape(states.shape[0], r)
+        def run_group(group: list[int]) -> None:
+            r = reps[group]
+            batch = np.repeat(np.tile(states, (len(group), 1)), np.repeat(r, n), axis=0)
+            out, _ = rollout_batch(self.env, batch, [self.policy(a) for a in group],
+                                   [agent_rngs[a] for a in group], sizes=n * r)
+            for a, block in zip(group, np.split(out, np.cumsum(n * r)[:-1])):
+                table[:, cols[a] : cols[a + 1]] = block.reshape(n, reps[a])
 
-        if threads > 1:
+        if threads > 1 and len(groups) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(run_agent, range(n_agents)))
+                list(ex.map(run_group, groups))
         else:
-            for a in range(n_agents):
-                run_agent(a)
+            for group in groups:
+                run_group(group)
         return table
 
     def rollouts(self, agent_idx: np.ndarray, states: np.ndarray,

@@ -538,3 +538,18 @@ class TestBenchmarkFileErrors:
         path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))
         with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{path}:{line}:")):
             selection.load_selection_dataset(path)
+
+    @pytest.mark.parametrize("text, load", [
+        (QUIZ, prediction.load_quiz_dataset),
+        (SELECTION, selection.load_selection_dataset),
+    ], ids=["quiz", "selection"])
+    @pytest.mark.parametrize("edit", [
+        lambda ls: [line.rstrip("\r\n").rsplit(",", 1)[0] + "\r\n" for line in ls],
+        lambda ls: [ls[0].replace(",doorBit2", ",doorBit3")] + ls[1:],
+    ], ids=["last-state-column-cut-from-every-line", "unknown-state-field"])
+    def test_state_columns_of_no_env_are_a_header_error(self, tmp_path, text, load, edit):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(edit(text.splitlines(keepends=True))), newline="")
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape(f"{path}:1: state columns [")):
+            load(path)

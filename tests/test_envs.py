@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -332,6 +334,33 @@ class TestRolloutMachinery:
             ended = out.terminal != envs.ALIVE
             assert ended or steps.episode.size == ops.horizon
             assert status[0] == (out.terminal if ended else envs.TIMED_OUT)
+
+    # sha256 prefixes of every env's step_batch outputs on the seeded batches below,
+    # recorded before multikeynav's step moved to per-action tables.
+    STEP_DIGESTS = {
+        "cartpolevar": "f8b478a2cbb3056c",
+        "multikeynav": "bc670b8a261fee4d",
+        "multikeynav_a": "0e12edded8003f09",
+        "multikeynav_ab": "25bcc85f368a88a9",
+        "pointmass": "07a2bfba42332595",
+    }
+
+    def test_step_digests_cover_every_env(self):
+        assert set(self.STEP_DIGESTS) == set(core._REGISTRY)
+
+    @pytest.mark.parametrize("env", sorted(STEP_DIGESTS))
+    def test_step_batch_outputs_match_their_golden_digest(self, env):
+        # Random-policy episodes reach every action from many states; each batch is then
+        # stepped again with fresh random actions. Any changed bit changes the digest.
+        ops, rng, policy = core.get_env(env), make_rng(5, len(env)), envs.UniformRandomPolicy()
+        h = hashlib.sha256()
+        for size in (1, 2, 7, 21, 64, 300):
+            tasks = envs.sample_tasks(env, size, rng)
+            _, _, steps = envs.rollout_batch(ops, tasks, policy, rng, record=True)
+            new, status = ops.step_batch(steps.states, policy.act(ops, steps.states, rng), rng)
+            for a in (steps.states, steps.actions, steps.next_states, steps.status, new, status):
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == self.STEP_DIGESTS[env]
 
     def test_unknown_env_lists_options(self):
         with pytest.raises(core.EnvError, match="multikeynav"):

@@ -99,6 +99,22 @@ def test_inference_forward_matches_cached_forward_bit_for_bit(sizes, acts):
     assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
 
 
+@pytest.mark.parametrize("act", nn.ACTIVATIONS)
+def test_inference_forward_works_in_place_on_its_own_arrays_only(act):
+    # The forward adds biases and applies ReLU in place on each matmul's output:
+    # same bits as the cached forward, and the caller's input is left as it was.
+    rng = make_rng(9)
+    net = nn.glorot_init([5, 8, 8, 3], [act] * 3, rng)
+    for layer in net.layers:
+        layer.biases = rng.normal(size=layer.out_size)
+    for x in (rng.normal(size=(17, 5)), rng.normal(size=5)):
+        before = x.copy()
+        out = nn.mlp_forward(net, x)
+        assert out.shape == x.shape[:-1] + (3,)
+        assert np.array_equal(out, nn.mlp_forward_cached(net, x)[0])
+        assert np.array_equal(x, before)
+
+
 def test_forward_dimension_mismatch_names_layer():
     net = nn.Mlp([
         nn.DenseLayer(np.eye(2), np.zeros(2), "relu"),

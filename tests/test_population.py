@@ -1,15 +1,20 @@
+import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from taskemb import nn
 from taskemb import population as pop
+from taskemb.envs import core as envcore
 from taskemb.envs import rollout_batch, sample_tasks
 from taskemb.envs.core import get_env
 from taskemb.seeding import make_rng
 
 from conftest import TINY_CFG as FAST_CFG
+
+DESK_CARTPOLE = Path(__file__).resolve().parents[1] / "runs/cartpolevar-desk/population"
 
 
 @pytest.fixture()
@@ -58,6 +63,25 @@ class TestPolicy:
         with pytest.raises(ValueError, match="flat vector has"):
             pop.Population(env, [pop.AgentSnapshot(np.append(flat, 0.0), "bc", mask,
                                                    "none", 0, 0.5)]).policy(0)
+
+    @pytest.mark.parametrize("env, mask", [("multikeynav", "pickKeyA"), ("cartpolevar", "none"),
+                                           ("pointmass", "none")])
+    def test_act_samples_like_the_out_of_place_formula(self, env, mask):
+        # act forms its noise in place; the actions keep the bits of the plain expressions.
+        ops, policy = get_env(env), pop.fresh_policy(env, make_rng(12), mask=mask)
+        states = sample_tasks(env, 300, make_rng(13))
+        rng = make_rng(14)
+        if ops.action_kind == "discrete":
+            logits = policy.logits(states)
+            gumbel = -np.log(-np.log(rng.uniform(size=logits.shape)))
+            expected = np.argmax(logits + gumbel, axis=1)
+        else:
+            policy.log_std = np.array([0.3, -0.2])
+            means = nn.mlp_forward(policy.net, ops.featurize(states))
+            noise = rng.normal(size=means.shape)
+            expected = np.clip(means + np.exp(policy.log_std) * noise,
+                               ops.action_low, ops.action_high)
+        assert np.array_equal(policy.act(ops, states, make_rng(14)), expected)
 
     def test_mask_vector_names(self):
         ops = get_env("multikeynav")
@@ -189,6 +213,92 @@ class TestOutcomeEstimates:
         t1 = small_population.outcome_table(states, 4, make_rng(75))
         t2 = small_population.outcome_table(states, 4, make_rng(75))
         assert np.array_equal(t1, t2)
+
+
+def _agent_by_agent(population, states, reps, rng):
+    """The outcome table from one rollout_batch per agent, each on its child stream."""
+    reps = np.broadcast_to(reps, len(population))
+    rngs = rng.spawn(len(population))
+    return np.concatenate([
+        rollout_batch(population.env, np.repeat(states, r, axis=0), population.policy(a),
+                      rngs[a])[0].reshape(len(states), r) for a, r in enumerate(reps)], axis=1)
+
+
+@pytest.fixture(scope="module")
+def trained_populations(tiny_population):
+    """A trained population per registered env; the multikeynav variants share one."""
+    cfg = pop.PopulationConfig(target_size=6, bc_epochs=6, bc_rollouts=30, bc_passes=1,
+                               snap_size=60, snap_reps=4)
+    recipe = pop.standard_recipe("pointmass", "bias")[:3]
+    out = {"pointmass": pop.build_population("pointmass", recipe, cfg, make_rng(68)),
+           "cartpolevar": pop.load_population(DESK_CARTPOLE).subset(range(0, 26, 5))}
+    for env in ("multikeynav", "multikeynav_a", "multikeynav_ab"):
+        out[env] = pop.Population(env, tiny_population.snapshots)
+    return out
+
+
+class TestLockstep:
+    """outcome_table steps groups of agents together; each agent keeps its own bits."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("env", sorted(envcore._REGISTRY))
+    def test_outcome_table_equals_agent_by_agent_rollouts(self, trained_populations, env,
+                                                          threads, monkeypatch):
+        population = trained_populations[env]
+        n = len(population)
+        states = sample_tasks(env, 6, make_rng(61))
+        for reps in (3, np.arange(n) % 4, [0] * (n - 1) + [4]):
+            expected = _agent_by_agent(population, states, reps, make_rng(62))
+            assert 0 < expected.mean() < 1 or np.sum(reps) == 4
+            # one group for all agents, groups of a few agents, one agent per group
+            for rows in (pop.LOCKSTEP_ROWS, 40, 1):
+                monkeypatch.setattr(pop, "LOCKSTEP_ROWS", rows)
+                table = population.outcome_table(states, reps, make_rng(62), threads=threads)
+                assert np.array_equal(table, expected), (reps, rows)
+
+    @pytest.mark.parametrize("env", sorted(envcore._REGISTRY))
+    def test_segments_step_as_they_would_alone(self, env):
+        # Untrained agents at different weight scales end their episodes at different
+        # steps; every recorded step of a segment equals its own rollout's.
+        sizes = [3, 0, 7, 1, 5]
+        policies = [pop.fresh_policy(env, make_rng(60, k)) for k in range(len(sizes))]
+        for k, policy in enumerate(policies):
+            policy.net.set_flat(policy.net.to_flat() * (0.5 + k))
+        states = sample_tasks(env, sum(sizes), make_rng(69))
+        out, status, steps = rollout_batch(env, states, policies, make_rng(70).spawn(5),
+                                           record=True, sizes=sizes)
+        starts = np.cumsum([0, *sizes])
+        for k, rng in enumerate(make_rng(70).spawn(5)):
+            if not sizes[k]:
+                continue
+            rows = slice(starts[k], starts[k + 1])
+            o, st, alone = rollout_batch(env, states[rows], policies[k], rng, record=True)
+            assert np.array_equal(out[rows], o) and np.array_equal(status[rows], st)
+            mine = (steps.episode >= starts[k]) & (steps.episode < starts[k + 1])
+            assert np.array_equal(steps.episode[mine] - starts[k], alone.episode)
+            for name in ("states", "actions", "next_states", "status"):
+                assert np.array_equal(getattr(steps, name)[mine], getattr(alone, name)), name
+
+    @pytest.mark.parametrize("draw, error, message", [
+        (lambda rng, b: rng.normal(size=b), AttributeError, "no attribute 'normal'"),
+        (lambda rng, b: rng.uniform(size=b - 1), envcore.EnvError, "draw only uniform"),
+        (lambda rng, b: rng.integers(0, 2, size=b), AttributeError, "no attribute 'integers'"),
+    ], ids=["normal", "short-uniform", "integers"])
+    def test_lockstep_step_may_draw_only_full_size_uniforms(self, draw, error, message):
+        ops = get_env("pointmass")
+
+        def step_batch(states, actions, rng):
+            draw(rng, states.shape[0])
+            return ops.step_batch(states, actions, rng)
+
+        odd = dataclasses.replace(ops, step_batch=step_batch)
+        states = sample_tasks("pointmass", 4, make_rng(65))
+        policies = [pop.fresh_policy("pointmass", make_rng(66, k)) for k in range(2)]
+        rollout_batch(odd, states, policies[0], make_rng(67))  # one segment steps on its rng
+        with pytest.raises(error, match=message):
+            rollout_batch(odd, states, policies, make_rng(67).spawn(2), sizes=[1, 3])
+        with pytest.raises(envcore.EnvError, match="one policy and rng per segment"):
+            rollout_batch(ops, states, policies, make_rng(67).spawn(2), sizes=[1, 2])
 
 
 class TestPersistence:
