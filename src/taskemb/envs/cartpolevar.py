@@ -30,7 +30,7 @@ HORIZON = 200
 F_MIN, F_MAX = 5.0, 15.0
 
 
-def step_batch(states, actions, rng):
+def step_batch(states, actions, noise):
     x, v, theta, omega = (states[:, i] for i in range(4))
     force_mag = states[:, 4]
     task_type = states[:, 5]
@@ -138,6 +138,7 @@ core.register(core.EnvOps(
     action_names=("pushA", "pushB"),
     sample_raw=_sample_raw,
     step_batch=step_batch,
+    step_draws=0,
     expert_batch=expert_batch,
     featurize=_featurize,
     strip_context=_strip_context,

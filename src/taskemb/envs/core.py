@@ -40,7 +40,8 @@ class EnvOps:
     action_high: float
     action_names: tuple[str, ...]
     sample_raw: Callable        # (n, rng) -> (n, state_dim) states
-    step_batch: Callable        # (states, actions, rng) -> (next_states, status)
+    step_batch: Callable        # (states, actions, noise) -> (next_states, status); pure
+    step_draws: int             # rows of step_batch's noise: standard uniforms per stepped row
     expert_batch: Callable      # (states) -> actions
     featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
@@ -150,7 +151,8 @@ def step(env: str, state: np.ndarray, action, rng: np.random.Generator) -> StepO
         actions = np.array([int(action)])
     else:
         actions = np.asarray(action, dtype=np.float64)[None, :]
-    next_states, status = ops.step_batch(state[None, :], actions, rng)
+    next_states, status = ops.step_batch(state[None, :], actions,
+                                         rng.uniform(size=(ops.step_draws, 1)))
     terminal = int(status[0])
     reward = 1.0 if terminal == SOLVED else 0.0
     return StepOutcome(next_states[0], reward, terminal)
@@ -200,20 +202,6 @@ def expert_action(env: str, state: np.ndarray):
     return action
 
 
-class _SegmentDraws:
-    """A lockstep step's rng: it has only `uniform`, and a full-size draw takes n_i values
-    from each segment's rng."""
-
-    def __init__(self, rngs, counts):
-        self.rngs, self.counts, self.total = rngs, counts, int(sum(counts))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        if size not in (self.total, (self.total,)):
-            raise EnvError(f"lockstep steps draw only uniform(size={self.total}), got {size}")
-        return np.concatenate([r.uniform(low, high, size=n)
-                               for r, n in zip(self.rngs, self.counts)])
-
-
 def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
                   rng: np.random.Generator, record: bool = False, sizes=None):
     """Run a batch of episodes to termination.
@@ -225,8 +213,9 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
 
     With sizes ``(n_1, ..., n_k)``, policy and rng are k-sequences and the
     batch is k consecutive segments in lockstep: segment i acts through
-    policy[i] on rng[i], then one `step_batch` call steps every alive row,
-    drawing each segment's share from its rng[i], as a call on it alone would.
+    policy[i] on rng[i] and draws its rows' step noise from rng[i], then one
+    `step_batch` call steps every alive row, so each segment's bits are those
+    of a call on it alone.
     """
     ops = env if isinstance(env, EnvOps) else get_env(env)
     cur = np.asarray(states0, dtype=np.float64)  # never written: each step returns new states
@@ -245,21 +234,22 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     for _ in range(ops.horizon):
         if idx.size == 0:
             break
-        bounds = idx.searchsorted(edges)  # segment i's alive rows are cur[bounds[i]:bounds[i + 1]]
-        live = [i for i in range(len(sizes)) if bounds[i] < bounds[i + 1]]
-        acts = [policies[i].act(ops, cur[bounds[i]:bounds[i + 1]], rngs[i]) for i in live]
-        if len(live) == 1:  # a lone segment steps on its own rng
-            actions, draws = acts[0], rngs[live[0]]
-        else:
-            actions = np.concatenate(acts)
-            draws = _SegmentDraws([rngs[i] for i in live], np.diff(bounds)[live])
-        cur_next, st = ops.step_batch(cur, actions, draws)
+        bounds = idx.searchsorted(edges).tolist()
+        # (i, lo, hi) for every segment i with alive rows; they are cur[lo:hi]
+        live = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+        actions = np.concatenate([policies[i].act(ops, cur[lo:hi], rngs[i]) for i, lo, hi in live])
+        noise = np.empty((0, idx.size))
+        if ops.step_draws:
+            noise = np.concatenate([rngs[i].uniform(size=(ops.step_draws, hi - lo))
+                                    for i, lo, hi in live], axis=1)
+        cur_next, st = ops.step_batch(cur, actions, noise)
         if record:
             steps.append((idx, cur, actions, cur_next, st))
-        done = st != ALIVE
-        if done.any():  # write only the finished rows, then compact the alive ones
-            status[idx[done]] = st[done]
-            idx, cur_next = idx[~done], cur_next[~done]
+        ended = np.flatnonzero(st)  # ALIVE is 0
+        if ended.size:  # write only the finished rows, then compact the alive ones
+            status[idx[ended]] = st[ended]
+            alive = st == ALIVE
+            idx, cur_next = idx[alive], cur_next[alive]
         cur = cur_next
     outcomes = (status == SOLVED).astype(np.uint8)
     if not record:

@@ -52,10 +52,9 @@ def _door_index(states: np.ndarray) -> np.ndarray:
 
 
 def _make_step(req: np.ndarray):
-    def step_batch(states, actions, rng):
-        b = states.shape[0]
-        eps = rng.uniform(-STEP_NOISE, STEP_NOISE, size=b)
-        fail_u = rng.uniform(0.0, 1.0, size=b)
+    def step_batch(states, actions, noise):
+        eps = -STEP_NOISE + (2 * STEP_NOISE) * noise[0]
+        fail_u = noise[1]
         new = states.copy()
         loc = states[:, 0]
 
@@ -151,6 +150,7 @@ def _make_ops(name: str, variant: str) -> core.EnvOps:
         action_names=ACTION_NAMES,
         sample_raw=_sample_raw,
         step_batch=_make_step(req),
+        step_draws=2,
         expert_batch=_make_expert(req),
         featurize=_identity,
         strip_context=_strip_context,

@@ -28,9 +28,9 @@ GAMMA = 0.99
 F_MAX = 10.0
 
 
-def step_batch(states, actions, rng):
+def step_batch(states, actions, noise):
     b = states.shape[0]
-    fail_u = rng.uniform(0.0, 1.0, size=b)
+    fail_u = noise[0]
     x, vx, y, vy = (states[:, i] for i in range(4))
     mu = states[:, 6]
     fx = actions[:, 0]
@@ -162,6 +162,7 @@ core.register(core.EnvOps(
     action_names=("force_x", "force_y"),
     sample_raw=_sample_raw,
     step_batch=step_batch,
+    step_draws=1,
     expert_batch=expert_batch,
     featurize=_identity,
     strip_context=_strip_context,

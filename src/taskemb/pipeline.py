@@ -170,7 +170,8 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
     """Performance-prediction benchmark over every configured quiz size.
 
     agent_population_dir optionally draws the hidden agents from a different
-    population directory; predictor-side resources (embedding model and the
+    population directory, whose agents the hidden-agent oracles (opt,
+    ignore_task) roll out; predictor-side resources (embedding model and the
     population-average baseline) still come from this run.
     """
     b = cfg.benchmarks
@@ -209,7 +210,8 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
             else:
                 base_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 12, size,
                                     methods.index(method))
-                preds = prediction.baseline_predictions(method, test_ds, popn, base_rng)
+                source = popn if method == "ignore_agent" else agent_pop
+                preds = prediction.baseline_predictions(method, test_ds, source, base_rng)
             mean, stderr, _ = prediction.eval_prediction(preds, outcomes,
                                                          make_rng(*fold_rng_parts))
             rows.append((method, str(size), mean, stderr))

@@ -357,7 +357,8 @@ class TestCriterion10PropertySuite:
         for _ in range(40):
             if states.shape[0] == 0:
                 break
-            new, status = ops.step_batch(states, actions[: states.shape[0]], rng)
+            noise = rng.uniform(size=(ops.step_draws, states.shape[0]))
+            new, status = ops.step_batch(states, actions[: states.shape[0]], noise)
             alive_steps += states.shape[0]
             failures += int((status == envcore.FAILED_BY_GAMMA).sum())
             states = new[status == envcore.ALIVE]
@@ -369,7 +370,7 @@ class TestCriterion10PropertySuite:
         interior = np.zeros((100_000, 7))
         interior[:, 0] = rng.uniform(0.1, 0.9, size=100_000)
         moves = rng.integers(0, 2, size=100_000)
-        new, _ = ops.step_batch(interior, moves, rng)
+        new, _ = ops.step_batch(interior, moves, rng.uniform(size=(ops.step_draws, 100_000)))
         mags = np.abs(new[:, 0] - interior[:, 0])
         if mags.min() < 0.065 - 1e-12 or mags.max() > 0.085 + 1e-12:
             problems.append(f"move magnitude range [{mags.min()}, {mags.max()}]")

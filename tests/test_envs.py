@@ -54,7 +54,8 @@ class TestMultiKeyNav:
         states = np.zeros((2000, 7))
         states[:, 0] = locs
         actions = np.where(rng.uniform(size=2000) < 0.5, 0, 1)
-        new, _ = core.get_env("multikeynav").step_batch(states, actions, rng)
+        ops = core.get_env("multikeynav")
+        new, _ = ops.step_batch(states, actions, rng.uniform(size=(ops.step_draws, 2000)))
         mags = np.abs(new[:, 0] - locs)
         assert mags.min() >= 0.065 - 1e-12
         assert mags.max() <= 0.085 + 1e-12
@@ -264,7 +265,8 @@ class TestRolloutMachinery:
         for _ in range(40):
             if alive.shape[0] == 0:
                 break
-            new, status = ops.step_batch(alive, actions[: alive.shape[0]], rng)
+            noise = rng.uniform(size=(ops.step_draws, alive.shape[0]))
+            new, status = ops.step_batch(alive, actions[: alive.shape[0]], noise)
             alive_steps += alive.shape[0]
             failures += int((status == envs.FAILED_BY_GAMMA).sum())
             alive = new[status == envs.ALIVE]
@@ -279,7 +281,8 @@ class TestRolloutMachinery:
         pol = envs.UniformRandomPolicy()
         for _ in range(10):
             acts = pol.act(ops, states, rng)
-            new, status = ops.step_batch(states, acts, rng)
+            new, status = ops.step_batch(states, acts,
+                                         rng.uniform(size=(ops.step_draws, states.shape[0])))
             states = new[status == envs.ALIVE]
             if states.shape[0] == 0:
                 break
@@ -357,7 +360,9 @@ class TestRolloutMachinery:
         for size in (1, 2, 7, 21, 64, 300):
             tasks = envs.sample_tasks(env, size, rng)
             _, _, steps = envs.rollout_batch(ops, tasks, policy, rng, record=True)
-            new, status = ops.step_batch(steps.states, policy.act(ops, steps.states, rng), rng)
+            actions = policy.act(ops, steps.states, rng)
+            noise = rng.uniform(size=(ops.step_draws, steps.states.shape[0]))
+            new, status = ops.step_batch(steps.states, actions, noise)
             for a in (steps.states, steps.actions, steps.next_states, steps.status, new, status):
                 h.update(np.ascontiguousarray(a).tobytes())
         assert h.hexdigest()[:16] == self.STEP_DIGESTS[env]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from taskemb import cli, config as cfgmod, nn, pipeline
 from taskemb import embedding as emb
+from taskemb import population as pop
 from taskemb import similarity as sim
 from taskemb.benchmarks import prediction, selection
 from taskemb.envs import load_tasks, save_tasks
@@ -388,6 +389,29 @@ class TestPipelineRun:
         b.write_bytes(a_bytes)
         assert cli.main(argv) == 0
         assert "[eval-prediction-transfer] running" in capsys.readouterr().out
+
+    def test_transfer_oracle_rolls_out_the_external_agents(self, tiny_run):
+        # The external population is this run's agents reversed, twice over: a hidden
+        # agent's index means an agent there, and may lie beyond this run's population.
+        root, cfg_path = tiny_run
+        cfg = cfgmod.load_config(cfg_path)
+        own = pop.load_population(root / "population")
+        external = root.parent / "reversed_population"
+        pop.save_population(pop.Population(own.env, own.snapshots[::-1] * 2), external)
+        pipeline.run_stage("eval-prediction", cfg, force=True, agent_population_dir=external)
+        bench = root / "benchmarks"
+        rows = pipeline.read_results(bench / "prediction_results_transfer.csv")
+        agents, seeds = pop.load_population(external), cfg.seeds
+        opt = pipeline._prediction_methods(cfg).index("opt")
+        for size in cfgmod.parse_quiz_sizes(cfg.benchmarks.quiz_sizes):
+            test = prediction.load_quiz_dataset(bench / f"quiz_size_{size}_test_transfer.csv")
+            assert max(ex.agent_index for ex in test) >= len(own)
+            preds = prediction.baseline_predictions(
+                "opt", test, agents, make_rng(seeds.root, seeds.benchmarks, 12, size, opt))
+            mean, stderr, _ = prediction.eval_prediction(
+                preds, [ex.test_outcome for ex in test],
+                make_rng(seeds.root, seeds.benchmarks, 11, size))
+            assert ("opt", str(size), mean, stderr) in rows
 
 
     def test_truncated_agent_file_exits_1_with_location(self, tiny_run, capsys):

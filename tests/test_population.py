@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from pathlib import Path
 
@@ -279,26 +278,30 @@ class TestLockstep:
             for name in ("states", "actions", "next_states", "status"):
                 assert np.array_equal(getattr(steps, name)[mine], getattr(alone, name)), name
 
-    @pytest.mark.parametrize("draw, error, message", [
-        (lambda rng, b: rng.normal(size=b), AttributeError, "no attribute 'normal'"),
-        (lambda rng, b: rng.uniform(size=b - 1), envcore.EnvError, "draw only uniform"),
-        (lambda rng, b: rng.integers(0, 2, size=b), AttributeError, "no attribute 'integers'"),
-    ], ids=["normal", "short-uniform", "integers"])
-    def test_lockstep_step_may_draw_only_full_size_uniforms(self, draw, error, message):
-        ops = get_env("pointmass")
+    @pytest.mark.parametrize("env", sorted(envcore._REGISTRY))
+    def test_step_is_a_pure_function_of_states_actions_and_noise(self, env):
+        # Every stepped row of random-policy episodes, stepped again twice on one noise block.
+        ops, rng = get_env(env), make_rng(64, len(env))
+        _, _, steps = rollout_batch(ops, sample_tasks(env, 50, rng), pop.fresh_policy(env, rng),
+                                    rng, record=True)
+        states = steps.states
+        actions = envcore.UniformRandomPolicy().act(ops, states, rng)
+        noise = rng.uniform(size=(ops.step_draws, states.shape[0]))
+        inputs = [a.copy() for a in (states, actions, noise)]
+        first, again = (ops.step_batch(states, actions, noise) for _ in range(2))
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)
+        for a, b in zip((states, actions, noise), inputs):
+            assert np.array_equal(a, b)
+        if ops.step_draws:  # the noise is the step's only randomness, and it is used
+            other = ops.step_batch(states, actions, rng.uniform(size=noise.shape))
+            assert any(not np.array_equal(a, b) for a, b in zip(first, other))
 
-        def step_batch(states, actions, rng):
-            draw(rng, states.shape[0])
-            return ops.step_batch(states, actions, rng)
-
-        odd = dataclasses.replace(ops, step_batch=step_batch)
+    def test_segments_need_one_policy_and_rng_each(self):
         states = sample_tasks("pointmass", 4, make_rng(65))
         policies = [pop.fresh_policy("pointmass", make_rng(66, k)) for k in range(2)]
-        rollout_batch(odd, states, policies[0], make_rng(67))  # one segment steps on its rng
-        with pytest.raises(error, match=message):
-            rollout_batch(odd, states, policies, make_rng(67).spawn(2), sizes=[1, 3])
         with pytest.raises(envcore.EnvError, match="one policy and rng per segment"):
-            rollout_batch(ops, states, policies, make_rng(67).spawn(2), sizes=[1, 2])
+            rollout_batch("pointmass", states, policies, make_rng(67).spawn(2), sizes=[1, 2])
 
 
 class TestPersistence:
