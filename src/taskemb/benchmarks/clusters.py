@@ -1,35 +1,16 @@
-"""Intuitive task-cluster labels per environment, and the silhouette audit.
+"""The silhouette audit of an embedding space against intuitive task clusters.
 
-The labels are the structure an embedding space is expected to expose:
-which keys a navigation task still needs, which way a cart-pole task's
-action 0 actually pushes, and whether a point-mass task needs lateral
-steering. Silhouette over these labels scores how cleanly the embedding
-separates them.
+Each environment labels its own clusters (`EnvOps.cluster_labels`): which
+keys a navigation task still needs, which way a cart-pole task's action 0
+actually pushes, and whether a point-mass task needs lateral steering.
+Silhouette over these labels scores how cleanly the embedding separates them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from taskemb.envs import cartpolevar, multikeynav, pointmass
-
-
-def cluster_labels(env: str, states: np.ndarray) -> np.ndarray:
-    """Discrete label per task; total over every sampled task."""
-    states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-    if env.startswith("multikeynav"):
-        variant = {"multikeynav": "standard", "multikeynav_ab": "all_ab",
-                   "multikeynav_a": "all_a"}[env]
-        req = multikeynav.REQUIREMENTS[variant]
-        door = (2 * states[:, 5] + states[:, 6]).astype(np.intp)
-        have = states[:, 1:5] >= 0.5
-        needed = req[door] & ~have
-        return (needed * np.array([8, 4, 2, 1])).sum(axis=1).astype(np.int64)
-    if env == "cartpolevar":
-        return cartpolevar.action_zero_direction(states)
-    if env == "pointmass":
-        return pointmass.steering_class(states)
-    raise ValueError(f"no cluster labeling for {env!r}")
+from taskemb.envs import get_env
 
 
 def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
@@ -69,4 +50,4 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
 
 def silhouette_for_model(model, env: str, states: np.ndarray) -> float:
     """Silhouette of the model's embedding space on the env's intuitive labels."""
-    return silhouette(model.embed(states), cluster_labels(env, states))
+    return silhouette(model.embed(states), get_env(env).cluster_labels(states))

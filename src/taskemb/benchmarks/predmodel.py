@@ -99,7 +99,7 @@ class PredModelNets:
 def fresh_predmodel(env: str, config: PredModelConfig,
                     rng: np.random.Generator) -> PredModelNets:
     ops = get_env(env)
-    d_bar = ops.strip_context(np.zeros((1, ops.state_dim))).shape[1]
+    d_bar = ops.context_free_dim
     h1, h2 = config.hidden
     inference = nn.glorot_init([ops.feature_dim, h1, h2, 2 * config.latent_dim],
                                ["relu", "relu", "identity"], rng)
@@ -176,8 +176,7 @@ def load_predmodel(path) -> PredModelNets:
             raise ValueError('header must be {"env": ..., "latent_dim": ...}')
         ops, latent_dim = get_env(header["env"]), int(header["latent_dim"])
         nets = [nn.read_weights(reader) for _ in range(4)]
-        d_bar = ops.strip_context(np.zeros((1, ops.state_dim))).shape[1]
-        need = (ops.feature_dim, 2 * latent_dim, d_bar + ops.n_actions + latent_dim)
+        need = (ops.feature_dim, 2 * latent_dim, ops.context_free_dim + ops.n_actions + latent_dim)
         got = (nets[0].in_size, nets[0].out_size, nets[1].in_size)
         if need != got:
             raise nn.ArtifactFormatError(

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from taskemb.benchmarks import prediction, selection
 from taskemb.envs.core import get_env
+from taskemb.population import standard_recipe
 
 
 @dataclass
@@ -173,6 +174,10 @@ def parse_config(text: str) -> RunConfig:
         if parser.has_section(name):
             setattr(cfg, name, _fill_section(cls, dict(parser.items(name)), name))
     get_env(cfg.env)  # validates the environment name
+    try:
+        standard_recipe(cfg.env, cfg.population.recipe)
+    except ValueError as exc:
+        raise ConfigError(f"[population] recipe: {exc}") from None
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     # Check the benchmark lists now, not when run-all reaches their stages.

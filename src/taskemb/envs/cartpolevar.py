@@ -148,4 +148,5 @@ core.register(core.EnvOps(
     embed_dim=3,
     embed_dim_wonorm=2,
     action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),
+    cluster_labels=action_zero_direction,
 ))

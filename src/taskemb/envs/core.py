@@ -46,11 +46,14 @@ class EnvOps:
     featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
     validate_state: Callable    # (state vector) -> None, raises EnvError
+    cluster_labels: Callable    # (states) -> int labels of the intuitive task clusters
     bias_filters: dict[str, Callable] = field(default_factory=dict)
     hidden: tuple[int, ...] = (32, 32)  # hidden layers of the policy and embedding nets
     embed_dim: int = 6          # default output dim with norm constraints
     embed_dim_wonorm: int = 5   # default without norm constraints
     action_symbols: Callable = None  # (actions) -> int codes for edit distance
+    masks: dict = field(default_factory=dict)  # "masks" recipe: name -> masked action indices
+    snapshot_tasks: np.ndarray | None = None  # fixed snapshot validation tasks; None: sample them
 
     @property
     def state_dim(self) -> int:
@@ -60,6 +63,11 @@ class EnvOps:
     def feature_dim(self) -> int:
         """Width of `featurize`'s output, the input of every net over this env's tasks."""
         return self.featurize(np.zeros((1, self.state_dim))).shape[1]
+
+    @property
+    def context_free_dim(self) -> int:
+        """Width of `strip_context`'s output, the state part a predictive model sees."""
+        return self.strip_context(np.zeros((1, self.state_dim))).shape[1]
 
     def net_layout(self, out_dim: int) -> tuple[list[int], list[str]]:
         """Layer sizes and activations of a policy or embedding net with out_dim outputs."""

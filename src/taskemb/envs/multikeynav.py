@@ -12,6 +12,8 @@ Actions: moveLeft, moveRight, pickKeyA..pickKeyD, finish.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from taskemb.envs import core
@@ -27,6 +29,7 @@ FINISH = 6
 
 ACTION_NAMES = ("moveLeft", "moveRight", "pickKeyA", "pickKeyB", "pickKeyC",
                 "pickKeyD", "finish")
+PICKS = tuple(range(PICK0, FINISH))
 
 # Per action: move sign, state column a pick sets (0: none), segment needed (moves: any).
 MOVE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -34,21 +37,32 @@ KEY_COLUMN = np.array([0, 0, 1, 2, 3, 4, 0])
 SEGMENT_LO = np.array([-np.inf, -np.inf, *KEY_SEGMENTS[:, 0], DOOR_SEGMENT[0]])
 SEGMENT_HI = np.array([np.inf, np.inf, *KEY_SEGMENTS[:, 1], DOOR_SEGMENT[1]])
 
-# Required keys per door type (rows: door index from bits, cols: key A..D).
+# Required keys per door type, by variant (rows: door index from bits, cols: key A..D).
 REQUIREMENTS = {
-    "standard": np.array([
+    "multikeynav": np.array([
         [1, 1, 0, 0],   # type 1 (bits 00): A, B
         [1, 0, 1, 0],   # type 2 (bits 01): A, C
         [0, 1, 0, 1],   # type 3 (bits 10): B, D
         [0, 0, 1, 1],   # type 4 (bits 11): C, D
     ], dtype=bool),
-    "all_ab": np.tile(np.array([1, 1, 0, 0], dtype=bool), (4, 1)),
-    "all_a": np.tile(np.array([1, 0, 0, 0], dtype=bool), (4, 1)),
+    "multikeynav_ab": np.tile(np.array([1, 1, 0, 0], dtype=bool), (4, 1)),
+    "multikeynav_a": np.tile(np.array([1, 0, 0, 0], dtype=bool), (4, 1)),
 }
+
+
+# Snapshot validation tasks: locations {0.05, 0.45, 0.85} x key statuses x door bits.
+SNAPSHOT_TASKS = np.array([[loc, *bits] for loc in (0.05, 0.45, 0.85)
+                           for bits in itertools.product((0.0, 1.0), repeat=6)])
+SNAPSHOT_TASKS.flags.writeable = False
 
 
 def _door_index(states: np.ndarray) -> np.ndarray:
     return (2 * states[:, 5] + states[:, 6]).astype(np.intp)
+
+
+def _missing_keys(req: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """(B, 4) bool: the keys A..D the task's door requires and the state does not hold."""
+    return req[_door_index(states)] & ~(states[:, 1:5] >= 0.5)
 
 
 def _make_step(req: np.ndarray):
@@ -80,8 +94,7 @@ def _make_step(req: np.ndarray):
 def _make_expert(req: np.ndarray):
     def expert_batch(states):
         loc = states[:, 0]
-        have = states[:, 1:5] >= 0.5
-        missing = req[_door_index(states)] & ~have
+        missing = _missing_keys(req, states)
         any_missing = missing.any(axis=1)
         first = np.argmax(missing, axis=1)  # leftmost missing key (segments are ordered)
         seg_lo = KEY_SEGMENTS[first, 0]
@@ -137,8 +150,7 @@ _BIAS = {f"door_type_{i + 1}": (lambda i: (lambda s: _door_index(s) == i))(i)
          for i in range(4)}
 
 
-def _make_ops(name: str, variant: str) -> core.EnvOps:
-    req = REQUIREMENTS[variant]
+def _make_ops(name: str, req: np.ndarray) -> core.EnvOps:
     return core.EnvOps(
         name=name,
         state_fields=("location", "keyA", "keyB", "keyC", "keyD", "doorBit1", "doorBit2"),
@@ -160,9 +172,11 @@ def _make_ops(name: str, variant: str) -> core.EnvOps:
         embed_dim=6,
         embed_dim_wonorm=5,
         action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),
+        cluster_labels=lambda states: (_missing_keys(req, states) * [8, 4, 2, 1]).sum(axis=1),
+        masks={"none": (), **{ACTION_NAMES[a]: (a,) for a in PICKS}, "all_picks": PICKS},
+        snapshot_tasks=SNAPSHOT_TASKS,
     )
 
 
-core.register(_make_ops("multikeynav", "standard"))
-core.register(_make_ops("multikeynav_ab", "all_ab"))
-core.register(_make_ops("multikeynav_a", "all_a"))
+for _name, _req in REQUIREMENTS.items():
+    core.register(_make_ops(_name, _req))

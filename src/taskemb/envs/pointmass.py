@@ -172,4 +172,5 @@ core.register(core.EnvOps(
     embed_dim=3,
     embed_dim_wonorm=3,
     action_symbols=_action_symbols,
+    cluster_labels=steering_class,
 ))

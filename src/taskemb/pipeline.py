@@ -23,7 +23,7 @@ from taskemb import similarity as sim
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
 from taskemb.config import RunConfig, parse_methods, parse_quiz_sizes
-from taskemb.envs import load_tasks, sample_tasks, save_tasks
+from taskemb.envs import get_env, load_tasks, sample_tasks, save_tasks
 from taskemb.manifest import Manifest, text_hash
 from taskemb.seeding import make_rng
 from taskemb.stats import fold_mean_stderr
@@ -307,7 +307,7 @@ def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     save_tasks(out_dir / "tasks.csv", cfg.env, states)
     k = min(2, model.dim)
     proj, ratios = emb.pca_project(model.embed(states), k)
-    labels = clusters.cluster_labels(cfg.env, states)
+    labels = get_env(cfg.env).cluster_labels(states)
     pca_rows = ([i, *row, int(c)] for i, (row, c) in enumerate(zip(proj.tolist(), labels)))
     return [out_dir / "embeddings.csv", out_dir / "tasks.csv",
             nn.write_csv(out_dir / "pca.csv",

@@ -26,7 +26,8 @@ LOCKSTEP_ROWS = 16384  # rows per lockstep group of consecutive agents in `outco
 
 
 def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
-    """Boolean mask over discrete actions from a mask name ('none' masks nothing)."""
+    """Boolean mask over discrete actions: a name of the env's mask recipe, any one action
+    name, or 'none', which masks nothing."""
     if ops.action_kind != "discrete":
         if name != "none":
             raise ValueError(f"{ops.name}: continuous actions cannot be masked")
@@ -34,17 +35,14 @@ def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
     mask = np.zeros(ops.n_actions, dtype=bool)
     if name == "none":
         return mask
-    if name == "all_picks":
-        for i, act in enumerate(ops.action_names):
-            if act.startswith("pickKey"):
-                mask[i] = True
-        if not mask.any():
-            raise ValueError(f"{ops.name}: no pick actions to mask")
-        return mask
-    if name in ops.action_names:
+    if name in ops.masks:
+        for a in ops.masks[name]:
+            mask[a] = True
+    elif name in ops.action_names:
         mask[ops.action_names.index(name)] = True
-        return mask
-    raise ValueError(f"{ops.name}: unknown mask {name!r}")
+    else:
+        raise ValueError(f"{ops.name}: unknown mask {name!r}")
+    return mask
 
 
 @dataclass
@@ -214,7 +212,7 @@ class SubpopSpec:
 class PopulationConfig:
     target_size: int = 100
     snap_reps: int = 10
-    snap_size: int = 1000        # validation tasks (grid envs override)
+    snap_size: int = 1000        # validation tasks sampled unless the env fixes its own
     bc_epochs: int = 60
     bc_rollouts: int = 200       # expert rollouts per epoch, regenerated each epoch
     bc_passes: int = 5           # optimizer passes over each epoch's dataset
@@ -222,37 +220,15 @@ class PopulationConfig:
 
 
 def standard_recipe(env: str, kind: str) -> list[SubpopSpec]:
-    """The default subpopulation lists: masked variants or biased task draws."""
+    """The default subpopulation lists: the env's masked variants or biased task draws."""
+    ops = get_env(env)
     if kind == "masks":
-        if env.startswith("multikeynav"):
-            names = ["none", "pickKeyA", "pickKeyB", "pickKeyC", "pickKeyD", "all_picks"]
-            return [SubpopSpec(mask=m) for m in names]
-        raise ValueError(f"{env}: no mask recipe defined")
+        if not ops.masks:
+            raise ValueError(f"{env}: no mask recipe defined")
+        return [SubpopSpec(mask=m) for m in ops.masks]
     if kind == "bias":
-        ops = get_env(env)
-        specs = [SubpopSpec()]
-        specs += [SubpopSpec(bias=b) for b in sorted(ops.bias_filters)]
-        return specs
+        return [SubpopSpec(), *(SubpopSpec(bias=b) for b in sorted(ops.bias_filters))]
     raise ValueError(f"unknown recipe kind {kind!r}")
-
-
-def snapshot_tasks(env: str, cfg: PopulationConfig, rng: np.random.Generator) -> np.ndarray:
-    """Validation tasks used by the snapshot rule.
-
-    multikeynav uses the fixed grid of locations {0.05, 0.45, 0.85} x key
-    statuses x door types; the other environments use `snap_size` sampled
-    tasks (seeded once from the population seed).
-    """
-    if env.startswith("multikeynav"):
-        locs = [0.05, 0.45, 0.85]
-        rows = []
-        for loc in locs:
-            for keys in range(16):
-                for door in range(4):
-                    rows.append([loc, (keys >> 3) & 1, (keys >> 2) & 1,
-                                 (keys >> 1) & 1, keys & 1, door // 2, door % 2])
-        return np.asarray(rows, dtype=np.float64)
-    return sample_tasks(env, cfg.snap_size, rng)
 
 
 def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
@@ -297,14 +273,18 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
     """Behavioral cloning against the scripted expert, snapshotting on improvement.
 
     The untrained policy is always recorded as snapshot 0. After each epoch
-    the policy is scored on the validation tasks (snap_reps rollouts each) and
+    the policy is scored on the validation tasks (the env's `snapshot_tasks`, or
+    cfg.snap_size sampled ones; snap_reps rollouts each) and
     a snapshot is recorded when the score improves by at least SNAP_DELTA over
     the last recorded one.
     """
     ops = get_env(env)
     init_rng, snap_rng, data_rng, eval_rng = rng.spawn(4)
     policy = fresh_policy(env, init_rng, mask=spec.mask)
-    snap_batch = np.repeat(snapshot_tasks(env, cfg, snap_rng), cfg.snap_reps, axis=0)
+    snap_tasks = ops.snapshot_tasks
+    if snap_tasks is None:
+        snap_tasks = sample_tasks(env, cfg.snap_size, snap_rng)
+    snap_batch = np.repeat(snap_tasks, cfg.snap_reps, axis=0)
     expert = ExpertPolicy()
 
     def score() -> float:  # mean success over snap_reps rollouts per validation task

@@ -252,12 +252,11 @@ class TestCriterion5NormOrdering:
                f"spearman {rho:.3f} with pair constraints, {rho0:.3f} without")
 
     def test_fewer_required_keys_means_smaller_norm(self, mkn_run):
-        from taskemb.benchmarks import clusters
         model = emb.load_embedding_model(
             Path(mkn_run.output_dir) / "embedding" / "model.txt")
         tasks = sample_tasks("multikeynav", 800, make_rng(22))
         norms = np.linalg.norm(model.embed(tasks), axis=1)
-        labels = clusters.cluster_labels("multikeynav", tasks)
+        labels = get_env("multikeynav").cluster_labels(tasks)
         n_keys = np.array([bin(int(l)).count("1") for l in labels])
         zero, two = norms[n_keys == 0], norms[n_keys == 2]
         frac = float(np.mean(zero[:, None] < two[None, :]))

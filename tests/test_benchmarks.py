@@ -10,7 +10,7 @@ from taskemb import embedding as emb
 from taskemb import nn
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
-from taskemb.envs import sample_tasks
+from taskemb.envs import get_env, sample_tasks
 from taskemb.seeding import make_rng
 
 from conftest import cut_lengths
@@ -74,25 +74,25 @@ class TestClusterLabels:
     def test_multikeynav_required_minus_possessed(self):
         # door type 1 needs A+B; agent holds A -> still needs B (bit value 4)
         state = np.array([0.2, 1, 0, 0, 0, 0, 0], dtype=float)
-        assert clusters.cluster_labels("multikeynav", state)[0] == 4
+        assert get_env("multikeynav").cluster_labels(state[None])[0] == 4
         # holds both -> needs nothing
         state2 = np.array([0.2, 1, 1, 0, 0, 0, 0], dtype=float)
-        assert clusters.cluster_labels("multikeynav", state2)[0] == 0
+        assert get_env("multikeynav").cluster_labels(state2[None])[0] == 0
 
     def test_multikeynav_total_over_samples(self):
         states = sample_tasks("multikeynav", 500, make_rng(4))
-        labels = clusters.cluster_labels("multikeynav", states)
+        labels = get_env("multikeynav").cluster_labels(states)
         assert labels.shape == (500,)
         assert np.all((labels >= 0) & (labels < 16))
 
     def test_cartpole_two_classes(self):
         states = sample_tasks("cartpolevar", 200, make_rng(5))
-        labels = clusters.cluster_labels("cartpolevar", states)
+        labels = get_env("cartpolevar").cluster_labels(states)
         assert set(np.unique(labels)) == {-1, 1}
 
     def test_pointmass_three_classes(self):
         states = sample_tasks("pointmass", 500, make_rng(6))
-        labels = clusters.cluster_labels("pointmass", states)
+        labels = get_env("pointmass").cluster_labels(states)
         assert set(np.unique(labels)) <= {0, 1, 2}
 
 

@@ -81,6 +81,20 @@ class TestMultiKeyNav:
         out = envs.step("multikeynav_a", s, multikeynav.FINISH, make_rng(0))
         assert out.terminal == envs.SOLVED
 
+    def test_snapshot_grid_matches_its_digest(self):
+        grid = envs.get_env("multikeynav").snapshot_tasks
+        assert grid.shape == (192, 7) and grid.dtype == np.float64
+        assert hashlib.sha256(grid.tobytes()).hexdigest() == (
+            "4c87412bb78320bc5874e74784f12cab5a8bd5e5911a61345e55f320f68d136f")
+
+    @pytest.mark.parametrize("env, label", [("multikeynav", 2), ("multikeynav_ab", 4),
+                                            ("multikeynav_a", 0)])
+    def test_variant_labels_count_the_keys_its_doors_still_need(self, env, label):
+        # key A held at door bits (0, 1): the standard door still needs C (2), the
+        # all-A+B variant B (4), the all-A variant nothing
+        state = mkn_state(0.5, keys=(1, 0, 0, 0), door=1)
+        assert envs.get_env(env).cluster_labels(state[None]).tolist() == [label]
+
     def test_invalid_action_raises(self):
         with pytest.raises(core.EnvError, match="finish"):
             envs.step("multikeynav", mkn_state(0.5), 7, make_rng(0))

@@ -186,7 +186,7 @@ class TestConfig:
             cfgmod.parse_methods("ours,psychic", ("ours", "random"))
 
     def test_env_defaults_used_for_dims(self):
-        cfg = cfgmod.parse_config("[run]\nenv = cartpolevar\n")
+        cfg = cfgmod.parse_config("[run]\nenv = cartpolevar\n[population]\nrecipe = bias\n")
         assert cfg.embed_dim() == 3
         assert cfg.embed_dim_wonorm() == 2
 
@@ -615,14 +615,17 @@ class TestCliErrors:
         ("[benchmarks]\nquiz_sizes = 1-x\n", "quiz sizes '1-x'"),
         ("threads = two\n", "[run] threads: invalid literal"),
         ("[benchmarks]\nselection_pool = 3\n", "[benchmarks] selection_pool must be at least 5"),
-    ], ids=["unknown-key", "selection-method", "quiz-size", "threads", "selection-pool"])
+        ("[population]\nrecipe = mask\n", "[population] recipe: unknown recipe kind 'mask'"),
+        ("env = pointmass\n", "[population] recipe: pointmass: no mask recipe defined"),
+    ], ids=["unknown-key", "selection-method", "quiz-size", "threads", "selection-pool",
+            "recipe-kind", "env-without-masks"])
     def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo,
                                                    message):
         started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
         monkeypatch.setattr(pipeline, "run_stage", lambda name, *a, **k: started.append(name))
         out = tmp_path / "run"
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"[run]\nenv = multikeynav\noutput_dir = {out}\n{typo}")
+        cfg.write_text(f"[run]\noutput_dir = {out}\n{typo}")
         assert cli.main(["run-all", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert started == []

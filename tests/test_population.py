@@ -89,6 +89,10 @@ class TestPolicy:
         assert pop.mask_vector(ops, "all_picks").sum() == 4
         with pytest.raises(ValueError):
             pop.mask_vector(ops, "bogus")
+        cartpole = get_env("cartpolevar")
+        assert pop.mask_vector(cartpole, cartpole.action_names[1]).tolist() == [False, True]
+        with pytest.raises(ValueError, match="unknown mask"):
+            pop.mask_vector(cartpole, "all_picks")
 
 
 class TestTrainBc:
@@ -133,6 +137,18 @@ class TestBuildPopulation:
         recipe = pop.standard_recipe("multikeynav", "masks")
         assert len(recipe) >= 5
         assert {s.mask for s in recipe} >= {"none", "pickKeyA", "all_picks"}
+
+    @pytest.mark.parametrize("env", ["multikeynav", "multikeynav_ab", "multikeynav_a",
+                                     "cartpolevar", "pointmass"])
+    def test_mask_recipe_is_the_envs_masks(self, env):
+        ops = get_env(env)
+        if not ops.masks:
+            with pytest.raises(ValueError, match="no mask recipe"):
+                pop.standard_recipe(env, "masks")
+            return
+        assert [s.mask for s in pop.standard_recipe(env, "masks")] == list(ops.masks)
+        for name, actions in ops.masks.items():
+            assert np.flatnonzero(pop.mask_vector(ops, name)).tolist() == sorted(actions)
 
     def test_empty_recipe_rejected(self):
         with pytest.raises(ValueError):

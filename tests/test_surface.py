@@ -14,6 +14,8 @@ import ast
 import re
 from pathlib import Path
 
+from taskemb.envs import core as envcore
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "taskemb"
 
@@ -117,3 +119,25 @@ def test_only_nn_imports_csv():
             if "csv" in modules:
                 importers.append(path.relative_to(PACKAGE).as_posix())
     assert importers == ["nn.py"]
+
+
+def test_only_envs_name_an_environment():
+    # An environment's rules (cluster labels, mask recipe, snapshot grid) live in its
+    # module under envs/; a module elsewhere that names an env, one of its actions or
+    # one of its masks makes a decision for it.
+    names = {n for ops in envcore._REGISTRY.values()
+             for n in (ops.name, *ops.action_names, *ops.masks)}
+    names.discard("none")  # every env's empty mask, and "no bias" in population files
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = path.relative_to(PACKAGE).as_posix()
+        if module.startswith("envs/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node.value) for node in ast.walk(tree)  # config.py's default env
+                   if module == "config.py" and isinstance(node, ast.AnnAssign)
+                   and getattr(node.target, "id", None) == "env"}
+        found += [f"{module}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value in names and id(node) not in allowed]
+    assert found == []
