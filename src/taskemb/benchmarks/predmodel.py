@@ -74,14 +74,6 @@ class PredModelNets:
         return (self.inference.parameters() + self.trunk.parameters()
                 + self.reward_head.parameters() + self.dynamics_head.parameters())
 
-    def set_parameters(self, params):
-        nets = [self.inference, self.trunk, self.reward_head, self.dynamics_head]
-        i = 0
-        for net in nets:
-            k = 2 * len(net.layers)
-            net.set_parameters(params[i : i + k])
-            i += k
-
     def posterior(self, states: np.ndarray):
         ops = get_env(self.env)
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
@@ -207,8 +199,7 @@ def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelCon
             loss, grads = predmodel_loss_and_grads(nets, sub, noise, config)
             if not np.isfinite(loss):
                 raise RuntimeError(f"predmodel loss became non-finite at epoch {epoch}")
-            params, adam = nn.adam_step(params, grads, adam)
-            nets.set_parameters(params)
+            nn.adam_step(params, grads, adam)
             epoch_loss += loss
             steps += 1
         losses.append(epoch_loss / steps)

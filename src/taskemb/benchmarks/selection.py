@@ -127,14 +127,18 @@ def _task_digest(state: np.ndarray) -> int:
 
 def _expert_symbols(env: str, states: np.ndarray) -> list[np.ndarray]:
     """The expert's action symbols on each task; a task that appears more than once is
-    rolled out once, on the stream its own digest seeds."""
-    ops, symbols = get_env(env), {}
+    rolled out once. All distinct tasks run in one lockstep call, each its own segment
+    on the stream its digest seeds, so each gets the symbols of a rollout on it alone."""
+    ops, distinct = get_env(env), {}
     for state in states:
-        key = state.tobytes()
-        if key not in symbols:
-            rng = make_rng(TRAJECTORY_SEED, _task_digest(state))
-            _, _, steps = rollout_batch(ops, state[None, :], ExpertPolicy(), rng, record=True)
-            symbols[key] = ops.action_symbols(steps.actions)
+        distinct.setdefault(state.tobytes(), state)
+    tasks, m = np.array(list(distinct.values())), len(distinct)
+    _, _, steps = rollout_batch(ops, tasks, [ExpertPolicy()] * m,
+                                [make_rng(TRAJECTORY_SEED, _task_digest(t)) for t in tasks],
+                                record=True, sizes=[1] * m)
+    lengths = np.bincount(steps.episode, minlength=m)
+    symbols = dict(zip(distinct, np.split(ops.action_symbols(steps.actions),
+                                          np.cumsum(lengths)[:-1])))
     return [symbols[state.tobytes()] for state in states]
 
 

@@ -184,8 +184,7 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
             if not np.isfinite(loss):
                 raise RuntimeError(f"embedding loss became non-finite at epoch {epoch}")
             epoch_loss += loss
-            params, adam = nn.adam_step(params, grads, adam)
-            model.net.set_parameters(params)
+            nn.adam_step(params, grads, adam)
 
         val_loss = constraint_loss(model, pool_states, val_set, config.norm_weight)
         log.epochs.append(epoch)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("identity", "relu", "tanh", "softmax")
+ACTIVATIONS = ("identity", "relu")
 
 
 class LayerShapeError(ValueError):
@@ -31,7 +31,9 @@ class LayerShapeError(ValueError):
 class DenseLayer:
     """One fully connected layer: ``activation(W x + b)``.
 
-    ``weights`` has shape (out, in), ``biases`` shape (out,).
+    ``weights`` has shape (out, in), ``biases`` shape (out,). The layer keeps its own
+    copies, so adam_step and Mlp.set_flat, which write them in place, never reach an
+    array the caller passed in.
     """
 
     weights: np.ndarray
@@ -39,8 +41,8 @@ class DenseLayer:
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.biases = np.array(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.ndim != 1:
             raise ValueError("weights must be 2-d and biases 1-d")
         if self.weights.shape[0] != self.biases.shape[0]:
@@ -87,35 +89,22 @@ class Mlp:
         return self.layers[-1].out_size
 
     def parameters(self) -> list[np.ndarray]:
-        """Parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.biases)
-        return out
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise ValueError("parameter list length mismatch")
-        for i, layer in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
-                raise LayerShapeError(i, "parameter shape mismatch")
-            layer.weights = np.asarray(w, dtype=np.float64)
-            layer.biases = np.asarray(b, dtype=np.float64)
+        """The layers' own parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
+        return [p for layer in self.layers for p in (layer.weights, layer.biases)]
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate([p.ravel() for p in self.parameters()])
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        params, offset = [], 0
-        for p in self.parameters():
-            params.append(flat[offset : offset + p.size].reshape(p.shape).copy())
+        """Write a to_flat() vector into the parameter arrays in place."""
+        flat, params = np.asarray(flat, dtype=np.float64), self.parameters()
+        expected = sum(p.size for p in params)
+        if flat.size != expected:
+            raise ValueError(f"flat vector has {flat.size} entries, expected {expected}")
+        offset = 0
+        for p in params:
+            p[...] = flat[offset : offset + p.size].reshape(p.shape)
             offset += p.size
-        if offset != flat.size:
-            raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
-        self.set_parameters(params)
 
 
 def glorot_init(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
@@ -130,49 +119,31 @@ def glorot_init(sizes: list[int], activations: list[str], rng: np.random.Generat
     return Mlp(layers)
 
 
-def _apply_activation(act: str, z: np.ndarray, out=None) -> np.ndarray:
-    if act == "identity":
-        return z
-    if act == "relu":
-        return np.maximum(z, 0.0, out=out)
-    if act == "tanh":
-        return np.tanh(z, out=out)
-    if act == "softmax":
-        return softmax(z)
-    raise ValueError(f"unknown activation {act!r}")
-
-
 def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
-    """mlp_forward_cached's output bit for bit, minus the cache (a copied W.T changes bits)."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if h.ndim != 2 or h.shape[1] != net.in_size:
-        raise LayerShapeError(0, f"input shape {np.shape(x)} != (B, {net.in_size})")
-    for layer in net.layers:
-        h = h @ layer.weights.T  # a new array, so the bias and activation go in place
-        h += layer.biases
-        h = _apply_activation(layer.activation, h, out=h)
-    return h[0] if np.ndim(x) == 1 else h
+    """The output of mlp_forward_cached, without its cache."""
+    return mlp_forward_cached(net, x)[0]
 
 
 def mlp_forward_cached(net: Mlp, x: np.ndarray):
-    """Forward pass that also returns the per-layer cache needed by mlp_backward."""
+    """Forward pass; returns ``(output, cache)``, the cache being what mlp_backward reads.
+
+    The bias and activation go in place on each matmul's new output, never on the
+    caller's input. The cache holds every layer's input and the output, so a caller must
+    not write the output before mlp_backward has read the cache.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.ndim != 2:
-        raise ValueError("input must be a vector or a 2-d batch")
-    if h.shape[1] != net.in_size:
-        raise LayerShapeError(0, f"input width {h.shape[1]} != expected {net.in_size}")
-    inputs, preacts = [], []
-    for i, layer in enumerate(net.layers):
-        if h.shape[1] != layer.in_size:
-            raise LayerShapeError(i, f"input width {h.shape[1]} != expected {layer.in_size}")
-        inputs.append(h)
-        z = h @ layer.weights.T + layer.biases
-        preacts.append(z)
-        h = _apply_activation(layer.activation, z)
-    out = h[0] if single else h
-    return out, (single, inputs, preacts)
+    if h.ndim != 2 or h.shape[1] != net.in_size:
+        raise LayerShapeError(0, f"input shape {x.shape} != (B, {net.in_size})")
+    acts = [h]  # acts[i] is layer i's input, acts[-1] the output
+    for layer in net.layers:
+        h = h @ layer.weights.T
+        h += layer.biases
+        if layer.activation == "relu":
+            np.maximum(h, 0.0, out=h)
+        acts.append(h)
+    return (h[0] if single else h), (single, acts)
 
 
 def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
@@ -180,36 +151,25 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
 
     ``cache`` comes from mlp_forward_cached on the same input. Returns
     ``(param_grads, grad_input)`` where param_grads matches net.parameters()
-    order and is summed over the batch.
-
-    Softmax layers are not differentiated here: their backward is fused with
-    the consuming loss (cross-entropy / score function), so requesting a
-    direct gradient through one is an error.
+    order and is summed over the batch. ReLU's derivative is read off the layer's
+    output: ``out > 0`` exactly where the pre-activation is.
     """
-    single, inputs, preacts = cache
+    single, acts = cache
     g = np.asarray(grad_out, dtype=np.float64)
     if single:
         g = g[None, :]
-    if g.shape != (inputs[0].shape[0], net.out_size):
-        raise LayerShapeError(
-            len(net.layers) - 1,
-            f"output gradient shape {g.shape} != {(inputs[0].shape[0], net.out_size)}",
-        )
+    if g.shape != acts[-1].shape:
+        raise LayerShapeError(len(net.layers) - 1,
+                              f"output gradient shape {g.shape} != {acts[-1].shape}")
     param_grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        z = preacts[i]
         if layer.activation == "relu":
-            g = g * (z > 0.0)
-        elif layer.activation == "tanh":
-            g = g * (1.0 - np.tanh(z) ** 2)
-        elif layer.activation == "softmax":
-            raise LayerShapeError(i, "softmax backward must be fused with its loss")
-        param_grads[2 * i] = g.T @ inputs[i]
+            g = g * (acts[i + 1] > 0.0)
+        param_grads[2 * i] = g.T @ acts[i]
         param_grads[2 * i + 1] = g.sum(axis=0)
         g = g @ layer.weights
-    grad_input = g[0] if single else g
-    return param_grads, grad_input
+    return param_grads, (g[0] if single else g)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -264,23 +224,21 @@ class AdamState:
         )
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState):
-    """One bias-corrected Adam update. Returns (new_params, new_state); inputs untouched."""
+def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
+    """One bias-corrected Adam update, written in place into params and state."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("parameter / gradient / state length mismatch")
-    t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m2 = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v2 = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m2 / (1.0 - ADAM_BETA1**t)
-        v_hat = v2 / (1.0 - ADAM_BETA2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(new_m, new_v, t, state.learning_rate)
+    state.step += 1
+    c1, c2 = 1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def write_weights(net: Mlp, fp) -> None:

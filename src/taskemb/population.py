@@ -232,7 +232,7 @@ def standard_recipe(env: str, kind: str) -> list[SubpopSpec]:
 
 
 def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
-    """Cloning loss, cross-entropy or Gaussian NLL, and its grads in `_policy_params` order."""
+    """Cloning loss, cross-entropy or Gaussian NLL, and its grads: the net's, then log_std's."""
     out, cache = nn.mlp_forward_cached(policy.net, x_feat)
     b = x_feat.shape[0]
     if ops.action_kind == "discrete":
@@ -252,20 +252,6 @@ def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
     grads, _ = nn.mlp_backward(policy.net, cache, dmean)
     dlogstd = np.mean(1.0 - z**2, axis=0)
     return loss, grads + [dlogstd]
-
-
-def _apply_params(policy: Policy, params) -> None:
-    n_net = 2 * len(policy.net.layers)
-    policy.net.set_parameters(params[:n_net])
-    if policy.log_std is not None:
-        policy.log_std = params[n_net]
-
-
-def _policy_params(policy: Policy):
-    params = policy.net.parameters()
-    if policy.log_std is not None:
-        params = params + [policy.log_std]
-    return params
 
 
 def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
@@ -292,7 +278,7 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
 
     snapshots = [AgentSnapshot(policy.to_flat(), "bc", spec.mask, spec.bias or "none",
                                0, score())]
-    params = _policy_params(policy)
+    params = policy.net.parameters() + ([] if policy.log_std is None else [policy.log_std])
     adam = nn.AdamState.init(params, learning_rate=cfg.bc_lr)
     for _ in range(cfg.bc_epochs):
         tasks = sample_tasks(env, cfg.bc_rollouts, data_rng, bias=spec.bias)
@@ -311,8 +297,7 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
                 loss, grads = _bc_loss_and_grads(policy, ops, x_feat[idx], actions[idx])
                 if not np.isfinite(loss):
                     raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
-                params, adam = nn.adam_step(params, grads, adam)
-                _apply_params(policy, params)
+                nn.adam_step(params, grads, adam)
         s = score()
         if s >= snapshots[-1].validation_score + SNAP_DELTA:
             snapshots.append(AgentSnapshot(policy.to_flat(), "bc", spec.mask,

@@ -49,8 +49,8 @@ def mutual_information(first, second) -> float | np.ndarray:
         given_1 = np.where(n_j > 0, n_i_j_1 / n_j, 0.0)
         given_0 = np.where(n_j < n, (n_i - n_i_j_1) / (n - n_j), 0.0)
     p_j = n_j / n
-    return bernoulli_entropy(n_i / n) - (p_j * bernoulli_entropy(given_1)
-                                         + (1.0 - p_j) * bernoulli_entropy(given_0))
+    h_i, h_1, h_0 = bernoulli_entropy(np.stack(np.broadcast_arrays(n_i / n, given_1, given_0)))
+    return h_i - (p_j * h_1 + (1.0 - p_j) * h_0)
 
 
 def _reps_schedule(n_agents: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:

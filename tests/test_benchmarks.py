@@ -10,7 +10,8 @@ from taskemb import embedding as emb
 from taskemb import nn
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
-from taskemb.envs import get_env, sample_tasks
+from taskemb.envs import get_env, rollout_batch, sample_tasks
+from taskemb.envs.core import ExpertPolicy
 from taskemb.seeding import make_rng
 
 from conftest import cut_lengths
@@ -398,6 +399,18 @@ class TestSelect:
         assert rankings.shape == (len(selection_dataset), selection.N_OPTIONS)
         for (rank, boundary), row, b in zip(one_by_one, rankings, boundaries):
             assert rank.tolist() == row.tolist() and boundary == b
+
+    @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
+    def test_expert_symbols_are_those_of_solo_rollouts(self, env):
+        # One lockstep call covers the distinct tasks; a repeated task reuses its rollout.
+        ops = get_env(env)
+        batch = sample_tasks(env, 4, make_rng(68))[[0, 1, 0, 2, 3, 1]]
+        symbols = selection._expert_symbols(env, batch)
+        assert len(symbols) == len(batch)
+        for state, got in zip(batch, symbols):
+            rng = make_rng(selection.TRAJECTORY_SEED, selection._task_digest(state))
+            _, _, steps = rollout_batch(ops, state[None, :], ExpertPolicy(), rng, record=True)
+            assert np.array_equal(got, ops.action_symbols(steps.actions))
 
     def test_estimate_oracle_reproduces_ground_truth(self, selection_dataset):
         for ex in selection_dataset:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -83,7 +84,7 @@ def test_forward_batch_matches_loop():
 
 @pytest.mark.parametrize("sizes, acts", [
     ([7, 32, 32, 7], ["relu", "relu", "identity"]),
-    ([6, 64, 32, 2], ["relu", "tanh", "identity"]),
+    ([6, 64, 32, 2], ["relu", "identity", "identity"]),
 ])
 def test_inference_forward_matches_cached_forward_bit_for_bit(sizes, acts):
     # Rollout batches shrink to a few rows late in an episode, where BLAS picks
@@ -138,7 +139,7 @@ def test_backward_linear_layer_weight_grad_is_input():
 
 def test_backward_zero_output_gradient_gives_zero_grads():
     rng = make_rng(11)
-    net = nn.glorot_init([4, 6, 3], ["tanh", "identity"], rng)
+    net = nn.glorot_init([4, 6, 3], ["relu", "identity"], rng)
     _, cache = nn.mlp_forward_cached(net, rng.normal(size=4))
     grads, grad_in = nn.mlp_backward(net, cache, np.zeros(3))
     assert all(np.all(g == 0.0) for g in grads)
@@ -150,7 +151,7 @@ def test_backward_matches_finite_differences_random_nets():
     for trial in range(4):
         sizes = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 4)))]
         sizes = [int(rng.integers(2, 17))] + sizes
-        acts = [str(rng.choice(["relu", "tanh", "identity"])) for _ in sizes[1:]]
+        acts = [str(rng.choice(["relu", "identity"])) for _ in sizes[1:]]
         acts[-1] = "identity"
         net = nn.glorot_init(sizes, acts, rng)
         x = rng.normal(size=sizes[0])
@@ -185,30 +186,25 @@ def test_backward_input_gradient_matches_finite_differences():
         assert abs(num - grad_in[i]) / max(abs(num), 1e-8) < 1e-4
 
 
-def test_softmax_backward_refused():
-    net = nn.Mlp([nn.DenseLayer(np.eye(2), np.zeros(2), "softmax")])
-    _, cache = nn.mlp_forward_cached(net, np.ones(2))
-    with pytest.raises(nn.LayerShapeError):
-        nn.mlp_backward(net, cache, np.ones(2))
-
-
 def test_adam_zero_gradient_keeps_params():
     rng = make_rng(19)
     params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+    before = [p.copy() for p in params]
     state = nn.AdamState.init(params, learning_rate=0.01)
-    new_params, new_state = nn.adam_step(params, [np.zeros_like(p) for p in params], state)
-    for p, q in zip(params, new_params):
+    nn.adam_step(params, [np.zeros_like(p) for p in params], state)
+    for p, q in zip(before, params):
         assert np.array_equal(p, q)
-    assert new_state.step == 1
+    assert state.step == 1
 
 
 def test_adam_first_step_moves_by_about_lr_sign():
     lr = 0.05
     params = [np.array([1.0, -2.0, 0.3])]
+    before = params[0].copy()
     grads = [np.array([0.7, -1.3, 2.0])]
     state = nn.AdamState.init(params, learning_rate=lr)
-    new_params, _ = nn.adam_step(params, grads, state)
-    delta = new_params[0] - params[0]
+    nn.adam_step(params, grads, state)
+    delta = params[0] - before
     # First bias-corrected step is -lr * g / (|g| + eps) ~ -lr * sign(g).
     assert np.all(np.sign(delta) == -np.sign(grads[0]))
     assert np.all(np.abs(delta) > 0.0)
@@ -219,13 +215,78 @@ def test_adam_deterministic():
     rng = make_rng(23)
     params = [rng.normal(size=(4, 4))]
     grads = [rng.normal(size=(4, 4))]
-    s1 = nn.AdamState.init(params)
-    s2 = nn.AdamState.init(params)
-    p1, s1b = nn.adam_step(params, grads, s1)
-    p2, s2b = nn.adam_step(params, grads, s2)
+    p1, p2 = [params[0].copy()], [params[0].copy()]
+    s1 = nn.AdamState.init(p1)
+    s2 = nn.AdamState.init(p2)
+    nn.adam_step(p1, grads, s1)
+    nn.adam_step(p2, grads, s2)
     assert np.array_equal(p1[0], p2[0])
-    assert np.array_equal(s1b.m[0], s2b.m[0])
-    assert s1b.step == s2b.step
+    assert np.array_equal(s1.m[0], s2.m[0])
+    assert s1.step == s2.step
+
+
+def test_adam_rejects_a_mismatched_gradient_before_writing():
+    params = [np.ones((2, 2)), np.ones(3)]
+    state = nn.AdamState.init(params)
+    with pytest.raises(ValueError, match="gradient shape"):
+        nn.adam_step(params, [np.ones((2, 2)), np.ones(2)], state)
+    assert state.step == 0 and all(np.all(p == 1.0) for p in params)
+    assert all(np.all(m == 0.0) for m in state.m)
+
+
+# (sizes, activations, rows per batch or None for 1-d inputs) -> sha256 of every forward
+# output, gradient and input gradient of 25 Adam steps, then of the forward after set_flat;
+# sha256 of the final to_flat(). The digests are those of the earlier core with two forward
+# loops and a copying Adam, so any drift in the bits of training fails here.
+GOLDEN_TRAINING = [
+    ([6, 16, 16, 3], ["relu", "relu", "identity"], 9,
+     "81bbb9b9f28c942fa365e954a6b266c008b5c0d215434f33b37a6678205b5083",
+     "9bbff6f21bc435a3f06607426d604a507b28d01295641bbda6d2d6a73e4b8478"),
+    ([4, 8, 2], ["identity", "relu"], 1,
+     "326fab2d4d4e9e1eb4e37dca63c27c90aa240b00796d4cdb8faedd7823ab1bbb",
+     "d44e35efc7302ffc6259c6592c31560772818b5ae6ae0d143e4a27f0b3ff9a89"),
+    ([5, 7, 7, 4], ["relu", "identity", "relu"], None,
+     "39f3903737d66f6585a7f25848caf6a45039d383f06933b7e748b7e8b4aa1575",
+     "56a1daa7e6befac1e10659708b4b5e9c0379213920b5c7a23d52066f404f2ba3"),
+    ([7, 32, 32, 7], ["relu", "relu", "identity"], 130,
+     "af994a46b81c537cd3e21366d2273a5c4c6b7c1830e2e0986cd8def2119a15d8",
+     "b41f4044687f115bb901415a1ae0a8c8d20a26dc7817f775d33e4d112855c6bb"),
+]
+
+
+@pytest.mark.parametrize("sizes, acts, rows, trace_digest, flat_digest", GOLDEN_TRAINING)
+def test_training_core_keeps_its_bits(sizes, acts, rows, trace_digest, flat_digest):
+    rng = make_rng(41, sizes[0], rows or 0)
+    net = nn.glorot_init(sizes, acts, rng)
+    state = nn.AdamState.init(net.parameters(), learning_rate=0.01)
+    shape = (sizes[0],) if rows is None else (rows, sizes[0])
+    trace = hashlib.sha256()
+    for _ in range(25):
+        x = rng.normal(size=shape)
+        target = rng.normal(size=shape[:-1] + (sizes[-1],))
+        out, cache = nn.mlp_forward_cached(net, x)
+        grads, grad_in = nn.mlp_backward(net, cache, out - target)
+        for a in (out, *grads, grad_in):
+            trace.update(a.tobytes())
+        nn.adam_step(net.parameters(), grads, state)
+    net.set_flat(net.to_flat()[::-1].copy())
+    trace.update(nn.mlp_forward(net, x).tobytes())
+    assert trace.hexdigest() == trace_digest
+    assert hashlib.sha256(net.to_flat().tobytes()).hexdigest() == flat_digest
+
+
+def test_training_never_writes_the_callers_arrays():
+    rng = make_rng(43)
+    w, b = rng.normal(size=(3, 4)), rng.normal(size=3)
+    w0, b0 = w.copy(), b.copy()
+    net = nn.Mlp([nn.DenseLayer(w, b, "relu")])
+    state = nn.AdamState.init(net.parameters(), learning_rate=0.1)
+    for _ in range(3):
+        out, cache = nn.mlp_forward_cached(net, rng.normal(size=(5, 4)))
+        nn.adam_step(net.parameters(), nn.mlp_backward(net, cache, out - 1.0)[0], state)
+    assert not np.array_equal(net.layers[0].weights, w0)
+    net.set_flat(np.zeros(15))
+    assert np.array_equal(w, w0) and np.array_equal(b, b0)
 
 
 def test_softplus_reference_values():
@@ -275,6 +336,7 @@ def test_weight_file_roundtrip_bit_exact():
     (lambda t: t.replace(" relu", " swish"), 2, "unknown activation"),
     (lambda t: t.replace("2 3", "3 3", 1), 3, "expected 4 values, got 3"),
     (lambda t: t.replace("2\n", "x\n", 1), 1, "invalid literal"),
+    (lambda t: t.replace(" relu", " tanh"), 2, "unknown activation 'tanh'"),
 ])
 def test_weight_file_errors_name_the_line(edit, line, message):
     net = nn.glorot_init([2, 3, 1], ["relu", "identity"], make_rng(30))
