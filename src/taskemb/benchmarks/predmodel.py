@@ -75,17 +75,14 @@ class PredModelNets:
                 + self.reward_head.parameters() + self.dynamics_head.parameters())
 
     def posterior(self, states: np.ndarray):
-        ops = get_env(self.env)
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        out = nn.mlp_forward(self.inference, ops.featurize(states))
+        """(mean, log-variance) of the latent for a (B, state_dim) batch of tasks."""
+        out = nn.mlp_forward(self.inference, get_env(self.env).featurize(
+            np.asarray(states, dtype=np.float64)))
         return out[:, : self.latent_dim], out[:, self.latent_dim :]
 
     def embed(self, states: np.ndarray) -> np.ndarray:
         """Task embedding: the posterior mean."""
-        states = np.asarray(states, dtype=np.float64)
-        single = states.ndim == 1
-        mean, _ = self.posterior(states)
-        return mean[0] if single else mean
+        return self.posterior(states)[0]
 
 
 def fresh_predmodel(env: str, config: PredModelConfig,
@@ -109,8 +106,7 @@ def kl_standard_normal(mean: np.ndarray, logvar: np.ndarray) -> np.ndarray:
 
 
 def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
-                             noise: np.ndarray, config: PredModelConfig,
-                             want_grads: bool = True):
+                             noise: np.ndarray, config: PredModelConfig):
     """Objective on one batch with fixed reparameterization noise.
 
     loss = beta * mean KL + mean (r_hat - r)^2 + mean |s_hat - sbar_next|^2
@@ -133,9 +129,6 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
     s_err = s_hat - batch.sbar_next
     loss = (config.beta_kl * float(kl.mean()) + float(np.mean(r_err**2))
             + float(np.mean(np.sum(s_err**2, axis=1))))
-    if not want_grads:
-        return loss, None
-
     d_rhat = (2.0 / b) * r_err[:, None]
     d_shat = (2.0 / b) * s_err
     r_grads, d_hidden_r = nn.mlp_backward(nets.reward_head, r_cache, d_rhat)

@@ -27,15 +27,9 @@ class EmbeddingNet:
     dim: int
 
     def embed(self, states: np.ndarray) -> np.ndarray:
-        """Embed one state vector or a batch; a pure forward pass, no rollouts."""
-        ops = get_env(self.env)
-        states = np.asarray(states, dtype=np.float64)
-        single = states.ndim == 1
-        if single:
-            ops.validate_state(states)
-            states = states[None, :]
-        out = nn.mlp_forward(self.net, ops.featurize(states))
-        return out[0] if single else out
+        """Embed a (B, state_dim) batch of tasks, one row each; a pure forward pass."""
+        return nn.mlp_forward(self.net, get_env(self.env).featurize(
+            np.asarray(states, dtype=np.float64)))
 
 
 def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator) -> EmbeddingNet:

@@ -5,7 +5,8 @@ dense layers), so gradients are computed per-layer by hand rather than through
 an autograd tape; this keeps every derivative auditable against finite
 differences.
 
-Inputs may be single vectors ``(d,)`` or batches ``(B, d)``; outputs match.
+A net's input is always a batch ``(B, d)``, one row per example, and so are its
+output and gradients; one example is a batch of one row.
 """
 
 from __future__ import annotations
@@ -125,17 +126,15 @@ def mlp_forward(net: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward_cached(net: Mlp, x: np.ndarray):
-    """Forward pass; returns ``(output, cache)``, the cache being what mlp_backward reads.
+    """Forward pass of a (B, in) batch; returns ``(output, cache)``, the cache for mlp_backward.
 
     The bias and activation go in place on each matmul's new output, never on the
-    caller's input. The cache holds every layer's input and the output, so a caller must
+    caller's input. The cache lists every layer's input and the output, so a caller must
     not write the output before mlp_backward has read the cache.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x[None, :] if single else x
-    if h.ndim != 2 or h.shape[1] != net.in_size:
-        raise LayerShapeError(0, f"input shape {x.shape} != (B, {net.in_size})")
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[1:] != (net.in_size,):
+        raise LayerShapeError(0, f"input shape {h.shape} != (B, {net.in_size})")
     acts = [h]  # acts[i] is layer i's input, acts[-1] the output
     for layer in net.layers:
         h = h @ layer.weights.T
@@ -143,21 +142,18 @@ def mlp_forward_cached(net: Mlp, x: np.ndarray):
         if layer.activation == "relu":
             np.maximum(h, 0.0, out=h)
         acts.append(h)
-    return (h[0] if single else h), (single, acts)
+    return h, acts
 
 
-def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
-    """Backpropagate a loss gradient through the network.
+def mlp_backward(net: Mlp, acts: list[np.ndarray], grad_out: np.ndarray):
+    """Backpropagate a (B, out) loss gradient through the network.
 
-    ``cache`` comes from mlp_forward_cached on the same input. Returns
+    ``acts`` is the cache of mlp_forward_cached on the same input. Returns
     ``(param_grads, grad_input)`` where param_grads matches net.parameters()
     order and is summed over the batch. ReLU's derivative is read off the layer's
     output: ``out > 0`` exactly where the pre-activation is.
     """
-    single, acts = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    if single:
-        g = g[None, :]
     if g.shape != acts[-1].shape:
         raise LayerShapeError(len(net.layers) - 1,
                               f"output gradient shape {g.shape} != {acts[-1].shape}")
@@ -169,7 +165,7 @@ def mlp_backward(net: Mlp, cache, grad_out: np.ndarray):
         param_grads[2 * i] = g.T @ acts[i]
         param_grads[2 * i + 1] = g.sum(axis=0)
         g = g @ layer.weights
-    return param_grads, (g[0] if single else g)
+    return param_grads, g
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -335,26 +331,24 @@ def write_csv(path, header, rows):
     return path
 
 
-def read_weights(fp) -> Mlp:
-    """Read the text weight format written by write_weights.
+def read_weights(reader: LineReader) -> Mlp:
+    """Read the text weight format written by write_weights from the reader's next line.
 
-    fp is a text file, or a LineReader over one to keep counting its lines; a
-    truncated or malformed file raises ArtifactFormatError naming the line.
+    A truncated or malformed net raises ValueError, which the reader's `located()` (that
+    of read_artifact) turns into an ArtifactFormatError naming the line.
     """
-    reader = fp if isinstance(fp, LineReader) else LineReader(fp)
-    with reader.located():
-        n_layers = int(reader.fields(1)[0])
-        layers = []
-        for _ in range(n_layers):
-            in_size, out_size, activation = reader.fields(3)
-            in_size, out_size = int(in_size), int(out_size)
-            if activation not in ACTIVATIONS:
-                raise ValueError(f"unknown activation {activation!r}")
-            w = np.empty((out_size, in_size))
-            b = np.empty(out_size)
-            for r in range(out_size):
-                vals = [float(v) for v in reader.fields(in_size + 1)]
-                w[r] = vals[:-1]
-                b[r] = vals[-1]
-            layers.append(DenseLayer(w, b, activation))
-        return Mlp(layers)
+    n_layers = int(reader.fields(1)[0])
+    layers = []
+    for _ in range(n_layers):
+        in_size, out_size, activation = reader.fields(3)
+        in_size, out_size = int(in_size), int(out_size)
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
+        w = np.empty((out_size, in_size))
+        b = np.empty(out_size)
+        for r in range(out_size):
+            vals = [float(v) for v in reader.fields(in_size + 1)]
+            w[r] = vals[:-1]
+            b[r] = vals[-1]
+        layers.append(DenseLayer(w, b, activation))
+    return Mlp(layers)

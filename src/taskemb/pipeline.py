@@ -54,10 +54,13 @@ def _population_config(cfg: RunConfig) -> pop.PopulationConfig:
                                    for f in dataclasses.fields(pop.PopulationConfig)})
 
 
-def _load_population(cfg: RunConfig, root: Path) -> pop.Population:
-    popn = pop.load_population(root / "population")
-    popn.threads = cfg.threads
-    return popn
+def _load_population(cfg: RunConfig, directory) -> pop.Population:
+    return dataclasses.replace(pop.load_population(directory), threads=cfg.threads)
+
+
+def _eval_tasks(cfg: RunConfig) -> np.ndarray:  # the fresh tasks of silhouette and export-viz
+    return sample_tasks(cfg.env, cfg.benchmarks.eval_tasks,
+                        make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
 
 
 def _train_population(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
@@ -70,7 +73,7 @@ def _train_population(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 
 def _generate_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     c = cfg.constraints
-    popn = _load_population(cfg, root)
+    popn = _load_population(cfg, root / "population")
     rng = make_rng(cfg.seeds.root, cfg.seeds.constraints)
     pool = sample_tasks(cfg.env, c.pool_size, rng)
     splits = sim.gen_constraint_splits(
@@ -177,11 +180,9 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
     b = cfg.benchmarks
     methods = _prediction_methods(cfg)
     suffix = "" if agent_population_dir is None else "_transfer"
-    popn = _load_population(cfg, root)
-    agent_pop = popn
-    if agent_population_dir is not None:
-        agent_pop = pop.load_population(agent_population_dir)
-        agent_pop.threads = cfg.threads
+    popn = _load_population(cfg, root / "population")
+    agent_pop = popn if agent_population_dir is None else _load_population(
+        cfg, agent_population_dir)
     model = emb.load_embedding_model(root / "embedding" / "model.txt")
     predm = None
     if "predmodel" in methods:
@@ -224,7 +225,7 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
 def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     b = cfg.benchmarks
     methods = _selection_methods(cfg)
-    popn = _load_population(cfg, root)
+    popn = _load_population(cfg, root / "population")
     res = selection.SelectionResources(
         env=cfg.env, model=emb.load_embedding_model(root / "embedding" / "model.txt"),
         model_wonorm=emb.load_embedding_model(root / "embedding" / "model_wonorm.txt"),
@@ -267,8 +268,7 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 
 
 def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
-    fresh = sample_tasks(cfg.env, cfg.benchmarks.eval_tasks,
-                         make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
+    fresh = _eval_tasks(cfg)
     _, pool = load_tasks(root / "constraints" / "pool.csv")
     pool_split = pool[: cfg.benchmarks.eval_tasks]
     models = {"ours": emb.load_embedding_model(root / "embedding" / "model.txt"),
@@ -301,8 +301,7 @@ def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 
 def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     model = emb.load_embedding_model(root / "embedding" / "model.txt")
-    states = sample_tasks(cfg.env, cfg.benchmarks.eval_tasks,
-                          make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 7))
+    states = _eval_tasks(cfg)
     emb.export_embeddings(out_dir / "embeddings.csv", model, states)
     save_tasks(out_dir / "tasks.csv", cfg.env, states)
     k = min(2, model.dim)

@@ -26,15 +26,13 @@ LOCKSTEP_ROWS = 16384  # rows per lockstep group of consecutive agents in `outco
 
 
 def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
-    """Boolean mask over discrete actions: a name of the env's mask recipe, any one action
-    name, or 'none', which masks nothing."""
-    if ops.action_kind != "discrete":
-        if name != "none":
-            raise ValueError(f"{ops.name}: continuous actions cannot be masked")
-        return None
-    mask = np.zeros(ops.n_actions, dtype=bool)
+    """Boolean mask over discrete actions for a name of the env's mask recipe or any one
+    action name; 'none' masks nothing and gives None, the one "nothing masked"."""
     if name == "none":
-        return mask
+        return None
+    if ops.action_kind != "discrete":
+        raise ValueError(f"{ops.name}: continuous actions cannot be masked")
+    mask = np.zeros(ops.n_actions, dtype=bool)
     if name in ops.masks:
         for a in ops.masks[name]:
             mask[a] = True
@@ -51,7 +49,7 @@ class Policy:
 
     env: str
     net: nn.Mlp
-    action_mask: np.ndarray | None = None  # bool (n_actions,), discrete only
+    action_mask: np.ndarray | None = None  # bool (n_actions,), discrete only; None masks nothing
     log_std: np.ndarray | None = None      # (action_dim,), box only
 
     @property
@@ -61,7 +59,7 @@ class Policy:
     def logits(self, states: np.ndarray) -> np.ndarray:
         x = self.ops.featurize(states)
         out = nn.mlp_forward(self.net, x)
-        if self.action_mask is not None and self.action_mask.any():
+        if self.action_mask is not None:
             out += MASK_PENALTY * self.action_mask
         return out
 
@@ -89,9 +87,8 @@ def fresh_policy(env: str, rng: np.random.Generator, mask: str = "none") -> Poli
     """Glorot-initialized policy with the env's standard architecture."""
     ops = get_env(env)
     net = nn.glorot_init(*ops.net_layout(ops.n_actions), rng)
-    if ops.action_kind == "discrete":
-        return Policy(env, net, action_mask=mask_vector(ops, name=mask))
-    return Policy(env, net, log_std=np.zeros(ops.n_actions))
+    return Policy(env, net, mask_vector(ops, mask),
+                  np.zeros(ops.n_actions) if ops.action_kind == "box" else None)
 
 
 @dataclass
@@ -129,9 +126,8 @@ class Population:
                       for i, o, a in zip(sizes[:-1], sizes[1:], acts)])
         n_std = ops.n_actions if ops.action_kind == "box" else 0
         net.set_flat(snap.parameters[: snap.parameters.size - n_std])
-        if ops.action_kind == "discrete":
-            return Policy(self.env, net, action_mask=mask_vector(ops, name=snap.mask))
-        return Policy(self.env, net, log_std=snap.parameters[-n_std:].copy())
+        return Policy(self.env, net, mask_vector(ops, snap.mask),
+                      snap.parameters[-n_std:].copy() if n_std else None)
 
     def outcome_table(self, states: np.ndarray, reps_per_agent,
                       rng: np.random.Generator, threads: int | None = None) -> np.ndarray:
@@ -237,7 +233,7 @@ def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
     b = x_feat.shape[0]
     if ops.action_kind == "discrete":
         logits = out
-        if policy.action_mask is not None and policy.action_mask.any():
+        if policy.action_mask is not None:
             logits = logits + MASK_PENALTY * policy.action_mask
         probs = nn.softmax(logits)
         loss = -np.mean(np.log(np.maximum(probs[np.arange(b), actions], 1e-300)))
@@ -284,7 +280,7 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
         tasks = sample_tasks(env, cfg.bc_rollouts, data_rng, bias=spec.bias)
         _, _, steps = rollout_batch(env, tasks, expert, data_rng, record=True)
         states, actions = steps.states, steps.actions
-        if policy.action_mask is not None and policy.action_mask.any():
+        if policy.action_mask is not None:
             keep = ~policy.action_mask[actions]  # demonstrations the masked policy cannot imitate
             states, actions = states[keep], actions[keep]
         if states.shape[0] == 0:
@@ -409,10 +405,19 @@ def load_population(directory) -> Population:
     """Read a population directory; a malformed file raises nn.ArtifactFormatError."""
     directory = Path(directory)
     ops, records = _read_population_manifest(directory / "manifest")
+    sizes, acts = ops.net_layout(ops.n_actions)
+    need = [f"{i} {o} {a}" for i, o, a in zip(sizes[:-1], sizes[1:], acts)]
     snapshots = []
     for k, record in enumerate(records):
         with nn.read_artifact(directory / f"agent_{k}.txt") as reader:
-            flat = nn.read_weights(reader).to_flat()
+            net = nn.read_weights(reader)
+            have = [f"{lay.in_size} {lay.out_size} {lay.activation}" for lay in net.layers]
+            if have != need:  # line 1 holds the layer count, then each layer a header and rows
+                lines = np.cumsum([2] + [lay.out_size + 1 for lay in net.layers])
+                line = 1 if len(have) != len(need) else lines[np.argmax(np.array(have) != need)]
+                raise nn.ArtifactFormatError(f"{reader.name}:{line}: the net's layers are "
+                                             f"{have}, a {ops.name} policy's are {need}")
+            flat = net.to_flat()
             if ops.action_kind == "box":
                 log_std = [float(v) for v in reader.fields(ops.n_actions)]
                 flat = np.concatenate([flat, np.array(log_std)])

@@ -19,15 +19,14 @@ import numpy as np
 from taskemb import nn
 
 
-def bernoulli_entropy(p) -> float | np.ndarray:
-    """Entropy (nats) of a Bernoulli(p) variable, with 0*log(0) = 0."""
+def bernoulli_entropy(p) -> np.ndarray:
+    """Entropy (nats) of Bernoulli(p) variables, elementwise over an array, 0*log(0) = 0."""
     arr = np.asarray(p, dtype=np.float64)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError(f"probability outside [0, 1]: {p}")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -arr * np.log(arr) - (1.0 - arr) * np.log(1.0 - arr)
-    h = np.where((arr == 0.0) | (arr == 1.0), 0.0, h)
-    return float(h) if np.isscalar(p) or arr.ndim == 0 else h
+    return np.where((arr == 0.0) | (arr == 1.0), 0.0, h)
 
 
 def mutual_information(first, second) -> float | np.ndarray:
@@ -62,16 +61,14 @@ def _reps_schedule(n_agents: int, n_samples: int, rng: np.random.Generator) -> n
     return reps
 
 
-def estimate_mi(task_i, task_j, population, n_samples: int | None = None,
-                rng: np.random.Generator | None = None) -> float:
+def estimate_mi(task_i, task_j, population, rng: np.random.Generator,
+                n_samples: int | None = None) -> float:
     """Paired-rollout mutual information estimate (nats) between two tasks.
 
     Each of the n_samples draws picks an agent and rolls out both tasks under
     it. Draws are stratified over the population (the default budget is 100
     per agent), matching how constraint labels are produced.
     """
-    if rng is None:
-        raise ValueError("estimate_mi needs an explicit rng")
     n_agents = len(population.snapshots)
     if n_samples is None:
         n_samples = 100 * n_agents

@@ -198,7 +198,7 @@ class TestCriterion2GradientSuite:
         noise = make_rng(12).normal(size=(50, 2))
 
         def pm_loss():
-            val, _ = pm.predmodel_loss_and_grads(nets, sub, noise, cfg, False)
+            val, _ = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)
             return val
 
         _, pm_grads = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)

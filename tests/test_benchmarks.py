@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from taskemb import embedding as emb
 from taskemb import nn
+from taskemb import population as pop
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
 from taskemb.envs import get_env, rollout_batch, sample_tasks
@@ -17,6 +18,7 @@ from taskemb.seeding import make_rng
 from conftest import cut_lengths
 
 DESK_BENCHMARKS = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/benchmarks"
+DESK_POPULATION = DESK_BENCHMARKS.parent / "population"
 
 
 def brute_force_silhouette(points, labels):
@@ -147,7 +149,7 @@ def _example(quiz_states, quiz_outcomes, test_state, test_outcome=0):
 
 def _softnn_reference(model, ex, beta):
     """One example's soft-NN score, its quiz and test state embedded in separate calls."""
-    d2 = np.sum((model.embed(ex.quiz_states) - model.embed(ex.test_state)) ** 2, axis=1)
+    d2 = np.sum((model.embed(ex.quiz_states) - model.embed(ex.test_state[None])) ** 2, axis=1)
     w = np.exp(-beta * (d2 - d2.min()))
     return np.sum(ex.quiz_outcomes * w) / np.sum(w)
 
@@ -241,7 +243,6 @@ class TestBaselines:
         # Sharpen the best unmasked agent so its behavior is almost
         # deterministic; OPT should then match outcomes up to failure-lottery
         # noise.
-        from taskemb import population as pop
         best_idx = max(
             (k for k, s in enumerate(tiny_population.snapshots) if s.mask == "none"),
             key=lambda k: tiny_population.snapshots[k].validation_score,
@@ -256,6 +257,22 @@ class TestBaselines:
         preds = prediction.baseline_predictions("opt", ds, sharp, make_rng(34))
         outcomes = np.array([ex.test_outcome for ex in ds])
         assert (preds == outcomes).mean() >= 0.85
+
+    def test_ignore_task_thresholds_the_hidden_agents_rate_on_random_tasks(self):
+        # Each prediction is whether the hidden agent solves more than half of fresh random
+        # tasks, whatever the test task; checked on desk agents whose rate is far from 0.5.
+        popn = pop.load_population(DESK_POPULATION)
+        rng = make_rng(35)
+        tasks = sample_tasks("multikeynav", 2000, rng)
+        rates = np.array([rollout_batch("multikeynav", tasks, popn.policy(a), rng)[0].mean()
+                          for a in range(len(popn))])
+        agents = np.repeat(np.flatnonzero(np.abs(rates - 0.5) > 0.3), 2)
+        assert rates[agents].min() < 0.2 and rates[agents].max() > 0.8
+        tests = sample_tasks("multikeynav", agents.size, make_rng(36))
+        examples = [prediction.QuizExample(tasks[:1], np.ones(1, dtype=np.uint8), t, 1, int(a))
+                    for t, a in zip(tests, agents)]
+        preds = prediction.baseline_predictions("ignore_task", examples, popn, make_rng(37))
+        assert preds.tolist() == (rates[agents] > 0.5).tolist()
 
     def test_unknown_baseline_rejected(self, tiny_population):
         with pytest.raises(ValueError):
@@ -424,7 +441,7 @@ class TestSelect:
             if ex.query_type != 2:
                 continue
             rank, boundary = selection.select("ours", ex, res, make_rng(64))
-            e_ref = model.embed(ex.ref_state)
+            e_ref = model.embed(ex.ref_state[None])
             e_opt = model.embed(ex.option_states)
             for pos in range(boundary):
                 assert np.linalg.norm(e_opt[rank[pos]]) > np.linalg.norm(e_ref)

@@ -8,7 +8,7 @@ import pytest
 from taskemb import embedding as emb
 from taskemb import nn, similarity as sim
 from taskemb.benchmarks import predmodel as pm
-from taskemb.envs import sample_tasks
+from taskemb.envs import get_env, sample_tasks
 from taskemb.seeding import make_rng
 
 from test_nn import assert_grads_match, finite_diff_grads
@@ -198,8 +198,22 @@ class TestTraining:
 class TestEmbedApi:
     def test_identical_tasks_identical_embeddings(self):
         model = emb.fresh_embedding_net("multikeynav", 5, make_rng(30))
-        state = sample_tasks("multikeynav", 1, make_rng(31))[0]
+        state = sample_tasks("multikeynav", 1, make_rng(31))
         assert np.array_equal(model.embed(state), model.embed(state.copy()))
+
+    def test_one_task_is_a_batch_of_one_row(self):
+        # Nets and embeddings take (B, d) batches only; a 1-d input raises, never a row.
+        states = sample_tasks("multikeynav", 3, make_rng(34))
+        model = emb.fresh_embedding_net("multikeynav", 5, make_rng(35))
+        nets = pm.fresh_predmodel("multikeynav", pm.PredModelConfig(hidden=(8, 8)),
+                                  make_rng(37))
+        x = get_env("multikeynav").featurize(states)
+        for call, batch in ((lambda v: nn.mlp_forward(model.net, v), x),
+                            (lambda v: nn.mlp_forward_cached(model.net, v)[0], x),
+                            (model.embed, states), (nets.embed, states)):
+            assert call(batch[:1]).shape[0] == 1
+            with pytest.raises(nn.LayerShapeError, match="input shape"):
+                call(batch[0])
 
     def test_output_length_is_dim(self):
         model = emb.fresh_embedding_net("cartpolevar", 3, make_rng(32))

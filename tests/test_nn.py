@@ -45,13 +45,13 @@ def assert_grads_match(analytic, numeric_entries, rel_tol=1e-4):
 
 def test_forward_identity_layer():
     net = nn.Mlp([nn.DenseLayer(np.eye(2), np.zeros(2), "identity")])
-    out = nn.mlp_forward(net, np.array([1.0, 2.0]))
+    out = nn.mlp_forward(net, np.array([[1.0, 2.0]]))
     assert np.allclose(out, [1.0, 2.0])
 
 
 def test_forward_relu_clamps_negatives():
     net = nn.Mlp([nn.DenseLayer(np.eye(2), np.zeros(2), "relu")])
-    out = nn.mlp_forward(net, np.array([-1.0, 2.0]))
+    out = nn.mlp_forward(net, np.array([[-1.0, 2.0]]))
     assert np.allclose(out, [0.0, 2.0])
 
 
@@ -66,7 +66,7 @@ def test_forward_two_layer_hand_computed():
     h = np.maximum(w1 @ x + b1, 0.0)  # [max(-0.5,0), max(3.5,0)] = [0, 3.5]
     expect = w2 @ h + b2  # [0, 6.5]
     net = nn.Mlp([nn.DenseLayer(w1, b1, "relu"), nn.DenseLayer(w2, b2, "identity")])
-    assert np.allclose(nn.mlp_forward(net, x), expect)
+    assert np.allclose(nn.mlp_forward(net, x[None]), expect)
     assert np.allclose(expect, [0.0, 6.5])
 
 
@@ -75,7 +75,7 @@ def test_forward_batch_matches_loop():
     net = nn.glorot_init([3, 5, 2], ["relu", "identity"], rng)
     xs = rng.normal(size=(6, 3))
     batch = nn.mlp_forward(net, xs)
-    rows = np.stack([nn.mlp_forward(net, x) for x in xs])
+    rows = np.concatenate([nn.mlp_forward(net, x[None]) for x in xs])
     # BLAS may use different kernels for matrix vs vector products, so compare
     # at float64 precision; repeated identical calls must agree exactly.
     assert np.allclose(batch, rows, rtol=1e-12, atol=1e-12)
@@ -96,8 +96,6 @@ def test_inference_forward_matches_cached_forward_bit_for_bit(sizes, acts):
     for rows in range(1, 65):
         x = rng.normal(size=(rows, sizes[0]))
         assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
-    x = rng.normal(size=sizes[0])
-    assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
 
 
 @pytest.mark.parametrize("act", nn.ACTIVATIONS)
@@ -108,7 +106,7 @@ def test_inference_forward_works_in_place_on_its_own_arrays_only(act):
     net = nn.glorot_init([5, 8, 8, 3], [act] * 3, rng)
     for layer in net.layers:
         layer.biases = rng.normal(size=layer.out_size)
-    for x in (rng.normal(size=(17, 5)), rng.normal(size=5)):
+    for x in (rng.normal(size=(17, 5)), rng.normal(size=(1, 5))):
         before = x.copy()
         out = nn.mlp_forward(net, x)
         assert out.shape == x.shape[:-1] + (3,)
@@ -122,7 +120,7 @@ def test_forward_dimension_mismatch_names_layer():
         nn.DenseLayer(np.eye(2), np.zeros(2), "identity"),
     ])
     with pytest.raises(nn.LayerShapeError) as err:
-        nn.mlp_forward(net, np.ones(3))
+        nn.mlp_forward(net, np.ones((1, 3)))
     assert err.value.layer_index == 0
 
 
@@ -130,8 +128,8 @@ def test_backward_linear_layer_weight_grad_is_input():
     # Loss = sum of outputs => dL/dW[r, c] = x[c] for every row r.
     net = nn.Mlp([nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity")])
     x = np.array([1.0, -2.0, 3.0])
-    _, cache = nn.mlp_forward_cached(net, x)
-    grads, grad_in = nn.mlp_backward(net, cache, np.ones(2))
+    _, cache = nn.mlp_forward_cached(net, x[None])
+    grads, grad_in = nn.mlp_backward(net, cache, np.ones((1, 2)))
     assert np.allclose(grads[0], np.outer(np.ones(2), x))
     assert np.allclose(grads[1], np.ones(2))
     assert np.allclose(grad_in, np.zeros(3))
@@ -140,8 +138,8 @@ def test_backward_linear_layer_weight_grad_is_input():
 def test_backward_zero_output_gradient_gives_zero_grads():
     rng = make_rng(11)
     net = nn.glorot_init([4, 6, 3], ["relu", "identity"], rng)
-    _, cache = nn.mlp_forward_cached(net, rng.normal(size=4))
-    grads, grad_in = nn.mlp_backward(net, cache, np.zeros(3))
+    _, cache = nn.mlp_forward_cached(net, rng.normal(size=(1, 4)))
+    grads, grad_in = nn.mlp_backward(net, cache, np.zeros((1, 3)))
     assert all(np.all(g == 0.0) for g in grads)
     assert np.all(grad_in == 0.0)
 
@@ -154,8 +152,8 @@ def test_backward_matches_finite_differences_random_nets():
         acts = [str(rng.choice(["relu", "identity"])) for _ in sizes[1:]]
         acts[-1] = "identity"
         net = nn.glorot_init(sizes, acts, rng)
-        x = rng.normal(size=sizes[0])
-        target = rng.normal(size=sizes[-1])
+        x = rng.normal(size=(1, sizes[0]))
+        target = rng.normal(size=(1, sizes[-1]))
 
         def loss_fn():
             out = nn.mlp_forward(net, x)
@@ -171,19 +169,19 @@ def test_backward_matches_finite_differences_random_nets():
 def test_backward_input_gradient_matches_finite_differences():
     rng = make_rng(17)
     net = nn.glorot_init([5, 8, 4], ["relu", "identity"], rng)
-    x = rng.normal(size=5)
-    target = rng.normal(size=4)
+    x = rng.normal(size=(1, 5))
+    target = rng.normal(size=(1, 4))
     out, cache = nn.mlp_forward_cached(net, x)
     _, grad_in = nn.mlp_backward(net, cache, out - target)
     h = 1e-6
     for i in range(5):
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[0, i] += h
+        xm[0, i] -= h
         up = 0.5 * np.sum((nn.mlp_forward(net, xp) - target) ** 2)
         down = 0.5 * np.sum((nn.mlp_forward(net, xm) - target) ** 2)
         num = (up - down) / (2 * h)
-        assert abs(num - grad_in[i]) / max(abs(num), 1e-8) < 1e-4
+        assert abs(num - grad_in[0, i]) / max(abs(num), 1e-8) < 1e-4
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -234,7 +232,7 @@ def test_adam_rejects_a_mismatched_gradient_before_writing():
     assert all(np.all(m == 0.0) for m in state.m)
 
 
-# (sizes, activations, rows per batch or None for 1-d inputs) -> sha256 of every forward
+# (sizes, activations, rows per batch) -> sha256 of every forward
 # output, gradient and input gradient of 25 Adam steps, then of the forward after set_flat;
 # sha256 of the final to_flat(). The digests are those of the earlier core with two forward
 # loops and a copying Adam, so any drift in the bits of training fails here.
@@ -245,9 +243,6 @@ GOLDEN_TRAINING = [
     ([4, 8, 2], ["identity", "relu"], 1,
      "326fab2d4d4e9e1eb4e37dca63c27c90aa240b00796d4cdb8faedd7823ab1bbb",
      "d44e35efc7302ffc6259c6592c31560772818b5ae6ae0d143e4a27f0b3ff9a89"),
-    ([5, 7, 7, 4], ["relu", "identity", "relu"], None,
-     "39f3903737d66f6585a7f25848caf6a45039d383f06933b7e748b7e8b4aa1575",
-     "56a1daa7e6befac1e10659708b4b5e9c0379213920b5c7a23d52066f404f2ba3"),
     ([7, 32, 32, 7], ["relu", "relu", "identity"], 130,
      "af994a46b81c537cd3e21366d2273a5c4c6b7c1830e2e0986cd8def2119a15d8",
      "b41f4044687f115bb901415a1ae0a8c8d20a26dc7817f775d33e4d112855c6bb"),
@@ -256,14 +251,13 @@ GOLDEN_TRAINING = [
 
 @pytest.mark.parametrize("sizes, acts, rows, trace_digest, flat_digest", GOLDEN_TRAINING)
 def test_training_core_keeps_its_bits(sizes, acts, rows, trace_digest, flat_digest):
-    rng = make_rng(41, sizes[0], rows or 0)
+    rng = make_rng(41, sizes[0], rows)
     net = nn.glorot_init(sizes, acts, rng)
     state = nn.AdamState.init(net.parameters(), learning_rate=0.01)
-    shape = (sizes[0],) if rows is None else (rows, sizes[0])
     trace = hashlib.sha256()
     for _ in range(25):
-        x = rng.normal(size=shape)
-        target = rng.normal(size=shape[:-1] + (sizes[-1],))
+        x = rng.normal(size=(rows, sizes[0]))
+        target = rng.normal(size=(rows, sizes[-1]))
         out, cache = nn.mlp_forward_cached(net, x)
         grads, grad_in = nn.mlp_backward(net, cache, out - target)
         for a in (out, *grads, grad_in):
@@ -321,7 +315,7 @@ def test_weight_file_roundtrip_bit_exact():
     buf = io.StringIO()
     nn.write_weights(net, buf)
     buf.seek(0)
-    back = nn.read_weights(buf)
+    back = nn.read_weights(nn.LineReader(buf))
     assert len(back.layers) == 2
     for la, lb in zip(net.layers, back.layers):
         assert la.activation == lb.activation
@@ -342,8 +336,10 @@ def test_weight_file_errors_name_the_line(edit, line, message):
     net = nn.glorot_init([2, 3, 1], ["relu", "identity"], make_rng(30))
     buf = io.StringIO()
     nn.write_weights(net, buf)
+    reader = nn.LineReader(io.StringIO(edit(buf.getvalue())))
     with pytest.raises(nn.ArtifactFormatError, match=f"^<stream>:{line}: .*{message}"):
-        nn.read_weights(io.StringIO(edit(buf.getvalue())))
+        with reader.located():
+            nn.read_weights(reader)
 
 
 def test_flat_roundtrip():

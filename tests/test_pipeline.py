@@ -414,6 +414,30 @@ class TestPipelineRun:
             assert ("opt", str(size), mean, stderr) in rows
 
 
+    def test_transfer_ignore_task_rolls_out_the_external_agents(self, tiny_run, tmp_path):
+        # External agents 0 and 1 are desk agents 8 and 0, which solve about 89% and 1% of
+        # random tasks, so ignore_task predicts success exactly for hidden agent 0. This
+        # run's own agent 0 is an untrained snapshot that almost never succeeds.
+        root, cfg_path = tiny_run
+        run, external = tmp_path / "artifacts", tmp_path / "external"
+        shutil.copytree(root, run)
+        desk = pop.load_population(REPO / "runs" / "multikeynav-desk" / "population")
+        pop.save_population(desk.subset([8, 0]), external)
+        cfg = cfgmod.load_config(cfg_path)
+        cfg = dataclasses.replace(cfg, output_dir=str(run), benchmarks=dataclasses.replace(
+            cfg.benchmarks, prediction_methods="random,ignore_task"))
+        pipeline.run_stage("eval-prediction", cfg, force=True, agent_population_dir=external)
+        bench, seeds = run / "benchmarks", cfg.seeds
+        rows = pipeline.read_results(bench / "prediction_results_transfer.csv")
+        for size in cfgmod.parse_quiz_sizes(cfg.benchmarks.quiz_sizes):
+            test = prediction.load_quiz_dataset(bench / f"quiz_size_{size}_test_transfer.csv")
+            preds = np.array([ex.agent_index == 0 for ex in test], dtype=np.uint8)
+            assert 0 < preds.sum() < len(test)
+            mean, stderr, _ = prediction.eval_prediction(
+                preds, [ex.test_outcome for ex in test],
+                make_rng(seeds.root, seeds.benchmarks, 11, size))
+            assert ("ignore_task", str(size), mean, stderr) in rows
+
     def test_truncated_agent_file_exits_1_with_location(self, tiny_run, capsys):
         root, cfg_path = tiny_run
         external = root.parent / "truncated_population"

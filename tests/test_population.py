@@ -1,4 +1,5 @@
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from taskemb.seeding import make_rng
 from conftest import TINY_CFG as FAST_CFG
 
 DESK_CARTPOLE = Path(__file__).resolve().parents[1] / "runs/cartpolevar-desk/population"
+DESK_MKN = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/population"
 
 
 @pytest.fixture()
@@ -84,7 +86,7 @@ class TestPolicy:
 
     def test_mask_vector_names(self):
         ops = get_env("multikeynav")
-        assert pop.mask_vector(ops, "none").sum() == 0
+        assert pop.mask_vector(ops, "none") is None
         assert pop.mask_vector(ops, "pickKeyC").sum() == 1
         assert pop.mask_vector(ops, "all_picks").sum() == 4
         with pytest.raises(ValueError):
@@ -142,13 +144,15 @@ class TestBuildPopulation:
                                      "cartpolevar", "pointmass"])
     def test_mask_recipe_is_the_envs_masks(self, env):
         ops = get_env(env)
+        assert pop.mask_vector(ops, "none") is None  # the one "nothing masked", in every env
         if not ops.masks:
             with pytest.raises(ValueError, match="no mask recipe"):
                 pop.standard_recipe(env, "masks")
             return
         assert [s.mask for s in pop.standard_recipe(env, "masks")] == list(ops.masks)
         for name, actions in ops.masks.items():
-            assert np.flatnonzero(pop.mask_vector(ops, name)).tolist() == sorted(actions)
+            mask = pop.mask_vector(ops, name)
+            assert (np.flatnonzero(mask).tolist() == sorted(actions)) if actions else mask is None
 
     def test_empty_recipe_rejected(self):
         with pytest.raises(ValueError):
@@ -350,6 +354,14 @@ agent 1 method bc mask all_picks bias none snapshot 1 score 0.75
 """
 
 
+def _six_inputs(text: str) -> str:
+    """A multikeynav agent file whose first layer takes 6 inputs: the header says so, and
+    the last weight column is gone from each of the layer's 32 rows."""
+    lines = text.split("\n")
+    rows = [row.split() for row in lines[2:34]]
+    return "\n".join(["3", "6 32 relu", *(" ".join(r[:6] + r[7:]) for r in rows), *lines[34:]])
+
+
 class TestPopulationManifestErrors:
     @pytest.fixture()
     def pop_dir(self, tmp_path):
@@ -398,6 +410,20 @@ class TestPopulationManifestErrors:
         line = kept.count("\n") + 1  # the cut-short line, or the missing one after
         with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{agent}:{line}:")):
             pop.load_population(pop_dir)
+
+    @pytest.mark.parametrize("edit, line", [
+        (lambda t: t.replace("7 32 relu", "7 32 identity"), 2),  # would run as relu
+        (_six_inputs, 2),  # would fail at the first rollout, naming no file
+        (lambda t: t.replace("32 32 relu", "32 32 identity"), 35),
+        (lambda t: "2" + t[1:t.index("32 7 identity")], 1),  # the output layer dropped
+    ], ids=["identity", "six_inputs", "second_layer", "two_layers"])
+    def test_agent_net_must_fit_the_env_policy(self, tmp_path, edit, line):
+        shutil.copytree(DESK_MKN, tmp_path / "p")
+        agent = tmp_path / "p" / "agent_3.txt"
+        agent.write_text(edit(agent.read_text()))
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{agent}:{line}: ") +
+                           r"the net's layers are .*, a multikeynav policy's are"):
+            pop.load_population(tmp_path / "p")
 
     def test_box_policy_log_std_line_checked(self, tmp_path):
         policy = pop.fresh_policy("pointmass", make_rng(95))

@@ -74,8 +74,7 @@ class TestGradients:
         noise = make_rng(6).normal(size=(40, 2))
 
         def loss_fn():
-            val, _ = pm.predmodel_loss_and_grads(nets, sub, noise, cfg,
-                                                 want_grads=False)
+            val, _ = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)
             return val
 
         _, grads = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)
