@@ -15,7 +15,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import SOLVED, ExpertPolicy, get_env
+from taskemb.envs.core import SOLVED, ExpertPolicy, get_env, task_batch
 
 LEARNING_RATE = 1e-3
 
@@ -76,8 +76,8 @@ class PredModelNets:
 
     def posterior(self, states: np.ndarray):
         """(mean, log-variance) of the latent for a (B, state_dim) batch of tasks."""
-        out = nn.mlp_forward(self.inference, get_env(self.env).featurize(
-            np.asarray(states, dtype=np.float64)))
+        ops = get_env(self.env)
+        out = nn.mlp_forward(self.inference, ops.featurize(task_batch(ops, states)))
         return out[:, : self.latent_dim], out[:, self.latent_dim :]
 
     def embed(self, states: np.ndarray) -> np.ndarray:

@@ -127,13 +127,14 @@ def _task_digest(state: np.ndarray) -> int:
 
 def _expert_symbols(env: str, states: np.ndarray) -> list[np.ndarray]:
     """The expert's action symbols on each task; a task that appears more than once is
-    rolled out once. All distinct tasks run in one lockstep call, each its own segment
-    on the stream its digest seeds, so each gets the symbols of a rollout on it alone."""
+    rolled out once. All distinct tasks run in one lockstep call under one shared expert,
+    each its own segment on the stream its digest seeds, so each gets the symbols of a
+    rollout on it alone."""
     ops, distinct = get_env(env), {}
     for state in states:
         distinct.setdefault(state.tobytes(), state)
     tasks, m = np.array(list(distinct.values())), len(distinct)
-    _, _, steps = rollout_batch(ops, tasks, [ExpertPolicy()] * m,
+    _, _, steps = rollout_batch(ops, tasks, ExpertPolicy(),
                                 [make_rng(TRAJECTORY_SEED, _task_digest(t)) for t in tasks],
                                 record=True, sizes=[1] * m)
     lengths = np.bincount(steps.episode, minlength=m)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from taskemb import nn
-from taskemb.envs.core import get_env
+from taskemb.envs.core import get_env, task_batch
 from taskemb.similarity import ConstraintSet
 
 
@@ -28,8 +28,8 @@ class EmbeddingNet:
 
     def embed(self, states: np.ndarray) -> np.ndarray:
         """Embed a (B, state_dim) batch of tasks, one row each; a pure forward pass."""
-        return nn.mlp_forward(self.net, get_env(self.env).featurize(
-            np.asarray(states, dtype=np.float64)))
+        ops = get_env(self.env)
+        return nn.mlp_forward(self.net, ops.featurize(task_batch(ops, states)))
 
 
 def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator) -> EmbeddingNet:
@@ -113,7 +113,7 @@ def constraint_loss(model: EmbeddingNet, pool_states: np.ndarray, cset: Constrai
                     norm_weight: float) -> float:
     """Full-set objective value: per-set means, pairs weighted by norm_weight."""
     ops = get_env(model.env)
-    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(task_batch(ops, pool_states))
     loss, _ = _batch_losses(model, x_feat, *_oriented(cset), norm_weight, want_grads=False)
     return loss
 
@@ -122,7 +122,7 @@ def triplet_satisfaction(model: EmbeddingNet, pool_states: np.ndarray,
                          cset: ConstraintSet) -> float:
     """Fraction of the set's triplets whose labeled partner wins on inner product."""
     ops = get_env(model.env)
-    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(task_batch(ops, pool_states))
     t1, sim_idx, dis_idx, _, _ = _oriented(cset)
     e = nn.mlp_forward(model.net, x_feat)
     good = np.einsum("ij,ij->i", e[t1], e[sim_idx]) > np.einsum("ij,ij->i", e[t1], e[dis_idx])
@@ -146,7 +146,7 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
     ops = get_env(env)
     init_rng, order_rng = rng.spawn(2)
     model = fresh_embedding_net(env, config.dim, init_rng)
-    x_feat = ops.featurize(np.asarray(pool_states, dtype=np.float64))
+    x_feat = ops.featurize(task_batch(ops, pool_states))
 
     t1, sim_idx, dis_idx, easy, hard = _oriented(train_set)
 
@@ -251,7 +251,7 @@ def load_embedding_model(path) -> EmbeddingNet:
 
 def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:
     """CSV `task_index,e_1..e_n,norm` for a batch of tasks."""
-    emb = model.embed(np.asarray(states, dtype=np.float64))
+    emb = model.embed(states)
     with open(path, "w", newline="", encoding="utf-8") as fp:
         cols = ",".join(f"e_{i + 1}" for i in range(model.dim))
         fp.write(f"task_index,{cols},norm\n")

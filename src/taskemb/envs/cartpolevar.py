@@ -81,9 +81,6 @@ def _sample_raw(n, rng):
 
 
 def _validate_state(state):
-    state = np.asarray(state)
-    if state.shape != (7,):
-        raise core.EnvError(f"cartpolevar: state must have 7 components, got {state.shape}")
     if abs(state[2]) > THETA_LIMIT:
         raise core.EnvError(f"cartpolevar: pole angle {state[2]} beyond +-12 degrees")
     mag = abs(state[4])

@@ -1,8 +1,8 @@
 """Environment-independent machinery: registry, rollouts, task files.
 
 Environments are value-type state machines over float64 state vectors. Every
-operation has a vectorized form working on ``(B, state_dim)`` batches; the
-scalar API wraps batches of one and adds input validation. Episode status
+operation has a vectorized form working on ``(B, state_dim)`` batches, the shape
+`task_batch` checks; the scalar API wraps batches of one. Episode status
 codes are small ints so whole batches can be tracked in one array. Every
 rollout runs through `rollout_batch`; a recorded one returns its steps as one
 flat `Steps` record of arrays rather than per-episode objects.
@@ -45,7 +45,7 @@ class EnvOps:
     expert_batch: Callable      # (states) -> actions
     featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
-    validate_state: Callable    # (state vector) -> None, raises EnvError
+    validate_state: Callable    # (state_dim,) state -> None; raises EnvError on a bad value
     cluster_labels: Callable    # (states) -> int labels of the intuitive task clusters
     bias_filters: dict[str, Callable] = field(default_factory=dict)
     hidden: tuple[int, ...] = (32, 32)  # hidden layers of the policy and embedding nets
@@ -90,6 +90,28 @@ def get_env(name: str) -> EnvOps:
         raise EnvError(
             f"unknown environment {name!r}; valid options: {', '.join(sorted(_REGISTRY))}"
         ) from None
+
+
+def task_batch(ops: EnvOps, states) -> np.ndarray:
+    """states as a float64 (B, state_dim) batch of ops' tasks; any other shape raises EnvError."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != ops.state_dim:
+        raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
+    return states
+
+
+def _single_state(ops: EnvOps, state) -> np.ndarray:
+    """One validated state of the scalar API: shape (state_dim,), then the env's value rules."""
+    state = np.asarray(state, dtype=np.float64)
+    if state.shape != (ops.state_dim,):
+        raise EnvError(f"{ops.name}: state must have shape ({ops.state_dim},), got {state.shape}")
+    ops.validate_state(state)
+    return state
+
+
+def identity_features(states) -> np.ndarray:
+    """The `featurize` of an env whose nets read the state as it is: a float64 copy."""
+    return np.asarray(states, dtype=np.float64).copy()
 
 
 def check_state_fields(fields) -> None:
@@ -152,8 +174,7 @@ def _validate_action(ops: EnvOps, action) -> None:
 def step(env: str, state: np.ndarray, action, rng: np.random.Generator) -> StepOutcome:
     """Single validated environment step."""
     ops = get_env(env)
-    state = np.asarray(state, dtype=np.float64)
-    ops.validate_state(state)
+    state = _single_state(ops, state)
     _validate_action(ops, action)
     if ops.action_kind == "discrete":
         actions = np.array([int(action)])
@@ -202,9 +223,7 @@ def sample_tasks(env: str, n: int, rng: np.random.Generator,
 def expert_action(env: str, state: np.ndarray):
     """Scripted expert action for one state."""
     ops = get_env(env)
-    state = np.asarray(state, dtype=np.float64)
-    ops.validate_state(state)
-    action = ops.expert_batch(state[None, :])[0]
+    action = ops.expert_batch(_single_state(ops, state)[None, :])[0]
     if ops.action_kind == "discrete":
         return int(action)
     return action
@@ -219,22 +238,24 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     Finished episodes drop out of the stepped set, so cost tracks the number
     of alive episodes per step.
 
-    With sizes ``(n_1, ..., n_k)``, policy and rng are k-sequences and the
-    batch is k consecutive segments in lockstep: segment i acts through
-    policy[i] on rng[i] and draws its rows' step noise from rng[i], then one
-    `step_batch` call steps every alive row, so each segment's bits are those
-    of a call on it alone.
+    With sizes ``(n_1, ..., n_k)``, rng is a k-sequence and the batch is k
+    consecutive segments in lockstep: segment i draws its rows' step noise from
+    rng[i], then one `step_batch` call steps every alive row. policy is either a
+    k-sequence, segment i acting through policy[i] on rng[i], so each segment's
+    bits are those of a call on it alone, or one policy shared by every segment,
+    which acts once per step on all alive rows with rng None: it must draw nothing.
     """
     ops = env if isinstance(env, EnvOps) else get_env(env)
-    cur = np.asarray(states0, dtype=np.float64)  # never written: each step returns new states
-    if cur.ndim != 2 or cur.shape[1] != ops.state_dim:
-        raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
+    cur = task_batch(ops, states0)  # never written: each step returns new states
     if record and cur.shape[0] == 0:
         raise EnvError(f"{ops.name}: recording needs at least one episode")
-    policies, rngs, sizes = (policy, rng, sizes) if sizes is not None else (
-        [policy], [rng], [cur.shape[0]])
-    if not len(policies) == len(rngs) == len(sizes) or sum(sizes) != cur.shape[0]:
-        raise EnvError(f"{ops.name}: need one policy and rng per segment, sizes summing to B")
+    if sizes is None:  # one segment
+        policy, rng, sizes = [policy], [rng], [cur.shape[0]]
+    shared = hasattr(policy, "act")  # one policy for every segment
+    if not (shared or len(policy) == len(sizes)) or len(rng) != len(sizes) \
+            or sum(sizes) != cur.shape[0]:
+        raise EnvError(f"{ops.name}: need one policy and rng per segment (or one shared "
+                       "policy), sizes summing to B")
     edges = np.cumsum([0, *sizes])  # segment i holds batch rows edges[i]:edges[i + 1]
     status = np.full(cur.shape[0], TIMED_OUT, dtype=np.int8)
     idx = np.arange(cur.shape[0])  # batch rows of the alive episodes, whose states are `cur`
@@ -245,10 +266,11 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
         bounds = idx.searchsorted(edges).tolist()
         # (i, lo, hi) for every segment i with alive rows; they are cur[lo:hi]
         live = [(i, lo, hi) for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
-        actions = np.concatenate([policies[i].act(ops, cur[lo:hi], rngs[i]) for i, lo, hi in live])
+        actions = policy.act(ops, cur, None) if shared else np.concatenate(
+            [policy[i].act(ops, cur[lo:hi], rng[i]) for i, lo, hi in live])
         noise = np.empty((0, idx.size))
         if ops.step_draws:
-            noise = np.concatenate([rngs[i].uniform(size=(ops.step_draws, hi - lo))
+            noise = np.concatenate([rng[i].uniform(size=(ops.step_draws, hi - lo))
                                     for i, lo, hi in live], axis=1)
         cur_next, st = ops.step_batch(cur, actions, noise)
         if record:

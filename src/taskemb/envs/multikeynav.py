@@ -125,18 +125,11 @@ def _sample_raw(n, rng):
 
 
 def _validate_state(state):
-    state = np.asarray(state)
-    if state.shape != (7,):
-        raise core.EnvError(f"multikeynav: state must have 7 components, got {state.shape}")
     if not 0.0 <= state[0] <= 1.0:
         raise core.EnvError(f"multikeynav: location {state[0]} outside [0, 1]")
     bits = state[1:]
     if not np.all((bits == 0.0) | (bits == 1.0)):
         raise core.EnvError("multikeynav: key/door flags must be 0 or 1")
-
-
-def _identity(states):
-    return np.asarray(states, dtype=np.float64).copy()
 
 
 def _strip_context(states):
@@ -164,7 +157,7 @@ def _make_ops(name: str, req: np.ndarray) -> core.EnvOps:
         step_batch=_make_step(req),
         step_draws=2,
         expert_batch=_make_expert(req),
-        featurize=_identity,
+        featurize=core.identity_features,
         strip_context=_strip_context,
         validate_state=_validate_state,
         bias_filters=dict(_BIAS),

@@ -98,9 +98,6 @@ def _sample_raw(n, rng):
 
 
 def _validate_state(state):
-    state = np.asarray(state)
-    if state.shape != (7,):
-        raise core.EnvError(f"pointmass: state must have 7 components, got {state.shape}")
     if np.abs(state[0]) >= BOUND or np.abs(state[2]) >= BOUND:
         raise core.EnvError("pointmass: position outside the arena")
     if state[5] <= 0:
@@ -111,10 +108,6 @@ def _validate_state(state):
         raise core.EnvError("pointmass: gate does not intersect the arena")
     if not 0.0 <= state[6] <= 4.0:
         raise core.EnvError(f"pointmass: friction {state[6]} outside [0, 4]")
-
-
-def _identity(states):
-    return np.asarray(states, dtype=np.float64).copy()
 
 
 def _strip_context(states):
@@ -164,7 +157,7 @@ core.register(core.EnvOps(
     step_batch=step_batch,
     step_draws=1,
     expert_batch=expert_batch,
-    featurize=_identity,
+    featurize=core.identity_features,
     strip_context=_strip_context,
     validate_state=_validate_state,
     bias_filters=dict(_BIAS),

@@ -26,20 +26,14 @@ LOCKSTEP_ROWS = 16384  # rows per lockstep group of consecutive agents in `outco
 
 
 def mask_vector(ops: envcore.EnvOps, name: str) -> np.ndarray | None:
-    """Boolean mask over discrete actions for a name of the env's mask recipe or any one
-    action name; 'none' masks nothing and gives None, the one "nothing masked"."""
+    """Boolean mask over the actions for a name of the env's mask recipe; 'none' masks
+    nothing and gives None, the one "nothing masked". Any other name raises ValueError."""
     if name == "none":
         return None
-    if ops.action_kind != "discrete":
-        raise ValueError(f"{ops.name}: continuous actions cannot be masked")
-    mask = np.zeros(ops.n_actions, dtype=bool)
-    if name in ops.masks:
-        for a in ops.masks[name]:
-            mask[a] = True
-    elif name in ops.action_names:
-        mask[ops.action_names.index(name)] = True
-    else:
+    if name not in ops.masks:
         raise ValueError(f"{ops.name}: unknown mask {name!r}")
+    mask = np.zeros(ops.n_actions, dtype=bool)
+    mask[list(ops.masks[name])] = True
     return mask
 
 
@@ -131,7 +125,7 @@ class Population:
 
     def outcome_table(self, states: np.ndarray, reps_per_agent,
                       rng: np.random.Generator, threads: int | None = None) -> np.ndarray:
-        """Success bits for every (task, agent draw): shape (n_tasks, total_reps).
+        """Success bits for every (task, agent draw) of a task batch: (n_tasks, total_reps).
 
         Column block a*reps..(a+1)*reps holds agent a's repetitions, so column
         l of any two rows shares the same sampled agent, as a paired-rollout
@@ -140,7 +134,7 @@ class Population:
         LOCKSTEP_ROWS rows unless alone); with threads > 1 groups run concurrently
         into disjoint column slices, so the thread count never changes the result.
         """
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        states = envcore.task_batch(get_env(self.env), states)
         n_agents, n = len(self.snapshots), states.shape[0]
         reps = np.asarray(reps_per_agent, dtype=np.int64)
         if reps.ndim == 0:
@@ -388,6 +382,7 @@ def _read_population_manifest(path: Path) -> tuple[envcore.EnvOps, list[tuple]]:
             if parts[:2] != ["agent", str(k)] or parts[2::2] != _AGENT_KEYS:
                 raise ValueError(f"expected 'agent {k}' then {', '.join(_AGENT_KEYS)}")
             method, mask, bias, snapshot, score = parts[3::2]
+            mask_vector(head["env"], mask)  # a mask the env does not define fails here
             records.append((method, mask, bias, int(snapshot), float(score)))
         reader.expect_end(f"agent line beyond count {count}")
     return head["env"], records

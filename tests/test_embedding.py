@@ -9,6 +9,7 @@ from taskemb import embedding as emb
 from taskemb import nn, similarity as sim
 from taskemb.benchmarks import predmodel as pm
 from taskemb.envs import get_env, sample_tasks
+from taskemb.envs.core import EnvError
 from taskemb.seeding import make_rng
 
 from test_nn import assert_grads_match, finite_diff_grads
@@ -202,18 +203,29 @@ class TestEmbedApi:
         assert np.array_equal(model.embed(state), model.embed(state.copy()))
 
     def test_one_task_is_a_batch_of_one_row(self):
-        # Nets and embeddings take (B, d) batches only; a 1-d input raises, never a row.
+        # Nets take (B, d) batches and embeddings (B, state_dim) task batches only; a 1-d
+        # input raises, never a row: the net's error at the net, the env's at an embedding.
         states = sample_tasks("multikeynav", 3, make_rng(34))
         model = emb.fresh_embedding_net("multikeynav", 5, make_rng(35))
         nets = pm.fresh_predmodel("multikeynav", pm.PredModelConfig(hidden=(8, 8)),
                                   make_rng(37))
         x = get_env("multikeynav").featurize(states)
-        for call, batch in ((lambda v: nn.mlp_forward(model.net, v), x),
-                            (lambda v: nn.mlp_forward_cached(model.net, v)[0], x),
-                            (model.embed, states), (nets.embed, states)):
+        for call, batch, error in (
+                (lambda v: nn.mlp_forward(model.net, v), x, nn.LayerShapeError),
+                (lambda v: nn.mlp_forward_cached(model.net, v)[0], x, nn.LayerShapeError),
+                (model.embed, states, EnvError), (nets.embed, states, EnvError)):
             assert call(batch[:1]).shape[0] == 1
-            with pytest.raises(nn.LayerShapeError, match="input shape"):
+            with pytest.raises(error, match="input shape|batch must have shape"):
                 call(batch[0])
+
+    @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
+    def test_a_one_dim_task_raises_the_env_error_in_every_env(self, env):
+        state = sample_tasks(env, 1, make_rng(38))[0]
+        model = emb.fresh_embedding_net(env, 3, make_rng(39))
+        nets = pm.fresh_predmodel(env, pm.PredModelConfig(hidden=(8, 8)), make_rng(40))
+        for embed in (model.embed, nets.embed):
+            with pytest.raises(EnvError, match=re.escape(f"{env}: batch must have shape (B, 7)")):
+                embed(state)
 
     def test_output_length_is_dim(self):
         model = emb.fresh_embedding_net("cartpolevar", 3, make_rng(32))

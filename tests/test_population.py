@@ -91,10 +91,8 @@ class TestPolicy:
         assert pop.mask_vector(ops, "all_picks").sum() == 4
         with pytest.raises(ValueError):
             pop.mask_vector(ops, "bogus")
-        cartpole = get_env("cartpolevar")
-        assert pop.mask_vector(cartpole, cartpole.action_names[1]).tolist() == [False, True]
         with pytest.raises(ValueError, match="unknown mask"):
-            pop.mask_vector(cartpole, "all_picks")
+            pop.mask_vector(get_env("cartpolevar"), "all_picks")
 
 
 class TestTrainBc:
@@ -227,6 +225,12 @@ class TestOutcomeEstimates:
             alone = small_population.outcome_table(states, reps, make_rng(73))
             assert np.array_equal(alone, table[:, 3 * a : 3 * a + 3])
 
+    def test_outcome_table_takes_a_task_batch_only(self, small_population):
+        state = sample_tasks("multikeynav", 1, make_rng(76))
+        assert small_population.outcome_table(state, 2, make_rng(77)).shape[0] == 1
+        with pytest.raises(envcore.EnvError, match=r"batch must have shape \(B, 7\)"):
+            small_population.outcome_table(state[0], 2, make_rng(77))
+
     def test_outcome_table_deterministic(self, small_population):
         states = sample_tasks("multikeynav", 6, make_rng(74))
         t1 = small_population.outcome_table(states, 4, make_rng(75))
@@ -317,6 +321,33 @@ class TestLockstep:
             other = ops.step_batch(states, actions, rng.uniform(size=noise.shape))
             assert any(not np.array_equal(a, b) for a, b in zip(first, other))
 
+    @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
+    def test_one_shared_policy_acts_once_per_step_on_no_stream(self, env):
+        # The shared expert sees every alive row at once, and each segment still gets the
+        # bits of its own rollout; a shared policy that draws fails at its first draw.
+        sizes, calls = [2, 1, 3], []
+
+        class Expert(envcore.ExpertPolicy):
+            def act(self, ops, states, rng):
+                calls.append(rng)
+                return super().act(ops, states, rng)
+
+        states = sample_tasks(env, sum(sizes), make_rng(71))
+        out, status, steps = rollout_batch(env, states, Expert(), make_rng(72).spawn(3),
+                                           record=True, sizes=sizes)
+        assert calls == [None] * np.bincount(steps.episode).max()
+        starts = np.cumsum([0, *sizes])
+        for k, rng in enumerate(make_rng(72).spawn(3)):
+            rows = slice(starts[k], starts[k + 1])
+            o, st, alone = rollout_batch(env, states[rows], envcore.ExpertPolicy(), rng,
+                                         record=True)
+            assert np.array_equal(out[rows], o) and np.array_equal(status[rows], st)
+            mine = (steps.episode >= starts[k]) & (steps.episode < starts[k + 1])
+            assert np.array_equal(steps.actions[mine], alone.actions)
+        with pytest.raises(AttributeError, match="integers|uniform"):
+            rollout_batch(env, states, envcore.UniformRandomPolicy(), make_rng(73).spawn(3),
+                          sizes=sizes)
+
     def test_segments_need_one_policy_and_rng_each(self):
         states = sample_tasks("pointmass", 4, make_rng(65))
         policies = [pop.fresh_policy("pointmass", make_rng(66, k)) for k in range(2)]
@@ -400,6 +431,17 @@ class TestPopulationManifestErrors:
             pop.population_files(pop_dir)
         with pytest.raises(nn.ArtifactFormatError, match=where):
             pop.load_population(pop_dir)
+
+    def test_unknown_mask_fails_at_its_manifest_line(self, tmp_path):
+        shutil.copytree(DESK_MKN, tmp_path / "p")
+        manifest = tmp_path / "p" / "manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        assert lines[5].startswith("agent 3 ") and " mask none " in lines[5]
+        lines[5] = lines[5].replace(" mask none ", " mask pickKeyQ ")
+        manifest.write_text("".join(lines))
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape(f"{manifest}:6: multikeynav: unknown mask 'pickKeyQ'")):
+            pop.load_population(tmp_path / "p")
 
     @pytest.mark.parametrize("cut", [-1, 0.5, 40, 2])
     def test_truncated_agent_file_names_file_and_line(self, pop_dir, cut):

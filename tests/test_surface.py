@@ -1,10 +1,10 @@
 """Surface guard: every public name in the package is reached by the program.
 
 A public module-level function or class, or a public method, under
-`src/taskemb` must be referenced outside its own definition from `src/`,
-`scripts/`, the benchmark harness (`perfbench/*.py`) or the README's Python
-examples. Names only tests reach belong in the tests, unless an acceptance
-criterion needs them from the library; those are listed in ALLOWED with the
+`src/taskemb` must be referenced outside its own definition from `src/`, the
+benchmark harness (`perfbench/*.py`) or the README's Python examples. Names
+only tests reach belong in the tests, unless an acceptance criterion needs
+them from the library; those are listed in ALLOWED with the
 criterion that keeps them. References are matched by name (an identifier,
 an attribute, or a string such as the benchmark tracer's wrapped names), so
 two methods that share a name count as one.
@@ -68,8 +68,7 @@ def _references(tree):
 
 def _reference_index():
     """name -> set of (path, line) where the program refers to it."""
-    sources = [*PACKAGE.rglob("*.py"), *(REPO / "scripts").glob("*.py"),
-               *(REPO / "perfbench").glob("*.py")]
+    sources = [*PACKAGE.rglob("*.py"), *(REPO / "perfbench").glob("*.py")]
     trees = [(p, ast.parse(p.read_text(encoding="utf-8"))) for p in sources]
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
@@ -92,7 +91,7 @@ def test_every_public_name_is_reached_or_allowed():
     unreached = [d[0] for d in _definitions()
                  if not _reached(index, *d) and d[0] not in ALLOWED]
     assert not unreached, (
-        "public names nothing in src/, scripts/, perfbench/ or the README reaches; "
+        "public names nothing in src/, perfbench/ or the README reaches; "
         "delete them, make them private, or name the acceptance criterion in ALLOWED: "
         + ", ".join(unreached))
 
