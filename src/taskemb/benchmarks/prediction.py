@@ -16,7 +16,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import check_state_fields, get_env
+from taskemb.envs.core import check_state_fields, finite_states, get_env
 from taskemb.population import Population, success_rates
 from taskemb.stats import fold_mean_stderr
 
@@ -175,7 +175,8 @@ def load_quiz_dataset(path) -> list[QuizExample]:
             k, n_quiz = n_quiz, 0
         if n_quiz or not agents:
             raise ValueError(f"example {len(agents)} has no test row")
-    states = np.frombuffer(states).reshape(len(agents), k + 1, len(header) - 4)
+    states = finite_states(path, np.frombuffer(states).reshape(-1, len(header) - 4))
+    states = states.reshape(len(agents), k + 1, -1)
     outcomes = np.frombuffer(outcomes, dtype=np.uint8).reshape(len(agents), k + 1)
     return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)
             for s, o, a in zip(states, outcomes, agents)]

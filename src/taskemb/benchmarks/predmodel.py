@@ -70,10 +70,6 @@ class PredModelNets:
     reward_head: nn.Mlp   # hidden -> 1
     dynamics_head: nn.Mlp # hidden -> d_bar
 
-    def parameters(self):
-        return (self.inference.parameters() + self.trunk.parameters()
-                + self.reward_head.parameters() + self.dynamics_head.parameters())
-
     def posterior(self, states: np.ndarray):
         """(mean, log-variance) of the latent for a (B, state_dim) batch of tasks."""
         ops = get_env(self.env)
@@ -131,17 +127,17 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
             + float(np.mean(np.sum(s_err**2, axis=1))))
     d_rhat = (2.0 / b) * r_err[:, None]
     d_shat = (2.0 / b) * s_err
-    r_grads, d_hidden_r = nn.mlp_backward(nets.reward_head, r_cache, d_rhat)
-    s_grads, d_hidden_s = nn.mlp_backward(nets.dynamics_head, s_cache, d_shat)
-    trunk_grads, d_trunk_in = nn.mlp_backward(nets.trunk, trunk_cache,
-                                              d_hidden_r + d_hidden_s)
+    r_grad, d_hidden_r = nn.mlp_backward(nets.reward_head, r_cache, d_rhat)
+    s_grad, d_hidden_s = nn.mlp_backward(nets.dynamics_head, s_cache, d_shat)
+    trunk_grad, d_trunk_in = nn.mlp_backward(nets.trunk, trunk_cache,
+                                             d_hidden_r + d_hidden_s)
     d_z = d_trunk_in[:, batch.sbar.shape[1] + batch.action.shape[1] :]
     d_mean = d_z + (config.beta_kl / b) * mean
     d_logvar = (d_z * noise * 0.5 * sigma
                 + (config.beta_kl / b) * 0.5 * (np.exp(logvar) - 1.0))
-    inf_grads, _ = nn.mlp_backward(nets.inference, inf_cache,
-                                   np.concatenate([d_mean, d_logvar], axis=1))
-    return loss, inf_grads + trunk_grads + r_grads + s_grads
+    inf_grad, _ = nn.mlp_backward(nets.inference, inf_cache,
+                                  np.concatenate([d_mean, d_logvar], axis=1))
+    return loss, [inf_grad, trunk_grad, r_grad, s_grad]
 
 
 def save_predmodel(nets: PredModelNets, path) -> None:
@@ -176,14 +172,14 @@ def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelCon
     """Joint Adam training of inference net and heads; returns (nets, epoch losses)."""
     init_rng, order_rng, noise_rng = rng.spawn(3)
     nets = fresh_predmodel(env, config, init_rng)
-    params = nets.parameters()
+    params = [m.flat for m in (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head)]
     adam = nn.AdamState.init(params, learning_rate=LEARNING_RATE)
     n = transitions.s0.shape[0]
     losses = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
-        epoch_loss, steps = 0.0, 0
-        for start in range(0, n, config.batch_size):
+        epoch_loss = 0.0
+        for steps, start in enumerate(range(0, n, config.batch_size), 1):
             idx = order[start : start + config.batch_size]
             sub = TransitionBatch(transitions.s0[idx], transitions.sbar[idx],
                                   transitions.action[idx], transitions.reward[idx],
@@ -194,7 +190,6 @@ def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelCon
                 raise RuntimeError(f"predmodel loss became non-finite at epoch {epoch}")
             nn.adam_step(params, grads, adam)
             epoch_loss += loss
-            steps += 1
         losses.append(epoch_loss / steps)
         if verbose and epoch % 25 == 0:
             print(f"  predmodel epoch {epoch}: loss {losses[-1]:.4f}")

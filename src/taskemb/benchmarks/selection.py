@@ -17,7 +17,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import ExpertPolicy, check_state_fields, get_env
+from taskemb.envs.core import ExpertPolicy, check_state_fields, finite_states, get_env
 from taskemb.population import Population, success_rates
 from taskemb.seeding import make_rng
 from taskemb.similarity import mutual_information
@@ -256,7 +256,8 @@ def load_selection_dataset(path) -> list[SelectionExample]:
         if cut or not n_examples:
             raise ValueError(f"example {n_examples} has {cut} of its {len(ROLES)} rows" if cut
                              else "no examples after the header")
-    states = np.frombuffer(states).reshape(n_examples, len(ROLES), -1)
+    states = finite_states(path, np.frombuffer(states).reshape(-1, len(header) - 6))
+    states = states.reshape(n_examples, len(ROLES), -1)
     pos = np.frombuffer(pos).reshape(n_examples, 1 + N_OPTIONS)
     sims = np.frombuffer(sims).reshape(n_examples, N_OPTIONS)
     return [SelectionExample(s[0], s[1:1 + N_OPTIONS], s[1 + N_OPTIONS:], qtype, gt, sim,

@@ -69,15 +69,15 @@ def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
     """Mean triplet loss + norm_weight * mean pair loss, with net parameter grads.
 
     Each embedding slot is one cached forward pass through the shared net, whose cache
-    its backward pass reuses; parameter gradients from all slots accumulate.
+    its backward pass reuses; the slots' flat parameter gradients are summed.
     """
-    param_grads = None
+    param_grad = None
     total = 0.0
 
     def accumulate(cache, grad_out):
-        nonlocal param_grads
-        grads, _ = nn.mlp_backward(model.net, cache, grad_out)
-        param_grads = grads if param_grads is None else [a + b for a, b in zip(param_grads, grads)]
+        nonlocal param_grad
+        grad, _ = nn.mlp_backward(model.net, cache, grad_out)
+        param_grad = grad if param_grad is None else param_grad + grad
 
     (e1, c1), (e_sim, c_sim), (e_dis, c_dis) = (nn.mlp_forward_cached(model.net, x_feat[i])
                                                 for i in (t1, sim_idx, dis_idx))
@@ -106,7 +106,7 @@ def _batch_losses(model: EmbeddingNet, x_feat: np.ndarray, t1, sim_idx, dis_idx,
             accumulate(c_easy, s[:, None] * u_easy)
             accumulate(c_hard, -s[:, None] * u_hard)
 
-    return total, param_grads
+    return total, param_grad
 
 
 def constraint_loss(model: EmbeddingNet, pool_states: np.ndarray, cset: ConstraintSet,
@@ -150,8 +150,7 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
 
     t1, sim_idx, dis_idx, easy, hard = _oriented(train_set)
 
-    params = model.net.parameters()
-    adam = nn.AdamState.init(params, learning_rate=config.lr)
+    adam = nn.AdamState.init([model.net.flat], learning_rate=config.lr)
     log = TrainLog()
     best_val = float("inf")
     best_flat = model.net.to_flat()
@@ -173,12 +172,12 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
             else:
                 psel = np.array([], dtype=np.intp)
             beasy, bhard = easy[psel], hard[psel]
-            loss, grads = _batch_losses(model, x_feat, bt1, bsim, bdis, beasy, bhard,
-                                        config.norm_weight, want_grads=True)
+            loss, grad = _batch_losses(model, x_feat, bt1, bsim, bdis, beasy, bhard,
+                                       config.norm_weight, want_grads=True)
             if not np.isfinite(loss):
                 raise RuntimeError(f"embedding loss became non-finite at epoch {epoch}")
             epoch_loss += loss
-            nn.adam_step(params, grads, adam)
+            nn.adam_step([model.net.flat], [grad], adam)
 
         val_loss = constraint_loss(model, pool_states, val_set, config.norm_weight)
         log.epochs.append(epoch)

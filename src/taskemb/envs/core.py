@@ -120,6 +120,15 @@ def check_state_fields(fields) -> None:
         raise ValueError(f"state columns {list(fields)} are no environment's state fields")
 
 
+def finite_states(path, states: np.ndarray) -> np.ndarray:
+    """states, one row per line after a CSV's header; a row holding a non-finite value
+    raises ArtifactFormatError naming its line."""
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise ArtifactFormatError(f"{path}:{bad[0] + 2}: non-finite state value")
+    return states
+
+
 @dataclass
 class StepOutcome:
     next_state: np.ndarray
@@ -308,7 +317,7 @@ def load_tasks(path) -> tuple[str, np.ndarray]:
             raise ValueError("no tasks after the header")
         if tuple(header[1:]) != ops.state_fields:
             raise ArtifactFormatError(f"{path}:1: header {header[1:]} != {list(ops.state_fields)}")
-    return ops.name, np.array(states)
+    return ops.name, finite_states(path, np.array(states))
 
 
 from taskemb.envs import cartpolevar, multikeynav, pointmass  # noqa: E402,F401  (registers envs)

@@ -32,9 +32,8 @@ class LayerShapeError(ValueError):
 class DenseLayer:
     """One fully connected layer: ``activation(W x + b)``.
 
-    ``weights`` has shape (out, in), ``biases`` shape (out,). The layer keeps its own
-    copies, so adam_step and Mlp.set_flat, which write them in place, never reach an
-    array the caller passed in.
+    ``weights`` has shape (out, in), ``biases`` shape (out,). Once the layer is in an Mlp
+    both are views of the net's flat vector, which holds copies of the arrays passed in.
     """
 
     weights: np.ndarray
@@ -42,8 +41,8 @@ class DenseLayer:
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=np.float64)
-        self.biases = np.array(self.biases, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.ndim != 1:
             raise ValueError("weights must be 2-d and biases 1-d")
         if self.weights.shape[0] != self.biases.shape[0]:
@@ -66,20 +65,26 @@ class DenseLayer:
 
 @dataclass
 class Mlp:
-    """A chain of DenseLayers; consecutive layer dimensions must agree."""
+    """A chain of DenseLayers; consecutive layer dimensions must agree.
+
+    The net owns its parameters as one vector, ``flat``, laid out W0, b0, W1, b1, ...;
+    each layer's weights and biases are views of it, so training writes ``flat`` in place.
+    """
 
     layers: list[DenseLayer]
 
     def __post_init__(self):
         if not self.layers:
             raise ValueError("Mlp needs at least one layer")
-        for i in range(1, len(self.layers)):
-            if self.layers[i].in_size != self.layers[i - 1].out_size:
+        for i, (prev, layer) in enumerate(zip(self.layers, self.layers[1:]), 1):
+            if layer.in_size != prev.out_size:
                 raise LayerShapeError(
-                    i,
-                    f"in size {self.layers[i].in_size} != previous out size "
-                    f"{self.layers[i - 1].out_size}",
-                )
+                    i, f"in size {layer.in_size} != previous out size {prev.out_size}")
+        self.flat = np.concatenate([p.ravel() for layer in self.layers
+                                    for p in (layer.weights, layer.biases)])
+        views = self.split(self.flat)
+        for layer, w, b in zip(self.layers, views[::2], views[1::2]):
+            layer.weights, layer.biases = w, b
 
     @property
     def in_size(self) -> int:
@@ -89,23 +94,22 @@ class Mlp:
     def out_size(self) -> int:
         return self.layers[-1].out_size
 
-    def parameters(self) -> list[np.ndarray]:
-        """The layers' own parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        return [p for layer in self.layers for p in (layer.weights, layer.biases)]
+    def split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views W0, b0, W1, b1, ... of a vector laid out as ``flat``."""
+        views, start = [], 0
+        for p in [p for layer in self.layers for p in (layer.weights, layer.biases)]:
+            views.append(vec[start : start + p.size].reshape(p.shape))
+            start += p.size
+        return views
 
     def to_flat(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.parameters()])
+        return self.flat.copy()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        """Write a to_flat() vector into the parameter arrays in place."""
-        flat, params = np.asarray(flat, dtype=np.float64), self.parameters()
-        expected = sum(p.size for p in params)
-        if flat.size != expected:
-            raise ValueError(f"flat vector has {flat.size} entries, expected {expected}")
-        offset = 0
-        for p in params:
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        """Write a to_flat() vector into ``flat`` in place."""
+        if np.shape(flat) != self.flat.shape:
+            raise ValueError(f"flat vector has shape {np.shape(flat)}, expected {self.flat.shape}")
+        self.flat[:] = flat
 
 
 def glorot_init(sizes: list[int], activations: list[str], rng: np.random.Generator) -> Mlp:
@@ -149,23 +153,23 @@ def mlp_backward(net: Mlp, acts: list[np.ndarray], grad_out: np.ndarray):
     """Backpropagate a (B, out) loss gradient through the network.
 
     ``acts`` is the cache of mlp_forward_cached on the same input. Returns
-    ``(param_grads, grad_input)`` where param_grads matches net.parameters()
-    order and is summed over the batch. ReLU's derivative is read off the layer's
-    output: ``out > 0`` exactly where the pre-activation is.
+    ``(param_grad, grad_input)`` where param_grad is laid out as ``net.flat`` and is
+    summed over the batch. ReLU's derivative is read off the layer's output: ``out > 0``
+    exactly where the pre-activation is.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise LayerShapeError(len(net.layers) - 1,
                               f"output gradient shape {g.shape} != {acts[-1].shape}")
-    param_grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
+    param_grad = np.empty_like(net.flat)
+    views = net.split(param_grad)
+    for i, layer in reversed(list(enumerate(net.layers))):
         if layer.activation == "relu":
             g = g * (acts[i + 1] > 0.0)
-        param_grads[2 * i] = g.T @ acts[i]
-        param_grads[2 * i + 1] = g.sum(axis=0)
+        np.matmul(g.T, acts[i], out=views[2 * i])
+        g.sum(axis=0, out=views[2 * i + 1])
         g = g @ layer.weights
-    return param_grads, g
+    return param_grad, g
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -207,12 +211,8 @@ class AdamState:
 
     @classmethod
     def init(cls, params: list[np.ndarray], learning_rate: float = 1e-3) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0,
-            learning_rate=learning_rate,
-        )
+        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], 0,
+                   learning_rate)
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
@@ -339,11 +339,7 @@ def read_weights(reader: LineReader) -> Mlp:
         in_size, out_size = int(in_size), int(out_size)
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        w = np.empty((out_size, in_size))
-        b = np.empty(out_size)
-        for r in range(out_size):
-            vals = [float(v) for v in reader.fields(in_size + 1)]
-            w[r] = vals[:-1]
-            b[r] = vals[-1]
-        layers.append(DenseLayer(w, b, activation))
+        rows = np.array([[float(v) for v in reader.fields(in_size + 1)]
+                         for _ in range(out_size)]).reshape(out_size, in_size + 1)
+        layers.append(DenseLayer(rows[:, :-1], rows[:, -1], activation))
     return Mlp(layers)

@@ -222,7 +222,7 @@ def standard_recipe(env: str, kind: str) -> list[SubpopSpec]:
 
 
 def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
-    """Cloning loss, cross-entropy or Gaussian NLL, and its grads: the net's, then log_std's."""
+    """Cloning loss (cross-entropy or Gaussian NLL) and its grads: [net] or [net, log_std]."""
     out, cache = nn.mlp_forward_cached(policy.net, x_feat)
     b = x_feat.shape[0]
     if ops.action_kind == "discrete":
@@ -233,15 +233,12 @@ def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
         loss = -np.mean(np.log(np.maximum(probs[np.arange(b), actions], 1e-300)))
         dlogits = probs.copy()
         dlogits[np.arange(b), actions] -= 1.0
-        grads, _ = nn.mlp_backward(policy.net, cache, dlogits / b)
-        return loss, grads
+        return loss, [nn.mlp_backward(policy.net, cache, dlogits / b)[0]]
     std = np.exp(policy.log_std)
     z = (actions - out) / std
     loss = float(np.mean(0.5 * np.sum(z**2, axis=1) + np.sum(policy.log_std)))
     dmean = (out - actions) / std**2 / b
-    grads, _ = nn.mlp_backward(policy.net, cache, dmean)
-    dlogstd = np.mean(1.0 - z**2, axis=0)
-    return loss, grads + [dlogstd]
+    return loss, [nn.mlp_backward(policy.net, cache, dmean)[0], np.mean(1.0 - z**2, axis=0)]
 
 
 def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
@@ -268,7 +265,7 @@ def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
 
     snapshots = [AgentSnapshot(policy.to_flat(), "bc", spec.mask, spec.bias or "none",
                                0, score())]
-    params = policy.net.parameters() + ([] if policy.log_std is None else [policy.log_std])
+    params = [policy.net.flat] + ([] if policy.log_std is None else [policy.log_std])
     adam = nn.AdamState.init(params, learning_rate=cfg.bc_lr)
     for _ in range(cfg.bc_epochs):
         tasks = sample_tasks(env, cfg.bc_rollouts, data_rng, bias=spec.bias)
@@ -412,10 +409,12 @@ def load_population(directory) -> Population:
                 line = 1 if len(have) != len(need) else lines[np.argmax(np.array(have) != need)]
                 raise nn.ArtifactFormatError(f"{reader.name}:{line}: the net's layers are "
                                              f"{have}, a {ops.name} policy's are {need}")
-            flat = net.to_flat()
+            flat = net.flat
             if ops.action_kind == "box":
-                log_std = [float(v) for v in reader.fields(ops.n_actions)]
-                flat = np.concatenate([flat, np.array(log_std)])
+                log_std = np.array([float(v) for v in reader.fields(ops.n_actions)])
+                if not np.isfinite(log_std).all():
+                    raise ValueError(f"non-finite log_std {log_std.tolist()}")
+                flat = np.concatenate([flat, log_std])
             reader.expect_end()
         snapshots.append(AgentSnapshot(flat, *record))
     return Population(ops.name, snapshots)

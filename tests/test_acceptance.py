@@ -110,7 +110,7 @@ class TestCriterion1MiOracle:
 
 class TestCriterion2GradientSuite:
     def test_all_losses_pass_finite_difference_checks(self):
-        from test_nn import finite_diff_grads
+        from test_nn import finite_diff_grads, layer_views
 
         t0 = time.time()
         failures = []
@@ -145,7 +145,8 @@ class TestCriterion2GradientSuite:
         _, tri_grads = emb._batch_losses(model, x_feat, t1, s_idx, d_idx,
                                          np.array([], dtype=np.intp),
                                          np.array([], dtype=np.intp), 0.0, True)
-        check("triplet", tri_loss, model.net.parameters(), tri_grads, 34, rng)
+        check("triplet", tri_loss, model.net.split(model.net.flat),
+              model.net.split(tri_grads), 34, rng)
 
         def pair_loss():
             val, _ = emb._batch_losses(model, x_feat, t1[:1], s_idx[:1], d_idx[:1],
@@ -154,7 +155,8 @@ class TestCriterion2GradientSuite:
 
         _, pair_grads = emb._batch_losses(model, x_feat, t1[:1], s_idx[:1], d_idx[:1],
                                           easy, hard, 1.0, True)
-        check("norm-pair", pair_loss, model.net.parameters(), pair_grads, 34, rng)
+        check("norm-pair", pair_loss, model.net.split(model.net.flat),
+              model.net.split(pair_grads), 34, rng)
 
         # Behavioral-cloning loss, discrete: mean negative log-prob of the
         # demonstrated actions, through the gradient that trains populations.
@@ -169,7 +171,8 @@ class TestCriterion2GradientSuite:
 
         _, grads = pop._bc_loss_and_grads(policy, ops_mkn,
                                           ops_mkn.featurize(states), actions)
-        check("discrete log-prob", logprob_loss, policy.net.parameters(), grads, 34, rng)
+        check("discrete log-prob", logprob_loss, policy.net.split(policy.net.flat),
+              policy.net.split(grads[0]), 34, rng)
 
         # Behavioral-cloning loss, diagonal Gaussian NLL, including log_std.
         ops_pm = get_env("pointmass")
@@ -186,8 +189,9 @@ class TestCriterion2GradientSuite:
 
         _, ggrads = pop._bc_loss_and_grads(gpolicy, ops_pm,
                                            ops_pm.featurize(gstates), gactions)
-        gparams = gpolicy.net.parameters() + [gpolicy.log_std]
-        check("gaussian log-prob", gauss_loss, gparams, ggrads, 30, rng)
+        gparams = gpolicy.net.split(gpolicy.net.flat) + [gpolicy.log_std]
+        check("gaussian log-prob", gauss_loss, gparams,
+              gpolicy.net.split(ggrads[0]) + [ggrads[1]], 30, rng)
 
         # PredModel joint loss through all four nets.
         batch = pm.collect_transitions("multikeynav", 10, make_rng(10))
@@ -202,7 +206,9 @@ class TestCriterion2GradientSuite:
             return val
 
         _, pm_grads = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)
-        check("predmodel", pm_loss, nets.parameters(), pm_grads, 9, rng)
+        mlps = (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head)
+        check("predmodel", pm_loss, layer_views(mlps, [m.flat for m in mlps]),
+              layer_views(mlps, pm_grads), 9, rng)
 
         elapsed = time.time() - t0
         report("C02 gradient suite",

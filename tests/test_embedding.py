@@ -36,9 +36,9 @@ def batch_of_one(vectors, triplet, pair=None):
     net = nn.Mlp([nn.DenseLayer(e.T.copy(), np.zeros(e.shape[1]), "identity")])
     model = emb.EmbeddingNet("multikeynav", net, e.shape[1])
     idx = [np.array([k], dtype=np.intp) for k in (*triplet, *(pair or (0, 0)))]
-    loss, grads = emb._batch_losses(model, np.eye(len(e)), *idx, 1.0 if pair else 0.0,
-                                    want_grads=True)
-    return loss, grads[0].T
+    loss, grad = emb._batch_losses(model, np.eye(len(e)), *idx, 1.0 if pair else 0.0,
+                                   want_grads=True)
+    return loss, net.split(grad)[0].T
 
 
 class TestLosses:
@@ -189,11 +189,11 @@ class TestTraining:
                                        easy, hard, 0.4, want_grads=False)
             return val
 
-        _, grads = emb._batch_losses(model, x_feat, t1, sim_idx, dis_idx,
-                                     easy, hard, 0.4, want_grads=True)
-        numeric = finite_diff_grads(loss_fn, model.net.parameters(),
+        _, grad = emb._batch_losses(model, x_feat, t1, sim_idx, dis_idx,
+                                    easy, hard, 0.4, want_grads=True)
+        numeric = finite_diff_grads(loss_fn, model.net.split(model.net.flat),
                                     coords_per_param=20, rng=make_rng(22))
-        assert_grads_match(grads, numeric)
+        assert_grads_match(model.net.split(grad), numeric)
 
 
 class TestEmbedApi:

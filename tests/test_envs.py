@@ -403,6 +403,10 @@ class TestTaskFiles:
         cases = [
             (lines[:2] + [lines[2].replace(",0.0", "", 1)], 3, "expected 8 fields, got 7"),
             (lines[:3] + [lines[3].replace(",0.0", ",zero", 1)], 4, "could not convert"),
+            (lines[:3] + ["cartpolevar,nan," + lines[3].split(",", 2)[2]], 4,
+             "non-finite state value"),
+            (lines[:2] + ["cartpolevar,-inf," + lines[2].split(",", 2)[2]] + lines[3:], 3,
+             "non-finite state value"),
             (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
             (["env,a,b,c,d,e,f,g\n"] + lines[1:], 1, "header"),
             (lines[:1], 2, "no tasks after the header"),

@@ -34,6 +34,12 @@ def finite_diff_grads(loss_fn, params, h=1e-5, coords_per_param=None, rng=None):
     return out
 
 
+def layer_views(nets, vectors):
+    """Per-layer views W0, b0, W1, b1, ... of each net in turn, of vectors laid out as the
+    nets' flat ones: finite differences sample the same coordinates as over layer arrays."""
+    return [view for net, vec in zip(nets, vectors) for view in net.split(vec)]
+
+
 def assert_grads_match(analytic, numeric_entries, rel_tol=1e-4):
     for pi, fi, num in numeric_entries:
         ana = analytic[pi].ravel()[fi]
@@ -92,7 +98,7 @@ def test_inference_forward_matches_cached_forward_bit_for_bit(sizes, acts):
     rng = make_rng(8)
     net = nn.glorot_init(sizes, acts, rng)
     for layer in net.layers:
-        layer.biases = rng.normal(size=layer.out_size)
+        layer.biases[:] = rng.normal(size=layer.out_size)
     for rows in range(1, 65):
         x = rng.normal(size=(rows, sizes[0]))
         assert np.array_equal(nn.mlp_forward(net, x), nn.mlp_forward_cached(net, x)[0])
@@ -105,7 +111,7 @@ def test_inference_forward_works_in_place_on_its_own_arrays_only(act):
     rng = make_rng(9)
     net = nn.glorot_init([5, 8, 8, 3], [act] * 3, rng)
     for layer in net.layers:
-        layer.biases = rng.normal(size=layer.out_size)
+        layer.biases[:] = rng.normal(size=layer.out_size)
     for x in (rng.normal(size=(17, 5)), rng.normal(size=(1, 5))):
         before = x.copy()
         out = nn.mlp_forward(net, x)
@@ -129,9 +135,10 @@ def test_backward_linear_layer_weight_grad_is_input():
     net = nn.Mlp([nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity")])
     x = np.array([1.0, -2.0, 3.0])
     _, cache = nn.mlp_forward_cached(net, x[None])
-    grads, grad_in = nn.mlp_backward(net, cache, np.ones((1, 2)))
-    assert np.allclose(grads[0], np.outer(np.ones(2), x))
-    assert np.allclose(grads[1], np.ones(2))
+    grad, grad_in = nn.mlp_backward(net, cache, np.ones((1, 2)))
+    w_grad, b_grad = net.split(grad)
+    assert np.allclose(w_grad, np.outer(np.ones(2), x))
+    assert np.allclose(b_grad, np.ones(2))
     assert np.allclose(grad_in, np.zeros(3))
 
 
@@ -139,8 +146,8 @@ def test_backward_zero_output_gradient_gives_zero_grads():
     rng = make_rng(11)
     net = nn.glorot_init([4, 6, 3], ["relu", "identity"], rng)
     _, cache = nn.mlp_forward_cached(net, rng.normal(size=(1, 4)))
-    grads, grad_in = nn.mlp_backward(net, cache, np.zeros((1, 3)))
-    assert all(np.all(g == 0.0) for g in grads)
+    grad, grad_in = nn.mlp_backward(net, cache, np.zeros((1, 3)))
+    assert grad.shape == net.flat.shape and np.all(grad == 0.0)
     assert np.all(grad_in == 0.0)
 
 
@@ -160,10 +167,10 @@ def test_backward_matches_finite_differences_random_nets():
             return 0.5 * float(np.sum((out - target) ** 2))
 
         out, cache = nn.mlp_forward_cached(net, x)
-        grads, _ = nn.mlp_backward(net, cache, out - target)
-        numeric = finite_diff_grads(loss_fn, net.parameters(),
+        grad, _ = nn.mlp_backward(net, cache, out - target)
+        numeric = finite_diff_grads(loss_fn, net.split(net.flat),
                                     coords_per_param=25, rng=rng)
-        assert_grads_match(grads, numeric)
+        assert_grads_match(net.split(grad), numeric)
 
 
 def test_backward_input_gradient_matches_finite_differences():
@@ -253,16 +260,16 @@ GOLDEN_TRAINING = [
 def test_training_core_keeps_its_bits(sizes, acts, rows, trace_digest, flat_digest):
     rng = make_rng(41, sizes[0], rows)
     net = nn.glorot_init(sizes, acts, rng)
-    state = nn.AdamState.init(net.parameters(), learning_rate=0.01)
+    state = nn.AdamState.init([net.flat], learning_rate=0.01)
     trace = hashlib.sha256()
     for _ in range(25):
         x = rng.normal(size=(rows, sizes[0]))
         target = rng.normal(size=(rows, sizes[-1]))
         out, cache = nn.mlp_forward_cached(net, x)
-        grads, grad_in = nn.mlp_backward(net, cache, out - target)
-        for a in (out, *grads, grad_in):
+        grad, grad_in = nn.mlp_backward(net, cache, out - target)
+        for a in (out, grad, grad_in):  # the flat gradient's bytes are the old per-layer list's
             trace.update(a.tobytes())
-        nn.adam_step(net.parameters(), grads, state)
+        nn.adam_step([net.flat], [grad], state)
     net.set_flat(net.to_flat()[::-1].copy())
     trace.update(nn.mlp_forward(net, x).tobytes())
     assert trace.hexdigest() == trace_digest
@@ -274,13 +281,31 @@ def test_training_never_writes_the_callers_arrays():
     w, b = rng.normal(size=(3, 4)), rng.normal(size=3)
     w0, b0 = w.copy(), b.copy()
     net = nn.Mlp([nn.DenseLayer(w, b, "relu")])
-    state = nn.AdamState.init(net.parameters(), learning_rate=0.1)
+    state = nn.AdamState.init([net.flat], learning_rate=0.1)
     for _ in range(3):
         out, cache = nn.mlp_forward_cached(net, rng.normal(size=(5, 4)))
-        nn.adam_step(net.parameters(), nn.mlp_backward(net, cache, out - 1.0)[0], state)
+        nn.adam_step([net.flat], [nn.mlp_backward(net, cache, out - 1.0)[0]], state)
     assert not np.array_equal(net.layers[0].weights, w0)
-    net.set_flat(np.zeros(15))
     assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    flat = np.zeros(15)
+    net.set_flat(flat)
+    assert np.array_equal(w, w0) and np.array_equal(b, b0)
+    net.flat += 1.0  # the net keeps a copy of the vector it was set from
+    assert np.all(flat == 0.0)
+
+
+def test_layers_are_views_of_the_flat_vector():
+    net = nn.glorot_init([3, 5, 2], ["relu", "identity"], make_rng(44))
+    views = net.split(net.flat)
+    assert [v.shape for v in views] == [(5, 3), (5,), (2, 5), (2,)]
+    for layer, w, b in zip(net.layers, views[::2], views[1::2]):
+        assert np.shares_memory(layer.weights, net.flat) and np.array_equal(layer.weights, w)
+        assert np.shares_memory(layer.biases, net.flat) and np.array_equal(layer.biases, b)
+    assert np.array_equal(net.flat, np.concatenate([v.ravel() for v in views]))
+    net.set_flat(np.arange(32.0))
+    assert net.layers[1].biases.tolist() == [30.0, 31.0]
+    with pytest.raises(ValueError, match="flat vector has shape"):
+        net.set_flat(np.zeros(31))
 
 
 def test_softplus_reference_values():

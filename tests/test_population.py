@@ -65,6 +65,25 @@ class TestPolicy:
             pop.Population(env, [pop.AgentSnapshot(np.append(flat, 0.0), "bc", mask,
                                                    "none", 0, 0.5)]).policy(0)
 
+    @pytest.mark.parametrize("env", ["multikeynav", "pointmass"])
+    def test_training_a_snapshots_policy_never_writes_the_snapshot(self, env):
+        ops = get_env(env)
+        snap = pop.AgentSnapshot(pop.fresh_policy(env, make_rng(96)).to_flat(), "bc", "none",
+                                 "none", 0, 0.5)
+        before = snap.parameters.copy()
+        policy = pop.Population(env, [snap]).policy(0)
+        params = [policy.net.flat] + ([] if policy.log_std is None else [policy.log_std])
+        adam = nn.AdamState.init(params, learning_rate=0.1)
+        states = sample_tasks(env, 20, make_rng(97))
+        actions = policy.act(ops, states, make_rng(98))
+        for _ in range(3):
+            _, grads = pop._bc_loss_and_grads(policy, ops, ops.featurize(states), actions)
+            nn.adam_step(params, grads, adam)
+        assert not np.array_equal(policy.to_flat(), before)
+        assert np.array_equal(snap.parameters, before)
+        policy.net.set_flat(np.zeros_like(policy.net.flat))
+        assert np.array_equal(snap.parameters, before)
+
     @pytest.mark.parametrize("env, mask", [("multikeynav", "pickKeyA"), ("cartpolevar", "none"),
                                            ("pointmass", "none")])
     def test_act_samples_like_the_out_of_place_formula(self, env, mask):
@@ -480,4 +499,8 @@ class TestPopulationManifestErrors:
         agent.write_text("".join(lines) + "0.1 0.2\n")
         with pytest.raises(nn.ArtifactFormatError,
                            match=re.escape(f"{agent}:{len(lines) + 1}: unexpected")):
+            pop.load_population(tmp_path / "pm")
+        agent.write_text("".join(lines[:-1]) + "nan inf\n")
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(
+                f"{agent}:{len(lines)}: non-finite log_std [nan, inf]")):
             pop.load_population(tmp_path / "pm")

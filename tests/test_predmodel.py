@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from taskemb.benchmarks import predmodel as pm
 from taskemb.seeding import make_rng
 
-from test_nn import assert_grads_match, finite_diff_grads
+from test_nn import assert_grads_match, finite_diff_grads, layer_views
 
 SMALL = pm.PredModelConfig(latent_dim=3, epochs=3, batch_size=256, n_rollouts=60,
                            hidden=(32, 32))
@@ -78,9 +78,10 @@ class TestGradients:
             return val
 
         _, grads = pm.predmodel_loss_and_grads(nets, sub, noise, cfg)
-        numeric = finite_diff_grads(loss_fn, nets.parameters(),
+        mlps = (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head)
+        numeric = finite_diff_grads(loss_fn, layer_views(mlps, [m.flat for m in mlps]),
                                     coords_per_param=10, rng=make_rng(7))
-        assert_grads_match(grads, numeric)
+        assert_grads_match(layer_views(mlps, grads), numeric)
 
 
 class TestTraining:
@@ -115,5 +116,6 @@ class TestTraining:
                                  hidden=(16, 16))
         a, _ = pm.train_predmodel("multikeynav", batch, cfg, make_rng(16))
         b, _ = pm.train_predmodel("multikeynav", batch, cfg, make_rng(16))
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            assert np.array_equal(pa, pb)
+        for pa, pb in zip((a.inference, a.trunk, a.reward_head, a.dynamics_head),
+                          (b.inference, b.trunk, b.reward_head, b.dynamics_head)):
+            assert np.array_equal(pa.flat, pb.flat)
