@@ -16,7 +16,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import check_state_fields, finite_states, get_env
+from taskemb.envs.core import check_states, get_env
 from taskemb.population import Population, success_rates
 from taskemb.stats import fold_mean_stderr
 
@@ -141,24 +141,24 @@ def eval_prediction(predictions: np.ndarray, outcomes: np.ndarray,
     return mean, stderr, fold_accs
 
 
-def save_quiz_dataset(path, env: str, examples: list[QuizExample]) -> None:
-    """Long-format CSV: one row per task with its role, outcome, and agent."""
+def save_quiz_dataset(path, env: str, examples: list[QuizExample]):
+    """Long-format CSV: one row per task with its role, outcome, and agent; returns path."""
     def rows():
         for i, ex in enumerate(examples):
             for state, outcome in zip(ex.quiz_states.tolist(), ex.quiz_outcomes.tolist()):
                 yield [i, "quiz", outcome, ex.agent_index, *state]
             yield [i, "test", ex.test_outcome, ex.agent_index, *ex.test_state.tolist()]
-    nn.write_csv(path, ["example", "role", "outcome", "agent_index",
-                        *get_env(env).state_fields], rows())
+    return nn.write_csv(path, ["example", "role", "outcome", "agent_index",
+                               *get_env(env).state_fields], rows())
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
-    """Read save_quiz_dataset's CSV into views of one state array; state columns that are
-    no env's, a bad row, an outcome other than 0 or 1, an example without its test row or
-    with another quiz size than example 0 raises nn.ArtifactFormatError naming the line."""
+    """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
+    other than 0 or 1, an example without its test row or with another quiz size than
+    example 0, or states that `check_states` rejects raise nn.ArtifactFormatError naming
+    the line."""
     states, outcomes, agents, n_quiz = array("d"), bytearray(), [], 0
     with nn.read_csv(path) as (header, rows):
-        check_state_fields(header[4:])
         for i, role, outcome, agent, *state in rows:
             if int(i) != len(agents) or role != "quiz" and (role != "test" or not n_quiz):
                 raise ValueError(f"unexpected row: example {i}, role {role!r}")
@@ -175,7 +175,7 @@ def load_quiz_dataset(path) -> list[QuizExample]:
             k, n_quiz = n_quiz, 0
         if n_quiz or not agents:
             raise ValueError(f"example {len(agents)} has no test row")
-    states = finite_states(path, np.frombuffer(states).reshape(-1, len(header) - 4))
+    states = check_states(header[4:], np.frombuffer(states).reshape(-1, len(header) - 4), path)
     states = states.reshape(len(agents), k + 1, -1)
     outcomes = np.frombuffer(outcomes, dtype=np.uint8).reshape(len(agents), k + 1)
     return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)

@@ -140,12 +140,13 @@ def predmodel_loss_and_grads(nets: PredModelNets, batch: TransitionBatch,
     return loss, [inf_grad, trunk_grad, r_grad, s_grad]
 
 
-def save_predmodel(nets: PredModelNets, path) -> None:
-    """One file: a JSON header line, then the four nets in a fixed order."""
+def save_predmodel(nets: PredModelNets, path):
+    """One file: a JSON header line, then the four nets in a fixed order; returns path."""
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps({"env": nets.env, "latent_dim": nets.latent_dim}) + "\n")
         for net in (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head):
             nn.write_weights(net, fp)
+    return path
 
 
 def load_predmodel(path) -> PredModelNets:

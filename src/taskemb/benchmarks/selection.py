@@ -17,7 +17,7 @@ import numpy as np
 
 from taskemb import nn
 from taskemb.envs import rollout_batch, sample_tasks
-from taskemb.envs.core import ExpertPolicy, check_state_fields, finite_states, get_env
+from taskemb.envs.core import ExpertPolicy, check_states, get_env
 from taskemb.population import Population, success_rates
 from taskemb.seeding import make_rng
 from taskemb.similarity import mutual_information
@@ -215,7 +215,7 @@ def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) 
     return float(np.mean(hits))
 
 
-def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> None:
+def save_selection_dataset(path, env: str, examples: list[SelectionExample]):
     def rows():
         for i, ex in enumerate(examples):
             yield [i, "ref", ex.query_type, ex.ground_truth, ex.pos_ref, "",
@@ -225,18 +225,17 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]) -> 
                 yield [i, f"option_{j}", ex.query_type, "", pos, sim, *state]
             for j, state in enumerate(ex.easy_refs.tolist()):
                 yield [i, f"easy_{j}", ex.query_type, "", "", "", *state]
-    nn.write_csv(path, ["example", "role", "query_type", "ground_truth", "pos", "similarity",
-                        *get_env(env).state_fields], rows())
+    return nn.write_csv(path, ["example", "role", "query_type", "ground_truth", "pos",
+                               "similarity", *get_env(env).state_fields], rows())
 
 
 def load_selection_dataset(path) -> list[SelectionExample]:
     """Read save_selection_dataset's CSV into views of one state array. Each example is
-    the ROLES rows in order; state columns that are no env's, another row, a query type
-    other than 1 or 2, a ground truth that is not an option index, no example or a last
-    one cut short raises nn.ArtifactFormatError naming the line."""
+    the ROLES rows in order; another row, a query type other than 1 or 2, a ground truth
+    that is not an option index, no example, a last one cut short, or states that
+    `check_states` rejects raise nn.ArtifactFormatError naming the line."""
     states, pos, sims, labels, n = array("d"), array("d"), array("d"), [], -1
     with nn.read_csv(path) as (header, rows):
-        check_state_fields(header[6:])
         for n, (i, role, qtype, gt, p, sim, *state) in enumerate(rows):
             k, j = divmod(n, len(ROLES))
             if int(i) != k or role != ROLES[j]:
@@ -256,7 +255,7 @@ def load_selection_dataset(path) -> list[SelectionExample]:
         if cut or not n_examples:
             raise ValueError(f"example {n_examples} has {cut} of its {len(ROLES)} rows" if cut
                              else "no examples after the header")
-    states = finite_states(path, np.frombuffer(states).reshape(-1, len(header) - 6))
+    states = check_states(header[6:], np.frombuffer(states).reshape(-1, len(header) - 6), path)
     states = states.reshape(n_examples, len(ROLES), -1)
     pos = np.frombuffer(pos).reshape(n_examples, 1 + N_OPTIONS)
     sims = np.frombuffer(sims).reshape(n_examples, N_OPTIONS)

@@ -224,11 +224,12 @@ def pca_project(embeddings: np.ndarray, k: int):
     return centered @ eigvecs[:, :k], ratios
 
 
-def save_embedding_model(model: EmbeddingNet, path) -> None:
-    """Header line {"env": ..., "dim": ...} followed by the text weight format."""
+def save_embedding_model(model: EmbeddingNet, path):
+    """Header line {"env": ..., "dim": ...} followed by the text weight format; returns path."""
     with open(path, "w", encoding="utf-8") as fp:
         fp.write(json.dumps({"env": model.env, "dim": model.dim}) + "\n")
         nn.write_weights(model.net, fp)
+    return path
 
 
 def load_embedding_model(path) -> EmbeddingNet:
@@ -239,17 +240,13 @@ def load_embedding_model(path) -> EmbeddingNet:
         if not isinstance(header, dict) or not {"env", "dim"} <= header.keys():
             raise ValueError('header must be {"env": ..., "dim": ...}')
         ops, dim = get_env(header["env"]), int(header["dim"])
-        net = nn.read_weights(reader)
-        if (dim, ops.feature_dim) != (net.out_size, net.in_size):
-            raise nn.ArtifactFormatError(
-                f"{path}:1: header env {ops.name} and dim {dim} need {ops.feature_dim} inputs "
-                f"and {dim} outputs, the net has {net.in_size} and {net.out_size}")
+        net = nn.read_weights(reader, ops.net_layout(dim))
         reader.expect_end()
     return EmbeddingNet(ops.name, net, dim)
 
 
-def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:
-    """CSV `task_index,e_1..e_n,norm` for a batch of tasks."""
+def export_embeddings(path, model: EmbeddingNet, states: np.ndarray):
+    """CSV `task_index,e_1..e_n,norm` for a batch of tasks; returns path."""
     emb = model.embed(states)
     with open(path, "w", newline="", encoding="utf-8") as fp:
         cols = ",".join(f"e_{i + 1}" for i in range(model.dim))
@@ -257,3 +254,4 @@ def export_embeddings(path, model: EmbeddingNet, states: np.ndarray) -> None:
         for i, row in enumerate(emb):
             vals = ",".join(repr(float(v)) for v in row)
             fp.write(f"{i},{vals},{repr(float(np.linalg.norm(row)))}\n")
+    return path

@@ -80,16 +80,14 @@ def _sample_raw(n, rng):
     return states
 
 
-def _validate_state(state):
-    if abs(state[2]) > THETA_LIMIT:
-        raise core.EnvError(f"cartpolevar: pole angle {state[2]} beyond +-12 degrees")
-    mag = abs(state[4])
-    if not F_MIN <= mag <= F_MAX:
-        raise core.EnvError(f"cartpolevar: |F| = {mag} outside [{F_MIN}, {F_MAX}]")
-    if state[5] not in (0.0, 1.0):
-        raise core.EnvError("cartpolevar: taskType must be 0 or 1")
-    if not 0 <= state[6] <= HORIZON or state[6] != int(state[6]):
-        raise core.EnvError(f"cartpolevar: numSteps {state[6]} invalid")
+STATE_RULES = (
+    ("pole angle beyond +-12 degrees", lambda s: np.abs(s[:, 2]) <= THETA_LIMIT),
+    (f"|F| outside [{F_MIN}, {F_MAX}]",
+     lambda s: (np.abs(s[:, 4]) >= F_MIN) & (np.abs(s[:, 4]) <= F_MAX)),
+    ("taskType must be 0 or 1", lambda s: (s[:, 5] == 0.0) | (s[:, 5] == 1.0)),
+    (f"numSteps must be a whole number in [0, {HORIZON}]",
+     lambda s: (s[:, 6] >= 0) & (s[:, 6] <= HORIZON) & (s[:, 6] == np.floor(s[:, 6]))),
+)
 
 
 def _featurize(states):
@@ -139,7 +137,7 @@ core.register(core.EnvOps(
     expert_batch=expert_batch,
     featurize=_featurize,
     strip_context=_strip_context,
-    validate_state=_validate_state,
+    state_rules=STATE_RULES,
     bias_filters=dict(_BIAS),
     hidden=(64, 32),
     embed_dim=3,

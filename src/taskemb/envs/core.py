@@ -11,7 +11,7 @@ flat `Steps` record of arrays rather than per-episode objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class EnvOps:
     expert_batch: Callable      # (states) -> actions
     featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
-    validate_state: Callable    # (state_dim,) state -> None; raises EnvError on a bad value
+    state_rules: tuple          # (message, keeps) pairs; keeps: (B, state_dim) states -> (B,) bool
     cluster_labels: Callable    # (states) -> int labels of the intuitive task clusters
     bias_filters: dict[str, Callable] = field(default_factory=dict)
     hidden: tuple[int, ...] = (32, 32)  # hidden layers of the policy and embedding nets
@@ -100,32 +100,38 @@ def task_batch(ops: EnvOps, states) -> np.ndarray:
     return states
 
 
-def _single_state(ops: EnvOps, state) -> np.ndarray:
-    """One validated state of the scalar API: shape (state_dim,), then the env's value rules."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (ops.state_dim,):
-        raise EnvError(f"{ops.name}: state must have shape ({ops.state_dim},), got {state.shape}")
-    ops.validate_state(state)
-    return state
-
-
 def identity_features(states) -> np.ndarray:
     """The `featurize` of an env whose nets read the state as it is: a float64 copy."""
     return np.asarray(states, dtype=np.float64).copy()
 
 
-def check_state_fields(fields) -> None:
-    """Raise ValueError unless fields are some registered env's state fields, in order."""
-    if tuple(fields) not in {ops.state_fields for ops in _REGISTRY.values()}:
-        raise ValueError(f"state columns {list(fields)} are no environment's state fields")
+FINITE_RULE = ("non-finite state value", lambda states: np.isfinite(states).all(axis=1))
 
 
-def finite_states(path, states: np.ndarray) -> np.ndarray:
-    """states, one row per line after a CSV's header; a row holding a non-finite value
-    raises ArtifactFormatError naming its line."""
-    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+def check_states(env: EnvOps | Sequence[str], states: np.ndarray, path=None) -> np.ndarray:
+    """states, once every row keeps FINITE_RULE and the env's `state_rules`.
+
+    env is an EnvOps, or the state fields of a file's header, by which the rules are looked
+    up. The first row that breaks a rule raises with the rule's message and the row's
+    values: for states read from path, one row per line after its header, an
+    ArtifactFormatError at `<path>:<row + 2>` (a header of no env's fields at `<path>:1`),
+    and otherwise an EnvError naming the env.
+    """
+    ops = env if isinstance(env, EnvOps) else next(
+        (ops for ops in _REGISTRY.values() if ops.state_fields == tuple(env)), None)
+    if ops is None:
+        raise ArtifactFormatError(f"{path}:1: state columns {list(env)} are no "
+                                  "environment's state fields")
+    rules = (FINITE_RULE, *ops.state_rules)
+    with np.errstate(invalid="ignore"):  # a non-finite row breaks FINITE_RULE first
+        broken = np.array([~keeps(states) for _, keeps in rules])
+    bad = np.flatnonzero(broken.any(axis=0))
     if bad.size:
-        raise ArtifactFormatError(f"{path}:{bad[0] + 2}: non-finite state value")
+        row = bad[0]
+        text = f"{rules[broken[:, row].argmax()][0]}: {states[row].tolist()}"
+        if path is None:
+            raise EnvError(f"{ops.name}: {text}")
+        raise ArtifactFormatError(f"{path}:{row + 2}: {text}")
     return states
 
 
@@ -183,14 +189,13 @@ def _validate_action(ops: EnvOps, action) -> None:
 def step(env: str, state: np.ndarray, action, rng: np.random.Generator) -> StepOutcome:
     """Single validated environment step."""
     ops = get_env(env)
-    state = _single_state(ops, state)
+    states = check_states(ops, task_batch(ops, np.asarray(state)[None]))
     _validate_action(ops, action)
     if ops.action_kind == "discrete":
         actions = np.array([int(action)])
     else:
         actions = np.asarray(action, dtype=np.float64)[None, :]
-    next_states, status = ops.step_batch(state[None, :], actions,
-                                         rng.uniform(size=(ops.step_draws, 1)))
+    next_states, status = ops.step_batch(states, actions, rng.uniform(size=(ops.step_draws, 1)))
     terminal = int(status[0])
     reward = 1.0 if terminal == SOLVED else 0.0
     return StepOutcome(next_states[0], reward, terminal)
@@ -232,7 +237,7 @@ def sample_tasks(env: str, n: int, rng: np.random.Generator,
 def expert_action(env: str, state: np.ndarray):
     """Scripted expert action for one state."""
     ops = get_env(env)
-    action = ops.expert_batch(_single_state(ops, state)[None, :])[0]
+    action = ops.expert_batch(check_states(ops, task_batch(ops, np.asarray(state)[None])))[0]
     if ops.action_kind == "discrete":
         return int(action)
     return action
@@ -298,14 +303,16 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     return outcomes, status, Steps(*(column[order] for column in columns))
 
 
-def save_tasks(path, env: str, states: np.ndarray) -> None:
-    """Write tasks as CSV: header ``env,<state fields>``, one task per row."""
+def save_tasks(path, env: str, states: np.ndarray):
+    """Write tasks as CSV: header ``env,<state fields>``, one task per row; returns path."""
     states = np.asarray(states, dtype=np.float64)
-    write_csv(path, ["env", *get_env(env).state_fields], ([env, *row] for row in states.tolist()))
+    return write_csv(path, ["env", *get_env(env).state_fields],
+                     ([env, *row] for row in states.tolist()))
 
 
 def load_tasks(path) -> tuple[str, np.ndarray]:
-    """Read save_tasks' CSV, which holds one env; a bad row raises nn.ArtifactFormatError."""
+    """Read save_tasks' CSV, which holds one env; a bad row, or a state that breaks the
+    env's rules (`check_states`), raises nn.ArtifactFormatError naming its line."""
     with read_csv(path) as (header, rows):
         ops, states = None, []
         for row in rows:
@@ -317,7 +324,7 @@ def load_tasks(path) -> tuple[str, np.ndarray]:
             raise ValueError("no tasks after the header")
         if tuple(header[1:]) != ops.state_fields:
             raise ArtifactFormatError(f"{path}:1: header {header[1:]} != {list(ops.state_fields)}")
-    return ops.name, finite_states(path, np.array(states))
+    return ops.name, check_states(header[1:], np.array(states), path)
 
 
 from taskemb.envs import cartpolevar, multikeynav, pointmass  # noqa: E402,F401  (registers envs)

@@ -124,12 +124,11 @@ def _sample_raw(n, rng):
     return states
 
 
-def _validate_state(state):
-    if not 0.0 <= state[0] <= 1.0:
-        raise core.EnvError(f"multikeynav: location {state[0]} outside [0, 1]")
-    bits = state[1:]
-    if not np.all((bits == 0.0) | (bits == 1.0)):
-        raise core.EnvError("multikeynav: key/door flags must be 0 or 1")
+STATE_RULES = (  # one table for every variant: they share their state fields
+    ("location outside [0, 1]", lambda s: (s[:, 0] >= 0.0) & (s[:, 0] <= 1.0)),
+    ("key/door flags must be 0 or 1",
+     lambda s: ((s[:, 1:] == 0.0) | (s[:, 1:] == 1.0)).all(axis=1)),
+)
 
 
 def _strip_context(states):
@@ -159,7 +158,7 @@ def _make_ops(name: str, req: np.ndarray) -> core.EnvOps:
         expert_batch=_make_expert(req),
         featurize=core.identity_features,
         strip_context=_strip_context,
-        validate_state=_validate_state,
+        state_rules=STATE_RULES,
         bias_filters=dict(_BIAS),
         hidden=(32, 32),
         embed_dim=6,

@@ -97,17 +97,14 @@ def _sample_raw(n, rng):
     return states
 
 
-def _validate_state(state):
-    if np.abs(state[0]) >= BOUND or np.abs(state[2]) >= BOUND:
-        raise core.EnvError("pointmass: position outside the arena")
-    if state[5] <= 0:
-        raise core.EnvError("pointmass: gate width must be positive")
-    gate_lo = state[4] - 0.5 * state[5]
-    gate_hi = state[4] + 0.5 * state[5]
-    if gate_hi < -BOUND or gate_lo > BOUND:
-        raise core.EnvError("pointmass: gate does not intersect the arena")
-    if not 0.0 <= state[6] <= 4.0:
-        raise core.EnvError(f"pointmass: friction {state[6]} outside [0, 4]")
+STATE_RULES = (
+    ("position outside the arena",
+     lambda s: (np.abs(s[:, 0]) < BOUND) & (np.abs(s[:, 2]) < BOUND)),
+    ("gate width must be positive", lambda s: s[:, 5] > 0),
+    ("gate does not intersect the arena",
+     lambda s: (s[:, 4] + 0.5 * s[:, 5] >= -BOUND) & (s[:, 4] - 0.5 * s[:, 5] <= BOUND)),
+    ("friction outside [0, 4]", lambda s: (s[:, 6] >= 0.0) & (s[:, 6] <= 4.0)),
+)
 
 
 def _strip_context(states):
@@ -159,7 +156,7 @@ core.register(core.EnvOps(
     expert_batch=expert_batch,
     featurize=core.identity_features,
     strip_context=_strip_context,
-    validate_state=_validate_state,
+    state_rules=STATE_RULES,
     bias_filters=dict(_BIAS),
     hidden=(32, 32),
     embed_dim=3,

@@ -326,16 +326,23 @@ def write_csv(path, header, rows):
     return path
 
 
-def read_weights(reader: LineReader) -> Mlp:
+def read_weights(reader: LineReader, layout=None) -> Mlp:
     """Read the text weight format written by write_weights from the reader's next line.
 
-    A truncated or malformed net raises ValueError, which the reader's `located()` (that
-    of read_artifact) turns into an ArtifactFormatError naming the line.
+    With layout, the (sizes, activations) of an `EnvOps.net_layout`, the layer count and
+    each layer's header must match it as they are read. A truncated or malformed net, or
+    one off its layout, raises ValueError, which the reader's `located()` (that of
+    read_artifact) turns into an ArtifactFormatError naming the line.
     """
     n_layers = int(reader.fields(1)[0])
+    need = layout and [f"{i} {o} {a}" for i, o, a in zip(layout[0], layout[0][1:], layout[1])]
+    if need and n_layers != len(need):
+        raise ValueError(f"the net has {n_layers} layers, its layout {len(need)}")
     layers = []
-    for _ in range(n_layers):
-        in_size, out_size, activation = reader.fields(3)
+    for k in range(n_layers):
+        in_size, out_size, activation = header = reader.fields(3)
+        if need and " ".join(header) != need[k]:
+            raise ValueError(f"layer {k} is '{' '.join(header)}', its layout '{need[k]}'")
         in_size, out_size = int(in_size), int(out_size)
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")

@@ -81,13 +81,9 @@ def _generate_constraints(cfg: RunConfig, root: Path, out_dir: Path) -> list[Pat
         [(c.n_mi_train, c.n_norm_train), (c.n_mi_val, c.n_norm_val),
          (c.n_mi_test, c.n_norm_test)],
         rng, c.mi_reps_per_agent, c.pos_reps_per_agent)
-    save_tasks(out_dir / "pool.csv", cfg.env, pool)
-    outputs = [out_dir / "pool.csv"]
-    for split, cset in zip(("train", "val", "test"), splits):
-        path = out_dir / f"{split}.csv"
-        sim.save_constraints(path, cset)
-        outputs.append(path)
-    return outputs
+    return [save_tasks(out_dir / "pool.csv", cfg.env, pool),
+            *(sim.save_constraints(out_dir / f"{split}.csv", cset)
+              for split, cset in zip(("train", "val", "test"), splits))]
 
 
 def _load_constraint_artifacts(cfg: RunConfig, root: Path):
@@ -121,17 +117,16 @@ def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
         model, log = emb.train_embedding(
             pool, sets["train"], sets["val"], sets["test"], _train_config(cfg, dim, norm_weight),
             make_rng(cfg.seeds.root, cfg.seeds.training, *seed_parts))
-        emb.save_embedding_model(model, out_dir / f"model{suffix}.txt")
-        outputs += [out_dir / f"model{suffix}.txt", nn.write_csv(
-            out_dir / f"trainlog{suffix}.csv", ["epoch", "train_loss", "val_loss"],
-            [*zip(log.epochs, log.train_loss, log.val_loss),
-             ("best_epoch", log.best_epoch, ""), ("test_loss", log.test_loss, "")])]
+        outputs += [emb.save_embedding_model(model, out_dir / f"model{suffix}.txt"),
+                    nn.write_csv(out_dir / f"trainlog{suffix}.csv",
+                                 ["epoch", "train_loss", "val_loss"],
+                                 [*zip(log.epochs, log.train_loss, log.val_loss),
+                                  ("best_epoch", log.best_epoch, ""),
+                                  ("test_loss", log.test_loss, "")])]
 
     random_model = emb.fresh_embedding_net(cfg.env, cfg.embed_dim(),
                                            make_rng(cfg.seeds.root, cfg.seeds.training, 2))
-    emb.save_embedding_model(random_model, out_dir / "model_random.txt")
-    outputs.append(out_dir / "model_random.txt")
-    return outputs
+    return [*outputs, emb.save_embedding_model(random_model, out_dir / "model_random.txt")]
 
 
 def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
@@ -141,8 +136,7 @@ def _train_predmodel(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     rng = make_rng(cfg.seeds.root, cfg.seeds.training, 3)
     transitions = pm.collect_transitions(cfg.env, pm_cfg.n_rollouts, rng)
     nets, losses = pm.train_predmodel(cfg.env, transitions, pm_cfg, rng, verbose=True)
-    pm.save_predmodel(nets, out_dir / "model.txt")
-    return [out_dir / "model.txt",
+    return [pm.save_predmodel(nets, out_dir / "model.txt"),
             nn.write_csv(out_dir / "trainlog.csv", ["epoch", "loss"], enumerate(losses))]
 
 
@@ -197,10 +191,9 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
                                                b.quiz_train_examples, gen_rng)
         test_ds = prediction.gen_quiz_dataset(cfg.env, agent_pop, size,
                                               b.quiz_test_examples, gen_rng)
-        for split, ds in (("train", train_ds), ("test", test_ds)):
-            path = out_dir / f"quiz_size_{size}_{split}{suffix}.csv"
-            prediction.save_quiz_dataset(path, cfg.env, ds)
-            outputs.append(path)
+        outputs += [prediction.save_quiz_dataset(
+            out_dir / f"quiz_size_{size}_{split}{suffix}.csv", cfg.env, ds)
+            for split, ds in (("train", train_ds), ("test", test_ds))]
         outcomes = np.array([ex.test_outcome for ex in test_ds])
         fold_rng_parts = (cfg.seeds.root, cfg.seeds.benchmarks, 11, size)
         for method in methods:
@@ -244,9 +237,8 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
             mi_reps_per_agent=b.selection_mi_reps,
             pos_reps_per_agent=b.selection_pos_reps,
             easy_pool_size=b.selection_pool)
-        path = out_dir / f"selection_{d}.csv"
-        selection.save_selection_dataset(path, cfg.env, dataset)
-        outputs.append(path)
+        outputs.append(selection.save_selection_dataset(out_dir / f"selection_{d}.csv",
+                                                        cfg.env, dataset))
         if "opt50" in methods:
             half_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 21, d)
             half = half_rng.choice(len(popn), size=max(1, len(popn) // 2),
@@ -302,13 +294,12 @@ def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
 def _export_viz(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     model = emb.load_embedding_model(root / "embedding" / "model.txt")
     states = _eval_tasks(cfg)
-    emb.export_embeddings(out_dir / "embeddings.csv", model, states)
-    save_tasks(out_dir / "tasks.csv", cfg.env, states)
     k = min(2, model.dim)
     proj, ratios = emb.pca_project(model.embed(states), k)
     labels = get_env(cfg.env).cluster_labels(states)
     pca_rows = ([i, *row, int(c)] for i, (row, c) in enumerate(zip(proj.tolist(), labels)))
-    return [out_dir / "embeddings.csv", out_dir / "tasks.csv",
+    return [emb.export_embeddings(out_dir / "embeddings.csv", model, states),
+            save_tasks(out_dir / "tasks.csv", cfg.env, states),
             nn.write_csv(out_dir / "pca.csv",
                          ["task_index", *(f"p_{i + 1}" for i in range(k)), "label"], pca_rows),
             nn.write_csv(out_dir / "pca_variance.csv", ["component", "explained_variance_ratio"],

@@ -380,7 +380,9 @@ def _read_population_manifest(path: Path) -> tuple[envcore.EnvOps, list[tuple]]:
                 raise ValueError(f"expected 'agent {k}' then {', '.join(_AGENT_KEYS)}")
             method, mask, bias, snapshot, score = parts[3::2]
             mask_vector(head["env"], mask)  # a mask the env does not define fails here
-            records.append((method, mask, bias, int(snapshot), float(score)))
+            if not np.isfinite(score := float(score)):
+                raise ValueError(f"non-finite score {score}")
+            records.append((method, mask, bias, int(snapshot), score))
         reader.expect_end(f"agent line beyond count {count}")
     return head["env"], records
 
@@ -394,22 +396,14 @@ def population_files(directory) -> list[Path]:
 
 
 def load_population(directory) -> Population:
-    """Read a population directory; a malformed file raises nn.ArtifactFormatError."""
+    """Read a population directory; a malformed file, or an agent net that is not its env's
+    policy net, raises nn.ArtifactFormatError."""
     directory = Path(directory)
     ops, records = _read_population_manifest(directory / "manifest")
-    sizes, acts = ops.net_layout(ops.n_actions)
-    need = [f"{i} {o} {a}" for i, o, a in zip(sizes[:-1], sizes[1:], acts)]
     snapshots = []
     for k, record in enumerate(records):
         with nn.read_artifact(directory / f"agent_{k}.txt") as reader:
-            net = nn.read_weights(reader)
-            have = [f"{lay.in_size} {lay.out_size} {lay.activation}" for lay in net.layers]
-            if have != need:  # line 1 holds the layer count, then each layer a header and rows
-                lines = np.cumsum([2] + [lay.out_size + 1 for lay in net.layers])
-                line = 1 if len(have) != len(need) else lines[np.argmax(np.array(have) != need)]
-                raise nn.ArtifactFormatError(f"{reader.name}:{line}: the net's layers are "
-                                             f"{have}, a {ops.name} policy's are {need}")
-            flat = net.flat
+            flat = nn.read_weights(reader, ops.net_layout(ops.n_actions)).flat
             if ops.action_kind == "box":
                 log_std = np.array([float(v) for v in reader.fields(ops.n_actions)])
                 if not np.isfinite(log_std).all():

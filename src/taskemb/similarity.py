@@ -12,6 +12,7 @@ of re-rolling every pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,18 +145,20 @@ def gen_constraint_splits(pool_states: np.ndarray, population,
     return sets
 
 
-def save_constraints(path, cset: ConstraintSet) -> None:
-    """CSV rows `kind,task1,task2,task3,label,est1,est2`; task columns are pool row indices."""
-    nn.write_csv(path, ["kind", "task1", "task2", "task3", "label", "est1", "est2"],
-                 [*(["mi", *t, label, *est] for t, label, est in zip(
-                     cset.triplets.tolist(), cset.triplet_labels.tolist(), cset.mi.tolist())),
-                  *(["norm", *p, "", label, *est] for p, label, est in zip(
-                      cset.pairs.tolist(), cset.pair_labels.tolist(), cset.pos.tolist()))])
+def save_constraints(path, cset: ConstraintSet):
+    """CSV rows `kind,task1,task2,task3,label,est1,est2` (tasks are pool rows); returns path."""
+    return nn.write_csv(path, ["kind", "task1", "task2", "task3", "label", "est1", "est2"],
+                        [*(["mi", *t, label, *est] for t, label, est in zip(
+                            cset.triplets.tolist(), cset.triplet_labels.tolist(),
+                            cset.mi.tolist())),
+                         *(["norm", *p, "", label, *est] for p, label, est in zip(
+                             cset.pairs.tolist(), cset.pair_labels.tolist(), cset.pos.tolist()))])
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
-    """Read save_constraints' CSV; a bad row, a task index below 0 or beyond np.intp, or a
-    label other than 0 or 1 raises nn.ArtifactFormatError naming its line."""
+    """Read save_constraints' CSV; a bad row, a task index below 0 or beyond np.intp, a
+    label other than 0 or 1, or a non-finite estimate raises nn.ArtifactFormatError naming
+    its line."""
     rows, intp_max = {"mi": [], "norm": []}, np.iinfo(np.intp).max
     with nn.read_csv(path) as (_, lines):
         for kind, t1, t2, t3, label, e1, e2 in lines:
@@ -165,7 +168,10 @@ def load_constraints(path, env: str) -> ConstraintSet:
             if not 0 <= min(tasks) <= max(tasks) <= intp_max or label not in ("0", "1"):
                 raise ValueError(f"need task indices >= 0 and <= {intp_max} and a label of "
                                  f"0 or 1, got {tasks} and {label!r}")
-            rows[kind].append((tasks, int(label), (float(e1), float(e2))))
+            est = (float(e1), float(e2))
+            if not all(map(math.isfinite, est)):
+                raise ValueError(f"non-finite estimate in {list(est)}")
+            rows[kind].append((tasks, int(label), est))
 
     def columns(kind, width):
         tasks, labels, est = zip(*rows[kind]) if rows[kind] else ((), (), ())

@@ -484,6 +484,12 @@ def _desk_lines(name, n_lines):
         return [next(fp) for _ in range(n_lines)]
 
 
+def _with_field(line, k, value):
+    """A CSV line with its field k replaced by value."""
+    fields = line.split(",")
+    return ",".join([*fields[:k], value, *fields[k + 1:]])
+
+
 def _role(line):
     return (line.split(",") + [""])[1]  # "" for a line cut before its role
 
@@ -545,9 +551,10 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:7] + ls[8:], 12),
         (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0] + ",nan\n"] + ls[4:], 4),
         (lambda ls: ls[:12] + [ls[12].rsplit(",", 1)[0] + ",inf\n"] + ls[13:], 13),
+        (lambda ls: ls[:8] + [_with_field(ls[8], 4, "7.5")] + ls[9:], 9),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
             "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size",
-            "nan-state", "inf-in-a-test-row"])
+            "nan-state", "inf-in-a-test-row", "location-outside-0-1"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
@@ -565,10 +572,11 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:1] + [ls[1].replace(",ref,1,", ",ref,3,", 1)] + ls[2:], 2),
         (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0] + ",nan\n"] + ls[5:], 5),
         (lambda ls: ls[:20] + [ls[20].rsplit(",", 1)[0] + ",-inf\n"] + ls[21:], 21),
+        (lambda ls: ls[:25] + [_with_field(ls[25], 6, "7.5")] + ls[26:], 26),
     ], ids=["example-0-without-ref", "options-misordered", "one-easy-row-short",
             "unknown-role", "ground-truth-beyond-options", "no-examples",
             "only-example-cut-in-its-easy-rows", "query-type-not-1-or-2", "nan-state",
-            "inf-state-in-example-1"])
+            "inf-state-in-example-1", "location-outside-0-1"])
     def test_malformed_selection_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "sel.csv"
         path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))

@@ -246,20 +246,23 @@ class TestEmbedApi:
         ("embedding", lambda t: t.split("\n", 1)[1], lambda t: 1),
         ("embedding", lambda t: t + "1 2 3\n", lambda t: t.count("\n")),
         ("embedding", lambda t: t.replace('"pointmass"', '"env"', 1), lambda t: 1),
-        ("embedding", lambda t: t.replace('"dim": 3', '"dim": 9', 1), lambda t: 1),
+        ("embedding", lambda t: t.replace('"dim": 3', '"dim": 9', 1),
+         lambda t: t.splitlines().index("32 3 identity") + 1),
         ("predmodel", lambda t: t.replace('"latent_dim"', '"dim"', 1), lambda t: 1),
         ("predmodel", lambda t: t + "garbage\n", lambda t: t.count("\n")),
         ("predmodel", lambda t: t.replace('"pointmass"', '"env"', 1), lambda t: 1),
         ("predmodel", lambda t: t.replace('"latent_dim": 2', '"latent_dim": 3', 1),
          lambda t: 1),
-        ("embedding", lambda t: t.replace('"pointmass"', '"cartpolevar"', 1), lambda t: 1),
+        ("embedding", lambda t: t.replace('"pointmass"', '"cartpolevar"', 1), lambda t: 3),
+        ("embedding", lambda t: t.replace("32 32 relu", "32 32 identity"),
+         lambda t: t.splitlines().index("32 32 identity") + 1),
         ("predmodel", lambda t: t.replace('"pointmass"', '"cartpolevar"', 1), lambda t: 1),
     ], ids=["embedding-cut-mid-file", "embedding-header-missing",
             "embedding-trailing-content", "embedding-unknown-env",
             "embedding-dim-not-the-net-output", "predmodel-header-without-latent-dim",
             "predmodel-trailing-content", "predmodel-unknown-env",
             "predmodel-latent-dim-not-the-inference-output",
-            "embedding-env-relabeled-to-another-input-width",
+            "embedding-env-relabeled-to-another-input-width", "embedding-hidden-layer-not-relu",
             "predmodel-env-relabeled-to-another-input-width"])
     def test_malformed_model_file_names_file_and_line(self, tmp_path, kind, edit, line_of):
         path = tmp_path / "model.txt"

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -288,20 +289,18 @@ class TestRolloutMachinery:
         assert alive_steps >= 100_000
         assert 0.9e-3 <= rate <= 1.1e-3
 
-    def test_alive_states_satisfy_invariants(self):
-        rng = make_rng(46)
-        ops = core.get_env("multikeynav")
-        states = envs.sample_tasks("multikeynav", 500, rng)
-        pol = envs.UniformRandomPolicy()
-        for _ in range(10):
-            acts = pol.act(ops, states, rng)
-            new, status = ops.step_batch(states, acts,
-                                         rng.uniform(size=(ops.step_draws, states.shape[0])))
-            states = new[status == envs.ALIVE]
-            if states.shape[0] == 0:
-                break
-            for s in states[:20]:
-                ops.validate_state(s)
+    @pytest.mark.parametrize("env", sorted(core._REGISTRY))
+    def test_alive_states_satisfy_invariants(self, env):
+        # Every state a random policy acts in, and every state it leaves alive, keeps the
+        # env's rules, up to the horizon.
+        ops = core.get_env(env)
+        tasks = envs.sample_tasks(env, 2_000, make_rng(46))
+        _, _, steps = envs.rollout_batch(env, tasks, envs.UniformRandomPolicy(), make_rng(46, 1),
+                                         record=True)
+        alive = steps.next_states[steps.status == envs.ALIVE]
+        assert alive.shape[0] > 1_000
+        core.check_states(ops, steps.states)
+        core.check_states(ops, alive)
 
     @pytest.mark.parametrize("env", ["multikeynav", "cartpolevar", "pointmass"])
     def test_record_does_not_change_outcomes(self, env):
@@ -386,6 +385,54 @@ class TestRolloutMachinery:
             envs.get_env("nope")
 
 
+class TestStateRules:
+    @pytest.mark.parametrize("env", sorted(core._REGISTRY))
+    def test_sampled_biased_and_snapshot_tasks_keep_the_rules(self, env):
+        ops = core.get_env(env)
+        tasks = [envs.sample_tasks(env, 2_000, make_rng(55)),
+                 *(envs.sample_tasks(env, 500, make_rng(56), bias=b) for b in ops.bias_filters)]
+        if ops.snapshot_tasks is not None:
+            tasks.append(ops.snapshot_tasks)
+        for states in tasks:
+            assert core.check_states(ops, states) is states
+
+    def test_envs_that_share_state_fields_share_one_rule_table(self):
+        # The loaders look the rules up by a header's state fields, so those fields must
+        # pick one table, whichever env holding them comes first.
+        by_fields = {}
+        for ops in core._REGISTRY.values():
+            by_fields.setdefault(ops.state_fields, []).append(ops.state_rules)
+        assert len(by_fields["location", "keyA", "keyB", "keyC", "keyD", "doorBit1",
+                             "doorBit2"]) == 3
+        for tables in by_fields.values():
+            assert all(table is tables[0] for table in tables)
+
+    @pytest.mark.parametrize("env, state, message", [
+        ("multikeynav_ab", mkn_state(7.5), "location outside [0, 1]"),
+        ("multikeynav", mkn_state(0.5, keys=(0, 0.5, 0, 0)), "key/door flags must be 0 or 1"),
+        ("cartpolevar", [0, 0, 0.3, 0, 10, 0, 0], "pole angle beyond +-12 degrees"),
+        ("cartpolevar", [0, 0, 0, 0, 10, 0, 3.5], "numSteps must be a whole number"),
+        ("pointmass", [0, 0, 3, 0, 0, 2, 4.5], "friction outside [0, 4]"),
+        ("pointmass", [np.nan, 0, 3, 0, 0, 2, 1], "non-finite state value"),
+    ])
+    def test_scalar_api_rejects_a_state_that_breaks_a_rule(self, env, state, message):
+        ops = core.get_env(env)
+        where = re.escape(f"{env}: {message}") + r".*: \[" + re.escape(str(float(state[0])))
+        with pytest.raises(core.EnvError, match=where):
+            envs.expert_action(env, state)
+        with pytest.raises(core.EnvError, match=where):
+            envs.step(env, state, 0 if ops.action_kind == "discrete" else [0.0, 0.0],
+                      make_rng(0))
+
+    def test_first_broken_row_is_named_with_its_first_broken_rule(self):
+        states = envs.sample_tasks("pointmass", 5, make_rng(57))
+        states[3, 6], states[4, 0] = -1.0, np.inf
+        states[2, [0, 6]] = np.inf, 5.0  # breaks the finite rule and the friction rule
+        with pytest.raises(nn.ArtifactFormatError,
+                           match=re.escape("t.csv:4: non-finite state value: [inf, ")):
+            core.check_states(core.get_env("pointmass").state_fields, states, "t.csv")
+
+
 class TestTaskFiles:
     def test_roundtrip(self, tmp_path):
         rng = make_rng(51)
@@ -407,11 +454,16 @@ class TestTaskFiles:
              "non-finite state value"),
             (lines[:2] + ["cartpolevar,-inf," + lines[2].split(",", 2)[2]] + lines[3:], 3,
              "non-finite state value"),
+            (lines[:3] + ["cartpolevar,0.0,0.0,0.5," + lines[3].split(",", 4)[4]], 4,
+             re.escape("pole angle beyond +-12 degrees: [0.0, 0.0, 0.5, ")),
             (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
             (["env,a,b,c,d,e,f,g\n"] + lines[1:], 1, "header"),
             (lines[:1], 2, "no tasks after the header"),
             ([], 1, "file ends early"),
         ]
+        pool = (DESK_CONSTRAINTS / "pool.csv").read_text().splitlines(keepends=True)[:5]
+        cases.append((pool[:3] + ["multikeynav,7.5," + pool[3].split(",", 2)[2]] + pool[4:], 4,
+                      re.escape("location outside [0, 1]: [7.5, ")))
         for text, line, message in cases:
             path.write_text("".join(text), newline="")
             with pytest.raises(nn.ArtifactFormatError, match=f"tasks.csv:{line}: {message}"):

@@ -441,6 +441,7 @@ class TestPopulationManifestErrors:
         (GOOD_MANIFEST.replace("count 2", "count 1"), 4),     # more agent lines than count
         (GOOD_MANIFEST + GOOD_MANIFEST.splitlines()[3] + "\n", 5),  # extra agent line
         (GOOD_MANIFEST.replace("score 0.5", "score half"), 3),
+        (GOOD_MANIFEST.replace("score 0.75", "score nan"), 4),
     ])
     def test_malformed_manifest_names_file_and_line(self, pop_dir, text, line):
         manifest = pop_dir / "manifest"
@@ -482,8 +483,8 @@ class TestPopulationManifestErrors:
         shutil.copytree(DESK_MKN, tmp_path / "p")
         agent = tmp_path / "p" / "agent_3.txt"
         agent.write_text(edit(agent.read_text()))
-        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{agent}:{line}: ") +
-                           r"the net's layers are .*, a multikeynav policy's are"):
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{agent}:{line}: ") + (
+                r"(layer \d is '.*', its layout '.*'|the net has 2 layers, its layout 3)")):
             pop.load_population(tmp_path / "p")
 
     def test_box_policy_log_std_line_checked(self, tmp_path):

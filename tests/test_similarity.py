@@ -277,6 +277,10 @@ class TestConstraints:
             (2, lambda t: t.replace("mi,", "mi,100000000000000000000", 1),
              r"need task indices >= 0 and <= \d+ .* \[100000000000000000000228,"),
             (3, lambda t: t.replace(",0,", ",7,", 1), r"need .* label of 0 or 1, got .* '7'"),
+            (3, lambda t: t.rsplit(",", 1)[0] + ",nan\n",
+             r"non-finite estimate in \[0.020454035685800398, nan\]"),
+            (2, lambda t: t.replace(",0.025635879294618746,", ",-inf,"),
+             r"non-finite estimate in \[-inf, 0.046066768575284134\]"),
             (4, lambda t: t[:-1], "line is cut short"),
         ]
         for line, edit, message in cases:
