@@ -40,11 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be >= 1")
-            cfg.threads = args.threads
+        cfg = load_config(args.config, threads=args.threads)
     except (ConfigError, EnvError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

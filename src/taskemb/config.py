@@ -2,10 +2,12 @@
 
 Every stage of the pipeline reads its settings from one file so a run is
 fully described by (config, code). All randomness flows from the named seeds
-here; nothing samples ambient entropy. A key the dataclasses below do not
-name is an error. Protocol values the paper fixes (Adam's betas, the
-baselines' rollout budgets, the selection example shape, ...) are module
-constants next to the code that uses them, not keys.
+here; nothing samples ambient entropy. Each section is one dataclass
+(`[population]` and `[embedding]` are the library's own `PopulationConfig`
+and `TrainConfig`), and a key it does not name is an error. Protocol values
+the paper fixes (Adam's betas, the baselines' rollout budgets, the selection
+example shape, ...) are module constants next to the code that uses them,
+not keys.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from taskemb.benchmarks import prediction, selection
+from taskemb.embedding import TrainConfig
 from taskemb.envs.core import get_env
-from taskemb.population import standard_recipe
+from taskemb.population import PopulationConfig, standard_recipe
 
 
 @dataclass
@@ -26,18 +29,6 @@ class Seeds:
     constraints: int = 2
     training: int = 3
     benchmarks: int = 4
-
-
-@dataclass
-class PopulationSection:
-    recipe: str = "masks"        # masks | bias
-    target_size: int = 100
-    snap_reps: int = 10
-    snap_size: int = 1000
-    bc_epochs: int = 60
-    bc_rollouts: int = 200
-    bc_passes: int = 5
-    bc_lr: float = 3e-3
 
 
 @dataclass
@@ -51,17 +42,6 @@ class ConstraintSection:
     n_norm_test: int = 1000
     mi_reps_per_agent: int = 100
     pos_reps_per_agent: int = 10
-
-
-@dataclass
-class EmbeddingSection:
-    dim: int = 0                 # 0: use the environment default
-    dim_wonorm: int = 0
-    norm_weight: float = 0.4
-    epochs: int = 300
-    batch_size: int = 128
-    lr: float = 1e-3
-    patience: int = 20
 
 
 @dataclass
@@ -94,12 +74,14 @@ class RunConfig:
     output_dir: str = "runs/default"
     threads: int = 1
     seeds: Seeds = field(default_factory=Seeds)
-    population: PopulationSection = field(default_factory=PopulationSection)
+    population: PopulationConfig = field(default_factory=PopulationConfig)
     constraints: ConstraintSection = field(default_factory=ConstraintSection)
-    embedding: EmbeddingSection = field(default_factory=EmbeddingSection)
+    embedding: TrainConfig = field(default_factory=TrainConfig)
     predmodel: PredModelSection = field(default_factory=PredModelSection)
     benchmarks: BenchmarkSection = field(default_factory=BenchmarkSection)
 
+    # A dim of 0 in the file means the env default; these three are the one place that
+    # resolves it.
     def embed_dim(self) -> int:
         return self.embedding.dim or get_env(self.env).embed_dim
 
@@ -116,9 +98,9 @@ class ConfigError(ValueError):
 
 _SECTIONS = {
     "seeds": Seeds,
-    "population": PopulationSection,
+    "population": PopulationConfig,
     "constraints": ConstraintSection,
-    "embedding": EmbeddingSection,
+    "embedding": TrainConfig,
     "predmodel": PredModelSection,
     "benchmarks": BenchmarkSection,
 }
@@ -139,8 +121,9 @@ def _coerce(ftype: str, raw: str):
     return raw
 
 
-def _fill_section(cls, items: dict[str, str], section: str):
-    known = {f.name: f for f in dataclasses.fields(cls)}
+def _fill_section(fields, items: dict[str, str], section: str) -> dict:
+    """A section's `key = value` lines as keyword arguments for the dataclass `fields`."""
+    known = {f.name: f for f in fields}
     kwargs = {}
     for key, raw in items.items():
         if key not in known:
@@ -149,30 +132,30 @@ def _fill_section(cls, items: dict[str, str], section: str):
             kwargs[key] = _coerce(str(known[key].type), raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return cls(**kwargs)
+    return kwargs
 
 
-def parse_config(text: str) -> RunConfig:
+# [run] holds RunConfig's own fields, the ones that are not sections.
+_RUN_FIELDS = [f for f in dataclasses.fields(RunConfig) if f.name not in _SECTIONS]
+
+
+def parse_config(text: str, threads: int | None = None) -> RunConfig:
+    """Parse and check a config; `threads`, when given, overrides `[run] threads`."""
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    cfg = RunConfig()
-    if parser.has_section("run"):
-        run = dict(parser.items("run"))
-        cfg.env = run.pop("env", cfg.env)
-        cfg.output_dir = run.pop("output_dir", cfg.output_dir)
-        if "threads" in run:
-            try:
-                cfg.threads = int(run.pop("threads"))
-            except ValueError as exc:
-                raise ConfigError(f"[run] threads: {exc}") from exc
-        if run:
-            raise ConfigError(f"[run] unknown keys {sorted(run)}")
-    for name, cls in _SECTIONS.items():
-        if parser.has_section(name):
-            setattr(cfg, name, _fill_section(cls, dict(parser.items(name)), name))
+
+    def fill(fields, name: str) -> dict:
+        items = dict(parser.items(name)) if parser.has_section(name) else {}
+        return _fill_section(fields, items, name)
+
+    run = fill(_RUN_FIELDS, "run")
+    if threads is not None:
+        run["threads"] = threads
+    cfg = RunConfig(**run, **{name: cls(**fill(dataclasses.fields(cls), name))
+                              for name, cls in _SECTIONS.items()})
     get_env(cfg.env)  # validates the environment name
     try:
         standard_recipe(cfg.env, cfg.population.recipe)
@@ -195,9 +178,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, threads: int | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fp:
-        return parse_config(fp.read())
+        return parse_config(fp.read(), threads)
 
 
 def parse_quiz_sizes(spec: str) -> list[int]:
@@ -221,7 +204,9 @@ def parse_quiz_sizes(spec: str) -> list[int]:
 
 def parse_methods(spec: str, valid: tuple[str, ...]) -> list[str]:
     methods = [m.strip() for m in spec.split(",") if m.strip()]
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in valid:
             raise ConfigError(f"unknown method {m!r}; valid: {', '.join(valid)}")
+        if m in methods[:i]:  # a repeat would score, and write, the method's rows twice
+            raise ConfigError(f"repeated method {m!r}")
     return methods

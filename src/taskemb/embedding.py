@@ -38,7 +38,8 @@ def fresh_embedding_net(env: str, dim: int, rng: np.random.Generator) -> Embeddi
 
 @dataclass
 class TrainConfig:
-    dim: int = 6
+    dim: int = 0                 # train_embedding needs >= 1; a config file's 0 is the env default
+    dim_wonorm: int = 0          # the pipeline's no-norm ablation trains at this dim
     norm_weight: float = 0.4     # weight on the pair-constraint mean
     epochs: int = 300
     batch_size: int = 128
@@ -138,6 +139,8 @@ def train_embedding(pool_states: np.ndarray, train_set: ConstraintSet,
     Constraints are a fixed pool reused across epochs. Returns the parameters
     with the best validation loss and logs the test loss at those parameters.
     """
+    if config.dim < 1:
+        raise ValueError(f"embedding dim must be >= 1, got {config.dim}")
     if len(train_set.triplets) == 0:
         raise ValueError("empty triplet constraint set")
     if config.norm_weight > 0.0 and len(train_set.pairs) == 0:

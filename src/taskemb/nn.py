@@ -80,8 +80,12 @@ class Mlp:
             if layer.in_size != prev.out_size:
                 raise LayerShapeError(
                     i, f"in size {layer.in_size} != previous out size {prev.out_size}")
-        self.flat = np.concatenate([p.ravel() for layer in self.layers
-                                    for p in (layer.weights, layer.biases)])
+        params = [p for layer in self.layers for p in (layer.weights, layer.biases)]
+        self._layout, start = [], 0  # (start, stop, shape) of each array in `flat`
+        for p in params:
+            self._layout.append((start, start + p.size, p.shape))
+            start += p.size
+        self.flat = np.concatenate([p.ravel() for p in params])
         views = self.split(self.flat)
         for layer, w, b in zip(self.layers, views[::2], views[1::2]):
             layer.weights, layer.biases = w, b
@@ -96,11 +100,7 @@ class Mlp:
 
     def split(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views W0, b0, W1, b1, ... of a vector laid out as ``flat``."""
-        views, start = [], 0
-        for p in [p for layer in self.layers for p in (layer.weights, layer.biases)]:
-            views.append(vec[start : start + p.size].reshape(p.shape))
-            start += p.size
-        return views
+        return [vec[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     def to_flat(self) -> np.ndarray:
         return self.flat.copy()

@@ -48,12 +48,6 @@ def _announce(name: str, skipped: bool) -> None:
     print(f"[{name}] {'cached, skipping' if skipped else 'running'}", flush=True)
 
 
-def _population_config(cfg: RunConfig) -> pop.PopulationConfig:
-    # [population] holds every PopulationConfig field plus the recipe name.
-    return pop.PopulationConfig(**{f.name: getattr(cfg.population, f.name)
-                                   for f in dataclasses.fields(pop.PopulationConfig)})
-
-
 def _load_population(cfg: RunConfig, directory) -> pop.Population:
     return dataclasses.replace(pop.load_population(directory), threads=cfg.threads)
 
@@ -66,8 +60,7 @@ def _eval_tasks(cfg: RunConfig) -> np.ndarray:  # the fresh tasks of silhouette 
 def _train_population(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     recipe = pop.standard_recipe(cfg.env, cfg.population.recipe)
     rng = make_rng(cfg.seeds.root, cfg.seeds.population)
-    popn = pop.build_population(cfg.env, recipe, _population_config(cfg), rng,
-                                verbose=True)
+    popn = pop.build_population(cfg.env, recipe, cfg.population, rng, verbose=True)
     return pop.save_population(popn, out_dir)
 
 
@@ -101,21 +94,16 @@ def _load_constraint_artifacts(cfg: RunConfig, root: Path):
     return pool, sets
 
 
-def _train_config(cfg: RunConfig, dim: int, norm_weight: float) -> emb.TrainConfig:
-    e = cfg.embedding
-    return emb.TrainConfig(dim=dim, norm_weight=norm_weight, epochs=e.epochs,
-                           batch_size=e.batch_size, lr=e.lr, patience=e.patience)
-
-
 def _train_embedding(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     pool, sets = _load_constraint_artifacts(cfg, root)
     outputs = []
     # The full model, then the no-norm ablation (pair constraints off).
-    for suffix, dim, norm_weight, seed_parts in (
-            ("", cfg.embed_dim(), cfg.embedding.norm_weight, ()),
-            ("_wonorm", cfg.embed_dim_wonorm(), 0.0, (1,))):
+    for suffix, train_cfg, seed_parts in (
+            ("", dataclasses.replace(cfg.embedding, dim=cfg.embed_dim()), ()),
+            ("_wonorm", dataclasses.replace(cfg.embedding, dim=cfg.embed_dim_wonorm(),
+                                            norm_weight=0.0), (1,))):
         model, log = emb.train_embedding(
-            pool, sets["train"], sets["val"], sets["test"], _train_config(cfg, dim, norm_weight),
+            pool, sets["train"], sets["val"], sets["test"], train_cfg,
             make_rng(cfg.seeds.root, cfg.seeds.training, *seed_parts))
         outputs += [emb.save_embedding_model(model, out_dir / f"model{suffix}.txt"),
                     nn.write_csv(out_dir / f"trainlog{suffix}.csv",
@@ -283,7 +271,7 @@ def _dim_sweep(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     rows = []
     for dim in range(1, 11):
         _, log = emb.train_embedding(pool, sets["train"], sets["val"], sets["test"],
-                                     _train_config(cfg, dim, cfg.embedding.norm_weight),
+                                     dataclasses.replace(cfg.embedding, dim=dim),
                                      make_rng(cfg.seeds.root, cfg.seeds.training, 4, dim))
         rows.append((dim, min(log.val_loss), log.test_loss))
         print(f"  dim {dim}: test loss {log.test_loss:.4f}", flush=True)

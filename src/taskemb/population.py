@@ -200,6 +200,7 @@ class SubpopSpec:
 
 @dataclass
 class PopulationConfig:
+    recipe: str = "masks"        # standard_recipe kind, masks | bias; read by the pipeline
     target_size: int = 100
     snap_reps: int = 10
     snap_size: int = 1000        # validation tasks sampled unless the env fixes its own

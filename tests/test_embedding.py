@@ -175,6 +175,12 @@ class TestTraining:
         m2, _ = emb.train_embedding(pool, train, val, test, cfg, make_rng(19))
         assert np.array_equal(m1.net.to_flat(), m2.net.to_flat())
 
+    def test_unresolved_dim_rejected(self):
+        # A config file's `dim = 0` means the env default, which only the pipeline resolves.
+        pool, train, val, test = planted_constraints(40, 60, 60, seed=18)
+        with pytest.raises(ValueError, match="embedding dim must be >= 1, got 0"):
+            emb.train_embedding(pool, train, val, test, emb.TrainConfig(dim=0), make_rng(19))
+
     def test_net_gradient_through_losses_matches_finite_differences(self):
         # End-to-end: d(batch objective)/d(net params) via the training path.
         pool, train, _, _ = planted_constraints(60, 80, 80, seed=20)

@@ -130,9 +130,11 @@ class TestConfig:
          r"\[benchmarks\] quiz_test_examples must be at least 10"),
         ("[benchmarks]\nquiz_train_examples = 0\n",
          r"\[benchmarks\] quiz_train_examples must be at least 1"),
+        ("[benchmarks]\nselection_methods = ours,random,ours\n", "repeated method 'ours'"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
-            "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples"])
+            "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
+            "repeated-method"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -641,8 +643,9 @@ class TestCliErrors:
         ("[benchmarks]\nselection_pool = 3\n", "[benchmarks] selection_pool must be at least 5"),
         ("[population]\nrecipe = mask\n", "[population] recipe: unknown recipe kind 'mask'"),
         ("env = pointmass\n", "[population] recipe: pointmass: no mask recipe defined"),
+        ("thread = 2\n", "[run] unknown key 'thread'"),
     ], ids=["unknown-key", "selection-method", "quiz-size", "threads", "selection-pool",
-            "recipe-kind", "env-without-masks"])
+            "recipe-kind", "env-without-masks", "run-unknown-key"])
     def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo,
                                                    message):
         started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
