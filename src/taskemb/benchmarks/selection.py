@@ -134,7 +134,7 @@ def _expert_symbols(env: str, states: np.ndarray) -> list[np.ndarray]:
     for state in states:
         distinct.setdefault(state.tobytes(), state)
     tasks, m = np.array(list(distinct.values())), len(distinct)
-    _, _, steps = rollout_batch(ops, tasks, ExpertPolicy(),
+    _, _, steps = rollout_batch(env, tasks, ExpertPolicy(),
                                 [make_rng(TRAJECTORY_SEED, _task_digest(t)) for t in tasks],
                                 record=True, sizes=[1] * m)
     lengths = np.bincount(steps.episode, minlength=m)

@@ -167,14 +167,18 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
     parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
     parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
     parse_methods(cfg.benchmarks.selection_methods, selection.METHODS)
-    # Smaller counts leave a benchmark nothing to score: the pool holds the easy references, a
-    # dataset needs one example of each query type, and the test split is cut into N_FOLDS.
-    for key, least in (("selection_pool", selection.N_EASY), ("selection_examples", 2),
-                       ("selection_datasets", 1), ("quiz_train_examples", 1),
-                       ("quiz_test_examples", prediction.N_FOLDS)):
-        if getattr(cfg.benchmarks, key) < least:
-            raise ConfigError(f"[benchmarks] {key} must be at least {least}, "
-                              f"got {getattr(cfg.benchmarks, key)}")
+    # Smaller counts leave a stage nothing to score: the pool holds the easy references, a
+    # dataset needs one example of each query type, the test split is cut into N_FOLDS, and
+    # an outcome table draws every agent at least once.
+    for section, key, least in (
+            ("benchmarks", "selection_pool", selection.N_EASY),
+            ("benchmarks", "selection_examples", 2), ("benchmarks", "selection_datasets", 1),
+            ("benchmarks", "quiz_train_examples", 1),
+            ("benchmarks", "quiz_test_examples", prediction.N_FOLDS),
+            ("benchmarks", "selection_mi_reps", 1), ("benchmarks", "selection_pos_reps", 1),
+            ("constraints", "mi_reps_per_agent", 1), ("constraints", "pos_reps_per_agent", 1)):
+        if (value := getattr(getattr(cfg, section), key)) < least:
+            raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
     return cfg
 
 

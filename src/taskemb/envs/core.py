@@ -243,7 +243,7 @@ def expert_action(env: str, state: np.ndarray):
     return action
 
 
-def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
+def rollout_batch(env: str, states0: np.ndarray, policy,
                   rng: np.random.Generator, record: bool = False, sizes=None):
     """Run a batch of episodes to termination.
 
@@ -259,7 +259,7 @@ def rollout_batch(env: str | EnvOps, states0: np.ndarray, policy,
     bits are those of a call on it alone, or one policy shared by every segment,
     which acts once per step on all alive rows with rng None: it must draw nothing.
     """
-    ops = env if isinstance(env, EnvOps) else get_env(env)
+    ops = get_env(env)
     cur = task_batch(ops, states0)  # never written: each step returns new states
     if record and cur.shape[0] == 0:
         raise EnvError(f"{ops.name}: recording needs at least one episode")

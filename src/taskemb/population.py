@@ -123,10 +123,11 @@ class Population:
         return Policy(self.env, net, mask_vector(ops, snap.mask),
                       snap.parameters[-n_std:].copy() if n_std else None)
 
-    def outcome_table(self, states: np.ndarray, reps_per_agent,
+    def outcome_table(self, states: np.ndarray, reps_per_agent: int,
                       rng: np.random.Generator, threads: int | None = None) -> np.ndarray:
-        """Success bits for every (task, agent draw) of a task batch: (n_tasks, total_reps).
+        """Success bits for every (task, agent draw) of a task batch: (n_tasks, n_agents * reps).
 
+        Every agent is drawn reps_per_agent times, a whole count of at least 1.
         Column block a*reps..(a+1)*reps holds agent a's repetitions, so column
         l of any two rows shares the same sampled agent, as a paired-rollout
         estimator requires. Each agent acts and steps on its own child stream,
@@ -134,40 +135,33 @@ class Population:
         LOCKSTEP_ROWS rows unless alone); with threads > 1 groups run concurrently
         into disjoint column slices, so the thread count never changes the result.
         """
+        reps = reps_per_agent
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+            raise ValueError(f"reps_per_agent must be one whole count >= 1, got {reps!r}")
         states = envcore.task_batch(get_env(self.env), states)
         n_agents, n = len(self.snapshots), states.shape[0]
-        reps = np.asarray(reps_per_agent, dtype=np.int64)
-        if reps.ndim == 0:
-            reps = np.full(n_agents, int(reps))
-        if reps.shape != (n_agents,) or np.any(reps < 0):
-            raise ValueError("reps_per_agent must be a scalar or one count per agent")
-        table = np.empty((n, int(reps.sum())), dtype=np.uint8)
-        cols = np.concatenate([[0], np.cumsum(reps)])
+        table = np.empty((n, n_agents * reps), dtype=np.uint8)
+        blocks = table.reshape(n, n_agents, reps)  # a view; blocks[:, a] is agent a's columns
         agent_rngs = rng.spawn(n_agents)
         threads = self.threads if threads is None else threads
-        groups = []
-        for a in np.flatnonzero(reps):
-            if groups and n * (reps[groups[-1]].sum() + reps[a]) <= LOCKSTEP_ROWS:
-                groups[-1].append(a)
-            else:
-                groups.append([a])
+        per_group = max(1, LOCKSTEP_ROWS // max(1, n * reps))
+        starts = range(0, n_agents, per_group)
 
-        def run_group(group: list[int]) -> None:
-            r = reps[group]
-            batch = np.repeat(np.tile(states, (len(group), 1)), np.repeat(r, n), axis=0)
+        def run_group(start: int) -> None:
+            group = range(start, min(start + per_group, n_agents))
+            batch = np.tile(np.repeat(states, reps, axis=0), (len(group), 1))
             out, _ = rollout_batch(self.env, batch, [self.policy(a) for a in group],
-                                   [agent_rngs[a] for a in group], sizes=n * r)
-            for a, block in zip(group, np.split(out, np.cumsum(n * r)[:-1])):
-                table[:, cols[a] : cols[a + 1]] = block.reshape(n, reps[a])
+                                   agent_rngs[start : group.stop], sizes=[n * reps] * len(group))
+            blocks[:, start : group.stop] = out.reshape(len(group), n, reps).transpose(1, 0, 2)
 
-        if threads > 1 and len(groups) > 1:
+        if threads > 1 and len(starts) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(run_group, groups))
+                list(ex.map(run_group, starts))
         else:
-            for group in groups:
-                run_group(group)
+            for start in starts:
+                run_group(start)
         return table
 
     def rollouts(self, agent_idx: np.ndarray, states: np.ndarray,

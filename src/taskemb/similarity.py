@@ -53,34 +53,6 @@ def mutual_information(first, second) -> float | np.ndarray:
     return h_i - (p_j * h_1 + (1.0 - p_j) * h_0)
 
 
-def _reps_schedule(n_agents: int, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Spread n_samples across agents as evenly as possible (remainder random)."""
-    base, extra = divmod(n_samples, n_agents)
-    reps = np.full(n_agents, base, dtype=np.int64)
-    if extra:
-        reps[rng.permutation(n_agents)[:extra]] += 1
-    return reps
-
-
-def estimate_mi(task_i, task_j, population, rng: np.random.Generator,
-                n_samples: int | None = None) -> float:
-    """Paired-rollout mutual information estimate (nats) between two tasks.
-
-    Each of the n_samples draws picks an agent and rolls out both tasks under
-    it. Draws are stratified over the population (the default budget is 100
-    per agent), matching how constraint labels are produced.
-    """
-    n_agents = len(population.snapshots)
-    if n_samples is None:
-        n_samples = 100 * n_agents
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    reps = _reps_schedule(n_agents, n_samples, rng)
-    tasks = np.array([task_i, task_j], dtype=np.float64)
-    table = population.outcome_table(tasks, reps, rng)
-    return float(mutual_information(table[0], table[1]))
-
-
 @dataclass
 class TripletConstraint:
     """Ordered task triplet: label 1 means task2 is the more-similar partner of task1."""

@@ -35,16 +35,10 @@ class BernoulliPopulation:
         self.snapshots = [None] * self.probs.shape[0]
 
     def outcome_table(self, states, reps_per_agent, rng):
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        ids = states[:, 0].astype(int)
-        reps = np.asarray(reps_per_agent, dtype=np.int64)
-        if reps.ndim == 0:
-            reps = np.full(self.probs.shape[0], int(reps))
-        blocks = []
-        for a in range(self.probs.shape[0]):
-            p = self.probs[a, ids]
-            blocks.append(rng.uniform(size=(ids.size, int(reps[a]))) < p[:, None])
-        return np.concatenate(blocks, axis=1).astype(np.uint8)
+        ids = np.atleast_2d(np.asarray(states, dtype=np.float64))[:, 0].astype(int)
+        draws = rng.uniform(size=(self.probs.shape[0], ids.size, reps_per_agent))
+        hits = draws < self.probs[:, ids, None]  # agent a's block is its (tasks, reps) draws
+        return hits.transpose(1, 0, 2).reshape(ids.size, -1).astype(np.uint8)
 
     def joint_distribution(self, task_i, task_j):
         """Exact joint pmf of the two success indicators under a uniform agent draw."""

@@ -99,8 +99,8 @@ class TestCriterion1MiOracle:
         for probs in cases:
             popn = BernoulliPopulation(np.array(probs, dtype=float))
             exact = exact_mutual_information(*popn.joint_distribution(0, 1))
-            est = sim.estimate_mi(np.array([0.0]), np.array([1.0]), popn,
-                                  n_samples=10_000, rng=rng)
+            tasks = np.array([[0.0], [1.0]])  # 10,000 paired draws, the same count per agent
+            est = sim.mutual_information(*popn.outcome_table(tasks, 10_000 // len(probs), rng))
             worst = max(worst, abs(est - exact))
         elapsed = time.time() - t0
         report("C01 mutual-information oracle",

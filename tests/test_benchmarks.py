@@ -426,7 +426,7 @@ class TestSelect:
         assert len(symbols) == len(batch)
         for state, got in zip(batch, symbols):
             rng = make_rng(selection.TRAJECTORY_SEED, selection._task_digest(state))
-            _, _, steps = rollout_batch(ops, state[None, :], ExpertPolicy(), rng, record=True)
+            _, _, steps = rollout_batch(env, state[None, :], ExpertPolicy(), rng, record=True)
             assert np.array_equal(got, ops.action_symbols(steps.actions))
 
     def test_estimate_oracle_reproduces_ground_truth(self, selection_dataset):

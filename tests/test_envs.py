@@ -372,7 +372,7 @@ class TestRolloutMachinery:
         h = hashlib.sha256()
         for size in (1, 2, 7, 21, 64, 300):
             tasks = envs.sample_tasks(env, size, rng)
-            _, _, steps = envs.rollout_batch(ops, tasks, policy, rng, record=True)
+            _, _, steps = envs.rollout_batch(env, tasks, policy, rng, record=True)
             actions = policy.act(ops, steps.states, rng)
             noise = rng.uniform(size=(ops.step_draws, steps.states.shape[0]))
             new, status = ops.step_batch(steps.states, actions, noise)

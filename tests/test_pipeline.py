@@ -13,7 +13,7 @@ from taskemb import embedding as emb
 from taskemb import population as pop
 from taskemb import similarity as sim
 from taskemb.benchmarks import prediction, selection
-from taskemb.envs import load_tasks, save_tasks
+from taskemb.envs import load_tasks, sample_tasks, save_tasks
 from taskemb.manifest import Manifest, StaleArtifactError, file_hash
 from taskemb.seeding import make_rng
 from taskemb.stats import fold_mean_stderr
@@ -131,10 +131,19 @@ class TestConfig:
         ("[benchmarks]\nquiz_train_examples = 0\n",
          r"\[benchmarks\] quiz_train_examples must be at least 1"),
         ("[benchmarks]\nselection_methods = ours,random,ours\n", "repeated method 'ours'"),
+        ("[constraints]\nmi_reps_per_agent = 0\n",
+         r"\[constraints\] mi_reps_per_agent must be at least 1, got 0"),
+        ("[constraints]\npos_reps_per_agent = 0\n",
+         r"\[constraints\] pos_reps_per_agent must be at least 1, got 0"),
+        ("[benchmarks]\nselection_mi_reps = 0\n",
+         r"\[benchmarks\] selection_mi_reps must be at least 1, got 0"),
+        ("[benchmarks]\nselection_pos_reps = -1\n",
+         r"\[benchmarks\] selection_pos_reps must be at least 1, got -1"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
             "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
-            "repeated-method"])
+            "repeated-method", "no-mi-reps", "no-pos-reps", "no-selection-mi-reps",
+            "negative-selection-pos-reps"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -142,7 +151,9 @@ class TestConfig:
     def test_smallest_benchmark_counts_load(self):
         cfgmod.parse_config("[benchmarks]\nselection_pool = 5\nselection_examples = 2\n"
                             "selection_datasets = 1\nquiz_train_examples = 1\n"
-                            "quiz_test_examples = 10\n")
+                            "quiz_test_examples = 10\nselection_mi_reps = 1\n"
+                            "selection_pos_reps = 1\n[constraints]\nmi_reps_per_agent = 1\n"
+                            "pos_reps_per_agent = 1\n")
 
     @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
                              ids=lambda p: p.parent.name)
@@ -492,6 +503,37 @@ def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):
         assert Manifest.load(tmp_path).stages[stage].outputs == outputs, stage
         for rel in outputs:
             assert (tmp_path / rel).read_bytes() == (desk / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_committed_desk_pos_table_rebuilds_at_any_thread_count(threads):
+    # gen-constraints' difficulty table, rebuilt through Population.outcome_table with the
+    # stage's streams: every committed pair's success rates must come out bit for bit.
+    desk = REPO / "runs" / "multikeynav-desk"
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == desk]
+    pool_rng = make_rng(cfg.seeds.root, cfg.seeds.constraints)
+    pool = sample_tasks(cfg.env, cfg.constraints.pool_size, pool_rng)
+    assert np.array_equal(pool, load_tasks(desk / "constraints" / "pool.csv")[1])
+    popn = pop.load_population(desk / "population")
+    pos = popn.outcome_table(pool, cfg.constraints.pos_reps_per_agent, pool_rng.spawn(3)[1],
+                             threads=threads).mean(axis=1)
+    for split in ("train", "val", "test"):
+        cset = sim.load_constraints(desk / "constraints" / f"{split}.csv", cfg.env)
+        assert np.array_equal(pos[cset.pairs], cset.pos), split
+
+
+def test_committed_desk_quiz_regenerates_its_bytes(tmp_path):
+    # eval-prediction's quiz datasets come from Population.rollouts; quiz size 1, drawn on the
+    # stage's stream (train, then test), must write exactly the committed bytes.
+    desk = REPO / "runs" / "multikeynav-desk"
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == desk]
+    popn, b = pop.load_population(desk / "population"), cfg.benchmarks
+    rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 10, 1)
+    for split, n_examples in (("train", b.quiz_train_examples), ("test", b.quiz_test_examples)):
+        name = f"quiz_size_1_{split}.csv"
+        dataset = prediction.gen_quiz_dataset(cfg.env, popn, 1, n_examples, rng)
+        prediction.save_quiz_dataset(tmp_path / name, cfg.env, dataset)
+        assert (tmp_path / name).read_bytes() == (desk / "benchmarks" / name).read_bytes()
 
 
 @pytest.mark.parametrize("run, size, suffix", [

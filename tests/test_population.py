@@ -236,13 +236,15 @@ class TestOutcomeEstimates:
         states = sample_tasks("multikeynav", 4, make_rng(72))
         table = small_population.outcome_table(states, 3, make_rng(73))
         assert table.shape == (4, 3 * len(small_population))
-        # Agent a's child stream does not depend on the other agents' counts,
-        # so a table with reps for agent a alone is column block a.
-        for a in (0, len(small_population) - 1):
-            reps = np.zeros(len(small_population), dtype=np.int64)
-            reps[a] = 3
-            alone = small_population.outcome_table(states, reps, make_rng(73))
-            assert np.array_equal(alone, table[:, 3 * a : 3 * a + 3])
+        empty = small_population.outcome_table(states[:0], 3, make_rng(73))
+        assert empty.shape == (0, 3 * len(small_population))
+
+    @pytest.mark.parametrize("reps", [[3] * 4, np.array(3), True, 3.0, 0, -1],
+                             ids=["per-agent-list", "array", "bool", "float", "zero", "negative"])
+    def test_outcome_table_takes_one_whole_count_of_at_least_one(self, small_population, reps):
+        states = sample_tasks("multikeynav", 2, make_rng(78))
+        with pytest.raises(ValueError, match="one whole count >= 1"):
+            small_population.outcome_table(states, reps, make_rng(79))
 
     def test_outcome_table_takes_a_task_batch_only(self, small_population):
         state = sample_tasks("multikeynav", 1, make_rng(76))
@@ -259,11 +261,11 @@ class TestOutcomeEstimates:
 
 def _agent_by_agent(population, states, reps, rng):
     """The outcome table from one rollout_batch per agent, each on its child stream."""
-    reps = np.broadcast_to(reps, len(population))
     rngs = rng.spawn(len(population))
     return np.concatenate([
-        rollout_batch(population.env, np.repeat(states, r, axis=0), population.policy(a),
-                      rngs[a])[0].reshape(len(states), r) for a, r in enumerate(reps)], axis=1)
+        rollout_batch(population.env, np.repeat(states, reps, axis=0), population.policy(a),
+                      rngs[a])[0].reshape(len(states), reps) for a in range(len(population))],
+        axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -289,14 +291,14 @@ class TestLockstep:
         population = trained_populations[env]
         n = len(population)
         states = sample_tasks(env, 6, make_rng(61))
-        for reps in (3, np.arange(n) % 4, [0] * (n - 1) + [4]):
-            expected = _agent_by_agent(population, states, reps, make_rng(62))
-            assert 0 < expected.mean() < 1 or np.sum(reps) == 4
-            # one group for all agents, groups of a few agents, one agent per group
-            for rows in (pop.LOCKSTEP_ROWS, 40, 1):
-                monkeypatch.setattr(pop, "LOCKSTEP_ROWS", rows)
-                table = population.outcome_table(states, reps, make_rng(62), threads=threads)
-                assert np.array_equal(table, expected), (reps, rows)
+        expected = _agent_by_agent(population, states, 3, make_rng(62))
+        assert 0 < expected.mean() < 1
+        # One group for all agents; groups of two agents (6 tasks x 3 reps = 18 rows each);
+        # groups of n - 1 agents, so the last group holds one; one agent per group.
+        for rows in (pop.LOCKSTEP_ROWS, 40, 18 * (n - 1), 1):
+            monkeypatch.setattr(pop, "LOCKSTEP_ROWS", rows)
+            table = population.outcome_table(states, 3, make_rng(62), threads=threads)
+            assert np.array_equal(table, expected), rows
 
     @pytest.mark.parametrize("env", sorted(envcore._REGISTRY))
     def test_segments_step_as_they_would_alone(self, env):
@@ -325,7 +327,7 @@ class TestLockstep:
     def test_step_is_a_pure_function_of_states_actions_and_noise(self, env):
         # Every stepped row of random-policy episodes, stepped again twice on one noise block.
         ops, rng = get_env(env), make_rng(64, len(env))
-        _, _, steps = rollout_batch(ops, sample_tasks(env, 50, rng), pop.fresh_policy(env, rng),
+        _, _, steps = rollout_batch(env, sample_tasks(env, 50, rng), pop.fresh_policy(env, rng),
                                     rng, record=True)
         states = steps.states
         actions = envcore.UniformRandomPolicy().act(ops, states, rng)

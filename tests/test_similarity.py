@@ -13,8 +13,9 @@ from conftest import (DESK_CONSTRAINTS, BernoulliPopulation, check_truncations,
                       exact_mutual_information)
 
 
-def _task(i):
-    return np.array([float(i)])
+def _tasks(*ids):
+    """A batch of one-element Bernoulli tasks, one row per task id."""
+    return np.array(ids, dtype=np.float64)[:, None]
 
 
 class TestBernoulliEntropy:
@@ -61,8 +62,7 @@ class TestMiEstimator:
         # Agent 1 solves both tasks, agent 2 solves neither: the success
         # indicators are perfectly coupled fair coins, so MI is ln 2.
         popn = BernoulliPopulation([[1.0, 1.0], [0.0, 0.0]])
-        est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=10_000,
-                              rng=make_rng(2))
+        est = sim.mutual_information(*popn.outcome_table(_tasks(0, 1), 5000, make_rng(2)))
         assert est == pytest.approx(math.log(2.0), abs=1e-9)
         exact = exact_mutual_information(*popn.joint_distribution(0, 1))
         assert exact == pytest.approx(math.log(2.0), rel=1e-12)
@@ -72,7 +72,7 @@ class TestMiEstimator:
         popn = BernoulliPopulation([[0.5, 0.5]])
         n = 10_000
         rng = make_rng(3)
-        table = popn.outcome_table(np.stack([_task(0), _task(1)]), n, rng)
+        table = popn.outcome_table(_tasks(0, 1), n, rng)
         est = sim.mutual_information(table[0], table[1])
         sigma = jackknife_sigma(table[0], table[1])
         assert abs(est - 0.0) <= 3.0 * sigma + 1e-6
@@ -88,7 +88,8 @@ class TestMiEstimator:
         for probs in cases:
             popn = BernoulliPopulation(np.array(probs, dtype=float))
             exact = exact_mutual_information(*popn.joint_distribution(0, 1))
-            est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=10_000, rng=rng)
+            est = sim.mutual_information(*popn.outcome_table(_tasks(0, 1), 10_000 // len(probs),
+                                                             rng))
             assert est == pytest.approx(exact, abs=0.02)
 
     def test_noisy_population_matches_exact_mi(self):
@@ -96,21 +97,8 @@ class TestMiEstimator:
         probs = np.array([[0.9, 0.8], [0.2, 0.3], [0.6, 0.1]])
         popn = BernoulliPopulation(probs)
         exact = exact_mutual_information(*popn.joint_distribution(0, 1))
-        est = sim.estimate_mi(_task(0), _task(1), popn, n_samples=30_000, rng=rng)
+        est = sim.mutual_information(*popn.outcome_table(_tasks(0, 1), 10_000, rng))
         assert est == pytest.approx(exact, abs=0.02)
-
-    def test_default_sample_budget_is_hundred_per_agent(self):
-        shapes = []
-
-        class Recording(BernoulliPopulation):
-            def outcome_table(self, states, reps_per_agent, rng):
-                table = super().outcome_table(states, reps_per_agent, rng)
-                shapes.append(table.shape)
-                return table
-
-        popn = Recording([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
-        sim.estimate_mi(_task(0), _task(1), popn, rng=make_rng(6))
-        assert shapes == [(2, 300)]
 
     def test_stack_matches_row_by_row(self):
         # One row against a stack gives each row's own estimate, bit for bit and

@@ -20,7 +20,6 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "taskemb"
 
 ALLOWED = {
-    "similarity.estimate_mi": "C01: estimator bias against the exact mutual information",
     "population.Policy.action_probs": "C02: masked agents put no mass on masked actions",
     "embedding.triplet_satisfaction": "C05: triplet satisfaction at convergence",
     "stats.spearman": "C05: rank correlation of embedding norms with success rates",
