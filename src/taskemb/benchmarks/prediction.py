@@ -9,7 +9,6 @@ population.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ IGNORE_TASK_ROLLOUTS = 500  # random tasks per example for ignore_task
 IGNORE_AGENT_REPS = 10      # rollouts per agent and test task for ignore_agent
 OPT_ROLLOUTS = 10           # rollouts of the hidden agent per test task for opt
 SOFTNN_BLOCK = 256          # examples per embed call in softnn_scores; bounds its memory
+QUIZ_COLUMNS = ("example", "role", "outcome", "agent_index")  # then the state fields
 
 
 @dataclass
@@ -148,35 +148,42 @@ def save_quiz_dataset(path, env: str, examples: list[QuizExample]):
             for state, outcome in zip(ex.quiz_states.tolist(), ex.quiz_outcomes.tolist()):
                 yield [i, "quiz", outcome, ex.agent_index, *state]
             yield [i, "test", ex.test_outcome, ex.agent_index, *ex.test_state.tolist()]
-    return nn.write_csv(path, ["example", "role", "outcome", "agent_index",
-                               *get_env(env).state_fields], rows())
+    return nn.write_csv(path, [*QUIZ_COLUMNS, *get_env(env).state_fields], rows())
 
 
 def load_quiz_dataset(path) -> list[QuizExample]:
     """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
     other than 0 or 1, an example without its test row or with another quiz size than
     example 0, or states that `check_states` rejects raise nn.ArtifactFormatError naming
-    the line."""
-    states, outcomes, agents, n_quiz = array("d"), bytearray(), [], 0
-    with nn.read_csv(path) as (header, rows):
-        for i, role, outcome, agent, *state in rows:
-            if int(i) != len(agents) or role != "quiz" and (role != "test" or not n_quiz):
-                raise ValueError(f"unexpected row: example {i}, role {role!r}")
-            if outcome not in ("0", "1"):
-                raise ValueError(f"outcome {outcome!r} is not 0 or 1")
-            states.extend(map(float, state))
-            outcomes.append(outcome == "1")
-            if role == "quiz":
-                n_quiz += 1
-                continue
-            if agents and n_quiz != k:
-                raise ValueError(f"example {i} has {n_quiz} quiz rows, example 0 has {k}")
-            agents.append(int(agent))
-            k, n_quiz = n_quiz, 0
-        if n_quiz or not agents:
-            raise ValueError(f"example {len(agents)} has no test row")
-    states = check_states(header[4:], np.frombuffer(states).reshape(-1, len(header) - 4), path)
-    states = states.reshape(len(agents), k + 1, -1)
-    outcomes = np.frombuffer(outcomes, dtype=np.uint8).reshape(len(agents), k + 1)
+    the line. A row that does not parse is named before any of these checks runs."""
+    header, rows = nn.read_table(path, ints=(0, 2, 3), words=(1, {"quiz": 0.0, "test": 1.0}))
+    if tuple(header[:4]) != QUIZ_COLUMNS:
+        raise nn.ArtifactFormatError(f"{path}:1: header {header[:4]} != {list(QUIZ_COLUMNS)}")
+    example, test, outcome, agent = rows[:, :4].T
+    tests = np.flatnonzero(test)
+    n_quiz = np.diff(tests, prepend=-1) - 1  # the quiz rows before each test row
+    # A row's example is the count of test rows before it; a test row ends a nonempty quiz
+    # of example 0's size.
+    unexpected = example != np.cumsum(test) - test
+    unexpected[tests[n_quiz == 0]] = True
+    bad_outcome = (outcome != 0) & (outcome != 1)
+    resized = np.zeros(len(rows), dtype=bool)
+    resized[tests[1:][n_quiz[1:] != n_quiz[:1]]] = True
+    if (bad := np.flatnonzero(unexpected | bad_outcome | resized)).size:
+        r, i = bad[0], int(example[bad[0]])
+        if unexpected[r]:
+            message = f"unexpected row: example {i}, role {('quiz', 'test')[int(test[r])]!r}"
+        elif bad_outcome[r]:
+            message = f"outcome {int(outcome[r])} is not 0 or 1"
+        else:
+            message = (f"example {i} has {n_quiz[tests.searchsorted(r)]} quiz rows, "
+                       f"example 0 has {n_quiz[0]}")
+        raise nn.ArtifactFormatError.at_row(path, r, message)
+    if not tests.size or tests[-1] != len(rows) - 1:
+        raise nn.ArtifactFormatError.at_row(path, len(rows),
+                                            f"example {tests.size} has no test row")
+    states = check_states(header[4:], np.ascontiguousarray(rows[:, 4:]), path)
+    states = states.reshape(tests.size, n_quiz[0] + 1, -1)
+    outcomes = outcome.astype(np.uint8).reshape(tests.size, n_quiz[0] + 1)
     return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)
-            for s, o, a in zip(states, outcomes, agents)]
+            for s, o, a in zip(states, outcomes, agent[tests].astype(np.int64).tolist())]

@@ -165,18 +165,24 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
         raise ConfigError("threads must be >= 1")
     # Check the benchmark lists now, not when run-all reaches their stages.
     parse_quiz_sizes(cfg.benchmarks.quiz_sizes)
-    parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
-    parse_methods(cfg.benchmarks.selection_methods, selection.METHODS)
+    methods = (parse_methods(cfg.benchmarks.prediction_methods, prediction.METHODS)
+               + parse_methods(cfg.benchmarks.selection_methods, selection.METHODS))
+    if "predmodel" in methods and not cfg.predmodel.enabled:  # run-all would skip its stage
+        raise ConfigError("method 'predmodel' needs [predmodel] enabled = true")
     # Smaller counts leave a stage nothing to score: the pool holds the easy references, a
-    # dataset needs one example of each query type, the test split is cut into N_FOLDS, and
-    # an outcome table draws every agent at least once.
+    # dataset needs one example of each query type, the test split is cut into N_FOLDS, an
+    # outcome table draws every agent at least once, every constraint split holds a
+    # constraint of each kind, and export-viz's PCA and the silhouette need two points.
     for section, key, least in (
             ("benchmarks", "selection_pool", selection.N_EASY),
             ("benchmarks", "selection_examples", 2), ("benchmarks", "selection_datasets", 1),
             ("benchmarks", "quiz_train_examples", 1),
             ("benchmarks", "quiz_test_examples", prediction.N_FOLDS),
             ("benchmarks", "selection_mi_reps", 1), ("benchmarks", "selection_pos_reps", 1),
-            ("constraints", "mi_reps_per_agent", 1), ("constraints", "pos_reps_per_agent", 1)):
+            ("constraints", "mi_reps_per_agent", 1), ("constraints", "pos_reps_per_agent", 1),
+            *(("constraints", f"n_{kind}_{split}", 1)
+              for split in ("train", "val", "test") for kind in ("mi", "norm")),
+            ("constraints", "pool_size", 2), ("benchmarks", "eval_tasks", 2)):
         if (value := getattr(getattr(cfg, section), key)) < least:
             raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
     return cfg

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from taskemb.nn import ArtifactFormatError, read_csv, write_csv
+from taskemb.nn import ArtifactFormatError, read_table, write_csv
 
 ALIVE = 0
 SOLVED = 1
@@ -131,7 +131,7 @@ def check_states(env: EnvOps | Sequence[str], states: np.ndarray, path=None) -> 
         text = f"{rules[broken[:, row].argmax()][0]}: {states[row].tolist()}"
         if path is None:
             raise EnvError(f"{ops.name}: {text}")
-        raise ArtifactFormatError(f"{path}:{row + 2}: {text}")
+        raise ArtifactFormatError.at_row(path, row, text)
     return states
 
 
@@ -313,18 +313,18 @@ def save_tasks(path, env: str, states: np.ndarray):
 def load_tasks(path) -> tuple[str, np.ndarray]:
     """Read save_tasks' CSV, which holds one env; a bad row, or a state that breaks the
     env's rules (`check_states`), raises nn.ArtifactFormatError naming its line."""
-    with read_csv(path) as (header, rows):
-        ops, states = None, []
-        for row in rows:
-            ops = ops or get_env(row[0])
-            if row[0] != ops.name:
-                raise ValueError(f"mixed environments ({ops.name} and {row[0]})")
-            states.append([float(v) for v in row[1:]])
-        if ops is None:
-            raise ValueError("no tasks after the header")
-        if tuple(header[1:]) != ops.state_fields:
-            raise ArtifactFormatError(f"{path}:1: header {header[1:]} != {list(ops.state_fields)}")
-    return ops.name, check_states(header[1:], np.array(states), path)
+    names = list(_REGISTRY)
+    header, rows = read_table(path, words=(0, {name: float(i) for i, name in enumerate(names)}))
+    if not len(rows):
+        raise ArtifactFormatError.at_row(path, 0, "no tasks after the header")
+    env = rows[:, 0]
+    if (mixed := np.flatnonzero(env != env[0])).size:
+        raise ArtifactFormatError.at_row(path, mixed[0], "mixed environments "
+                                         f"({names[int(env[0])]} and {names[int(env[mixed[0]])]})")
+    ops = _REGISTRY[names[int(env[0])]]
+    if tuple(header[1:]) != ops.state_fields:
+        raise ArtifactFormatError(f"{path}:1: header {header[1:]} != {list(ops.state_fields)}")
+    return ops.name, check_states(header[1:], np.ascontiguousarray(rows[:, 1:]), path)
 
 
 from taskemb.envs import cartpolevar, multikeynav, pointmass  # noqa: E402,F401  (registers envs)

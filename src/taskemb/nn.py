@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +249,11 @@ def write_weights(net: Mlp, fp) -> None:
 class ArtifactFormatError(ValueError):
     """A saved artifact does not match its text format; the message starts `<path>:<line>:`."""
 
+    @classmethod
+    def at_row(cls, path, row: int, message: str) -> "ArtifactFormatError":
+        """The error of a CSV artifact's data row `row`, counted from 0: its line is row + 2."""
+        return cls(f"{path}:{row + 2}: {message}")
+
 
 class LineReader:
     """Reads a text artifact line by line; parse errors raised under `located()` name the line."""
@@ -312,6 +318,61 @@ def read_csv(path):
                     raise ValueError(f"expected {len(header)} fields, got {len(row)}")
                 yield row
         yield header, rows()
+
+
+def read_table(path, ints=(), words=None):
+    """(header, rows) of a CSV artifact of numbers: rows is one float64 array, one row per
+    line after the header, parsed by np.loadtxt. The columns `ints` hold integers, and
+    words=(column, table) maps each field of that column through the dict table.
+
+    A file that does not parse whole (a last line cut short, a blank or `#` line, a wrong
+    field count, a field that is neither a number nor a known word, 3.0 in an integer
+    column) never loads: read_csv's rows then find its first bad line, and it raises
+    ArtifactFormatError naming that line.
+    """
+    col, table = words or (None, {})
+
+    def word(text):
+        try:
+            return table[text]
+        except KeyError:
+            raise ValueError(f"unknown {header[col]} {text!r}") from None
+
+    def parse(source, skiprows=0):
+        # As errors: "no data" in a file of blank lines, and NumPy 1.x's warning on 3.0 read
+        # as an integer.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(source, dtype, delimiter=",", comments=None, quotechar='"',
+                              skiprows=skiprows, encoding="utf-8", ndmin=1,
+                              converters=None if col is None else {col: word})
+
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fp:
+            first, body = fp.readline(), fp.read()
+        if not first.endswith("\n"):
+            raise ValueError("the header is cut short")
+        header = next(csv.reader([first]))
+        dtype = np.dtype([(str(j), np.int64 if j in ints else np.float64)
+                          for j in range(len(header))])
+        if body[-1:] not in ("", "\n"):
+            raise ValueError("the last line is cut short")
+        n_rows = body.count("\n")
+        del body  # np.loadtxt reads the file in chunks
+        rows = parse(path, skiprows=1) if n_rows else np.empty(0, dtype)
+        if len(rows) != n_rows:  # np.loadtxt skips blank lines
+            raise ValueError("a blank line")
+        values = np.column_stack([rows[name] for name in dtype.names])
+        return header, values.astype(np.float64, copy=False)
+    except (ValueError, Warning) as exc:
+        fault = exc
+    with read_csv(path) as (header, rows):
+        for row in rows:
+            try:
+                parse([",".join(row)])
+            except (ValueError, Warning) as exc:  # drop NumPy's "at row 0, column j"
+                raise ValueError(str(exc.__cause__ or exc).split(" at row ")[0]) from None
+        raise ValueError(f"the file does not parse: {fault}")
 
 
 def write_csv(path, header, rows):

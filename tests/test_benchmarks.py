@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from taskemb import nn
 from taskemb import population as pop
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
-from taskemb.envs import get_env, rollout_batch, sample_tasks
+from taskemb.envs import get_env, load_tasks, rollout_batch, sample_tasks, save_tasks
 from taskemb.envs.core import ExpertPolicy
 from taskemb.seeding import make_rng
 
@@ -19,6 +20,7 @@ from conftest import cut_lengths
 
 DESK_BENCHMARKS = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/benchmarks"
 DESK_POPULATION = DESK_BENCHMARKS.parent / "population"
+RUNS = DESK_BENCHMARKS.parents[1]
 
 
 def brute_force_silhouette(points, labels):
@@ -552,9 +554,15 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0] + ",nan\n"] + ls[4:], 4),
         (lambda ls: ls[:12] + [ls[12].rsplit(",", 1)[0] + ",inf\n"] + ls[13:], 13),
         (lambda ls: ls[:8] + [_with_field(ls[8], 4, "7.5")] + ls[9:], 9),
+        (lambda ls: ls[:4] + ["\r\n"] + ls[4:], 5),
+        (lambda ls: ls[:4] + ["#" + ls[4]] + ls[5:], 5),
+        (lambda ls: ls[:7] + [_with_field(ls[7], 0, "1.0")] + ls[8:], 8),
+        (lambda ls: ls[:4] + ["\r\n"] + ls[4:-1] + [ls[-1].rstrip("\r\n")], 5),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
             "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size",
-            "nan-state", "inf-in-a-test-row", "location-outside-0-1"])
+            "nan-state", "inf-in-a-test-row", "location-outside-0-1", "blank-line",
+            "commented-line", "example-index-written-as-a-float",
+            "blank-line-and-no-final-newline"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
@@ -597,3 +605,67 @@ class TestBenchmarkFileErrors:
         with pytest.raises(nn.ArtifactFormatError,
                            match=re.escape(f"{path}:1: state columns [")):
             load(path)
+
+
+SPECIAL_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def _independent_rows(path):
+    """The rows after a CSV artifact's header, as the csv module splits them."""
+    with open(path, newline="", encoding="utf-8") as fp:
+        _, *rows = csv.reader(fp)
+    return rows
+
+
+class TestTableReader:
+    """Quiz and task files go through nn.read_table, one np.loadtxt parse per file."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+    def test_finite_doubles_round_trip_bit_for_bit(self, tmp_path, drawn):
+        # pointmass bounds neither velocity, so any finite double is a valid vx or vy.
+        values = np.array(SPECIAL_DOUBLES + drawn)
+        n_rows = 2 * -(-values.size // 4)  # an even count of rows with two values each
+        states = sample_tasks("pointmass", n_rows, make_rng(70))
+        states[:, [1, 3]] = np.resize(values, (n_rows, 2))
+        path = save_tasks(tmp_path / "tasks.csv", "pointmass", states)
+        assert load_tasks(path)[1].tobytes() == states.tobytes()
+        pairs = states.reshape(-1, 2, states.shape[1])
+        quiz = [prediction.QuizExample(p[:1], np.array([i % 2], dtype=np.uint8), p[1],
+                                       1 - i % 2, i) for i, p in enumerate(pairs)]
+        path = prediction.save_quiz_dataset(tmp_path / "quiz.csv", "pointmass", quiz)
+        back = prediction.load_quiz_dataset(path)
+        assert np.concatenate([np.vstack([ex.quiz_states, ex.test_state])
+                               for ex in back]).tobytes() == states.tobytes()
+        assert _quiz_rows(back) == _quiz_rows(quiz)
+
+    @pytest.mark.parametrize("path", [
+        *(DESK_BENCHMARKS / f"quiz_size_{k}_{split}.csv"
+          for k in (1, 20) for split in ("train", "test")),
+        RUNS / "multikeynav-bias-desk/benchmarks/quiz_size_20_test_transfer.csv",
+    ], ids=lambda p: f"{p.parents[1].name}/{p.name}")
+    def test_committed_quiz_loads_as_the_csv_module_reads_it(self, path):
+        rows = _independent_rows(path)
+        examples = prediction.load_quiz_dataset(path)
+        states = np.concatenate([np.vstack([ex.quiz_states, ex.test_state])
+                                 for ex in examples])
+        assert states.tobytes() == np.array([[float(v) for v in row[4:]]
+                                             for row in rows]).tobytes()
+        outcomes = [int(o) for ex in examples for o in [*ex.quiz_outcomes, ex.test_outcome]]
+        assert outcomes == [int(row[2]) for row in rows]
+        assert [ex.agent_index for ex in examples] == [int(row[3]) for row in rows
+                                                       if row[1] == "test"]
+        base = examples[0].quiz_states.base  # every example is a view of one state array
+        assert all(ex.quiz_states.base is base and ex.test_state.base is base
+                   for ex in examples)
+
+    @pytest.mark.parametrize("path", sorted(RUNS.glob("*/constraints/pool.csv")),
+                             ids=lambda p: p.parents[1].name)
+    def test_committed_pool_loads_as_the_csv_module_reads_it(self, path):
+        rows = _independent_rows(path)
+        env, states = load_tasks(path)
+        assert {row[0] for row in rows} == {env}
+        assert states.tobytes() == np.array([[float(v) for v in row[1:]]
+                                             for row in rows]).tobytes()

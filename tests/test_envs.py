@@ -459,6 +459,8 @@ class TestTaskFiles:
             (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
             (["env,a,b,c,d,e,f,g\n"] + lines[1:], 1, "header"),
             (lines[:1], 2, "no tasks after the header"),
+            (lines[:2] + ["\r\n"] + lines[2:], 3, "expected 8 fields, got 0"),
+            (lines[:2] + ["#" + lines[2]] + lines[3:], 3, "unknown env '#cartpolevar'"),
             ([], 1, "file ends early"),
         ]
         pool = (DESK_CONSTRAINTS / "pool.csv").read_text().splitlines(keepends=True)[:5]

@@ -139,11 +139,28 @@ class TestConfig:
          r"\[benchmarks\] selection_mi_reps must be at least 1, got 0"),
         ("[benchmarks]\nselection_pos_reps = -1\n",
          r"\[benchmarks\] selection_pos_reps must be at least 1, got -1"),
+        ("[benchmarks]\nprediction_methods = ours,predmodel\n",
+         r"method 'predmodel' needs \[predmodel\] enabled = true"),
+        ("[predmodel]\nenabled = false\n[benchmarks]\nselection_methods = predmodel\n",
+         r"method 'predmodel' needs \[predmodel\] enabled = true"),
+        ("[constraints]\nn_mi_train = 0\n",
+         r"\[constraints\] n_mi_train must be at least 1, got 0"),
+        ("[constraints]\nn_norm_val = 0\n",
+         r"\[constraints\] n_norm_val must be at least 1, got 0"),
+        ("[constraints]\nn_mi_test = 0\n",
+         r"\[constraints\] n_mi_test must be at least 1, got 0"),
+        ("[constraints]\npool_size = 1\n",
+         r"\[constraints\] pool_size must be at least 2, got 1"),
+        ("[benchmarks]\neval_tasks = 0\n",
+         r"\[benchmarks\] eval_tasks must be at least 2, got 0"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
             "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
             "repeated-method", "no-mi-reps", "no-pos-reps", "no-selection-mi-reps",
-            "negative-selection-pos-reps"])
+            "negative-selection-pos-reps", "predmodel-prediction-without-its-stage",
+            "predmodel-selection-without-its-stage", "no-mi-train-constraints",
+            "no-norm-val-constraints", "no-mi-test-constraints", "one-task-pool",
+            "no-eval-tasks"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -152,8 +169,11 @@ class TestConfig:
         cfgmod.parse_config("[benchmarks]\nselection_pool = 5\nselection_examples = 2\n"
                             "selection_datasets = 1\nquiz_train_examples = 1\n"
                             "quiz_test_examples = 10\nselection_mi_reps = 1\n"
-                            "selection_pos_reps = 1\n[constraints]\nmi_reps_per_agent = 1\n"
-                            "pos_reps_per_agent = 1\n")
+                            "selection_pos_reps = 1\neval_tasks = 2\n"
+                            "prediction_methods = predmodel\n[predmodel]\nenabled = true\n"
+                            "[constraints]\nmi_reps_per_agent = 1\npos_reps_per_agent = 1\n"
+                            "pool_size = 2\nn_mi_train = 1\nn_norm_train = 1\nn_mi_val = 1\n"
+                            "n_norm_val = 1\nn_mi_test = 1\nn_norm_test = 1\n")
 
     @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
                              ids=lambda p: p.parent.name)
