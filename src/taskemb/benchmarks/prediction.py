@@ -154,36 +154,35 @@ def save_quiz_dataset(path, env: str, examples: list[QuizExample]):
 def load_quiz_dataset(path) -> list[QuizExample]:
     """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
     other than 0 or 1, an example without its test row or with another quiz size than
-    example 0, or states that `check_states` rejects raise nn.ArtifactFormatError naming
-    the line. A row that does not parse is named before any of these checks runs."""
-    header, rows = nn.read_table(path, ints=(0, 2, 3), words=(1, {"quiz": 0.0, "test": 1.0}))
+    example 0, a row naming another agent than its example's test row, or states that
+    `check_states` rejects raise nn.ArtifactFormatError naming the line, a bad row first."""
+    header, rows = nn.read_table(path, ints=(0, 2, 3), words={1: {"quiz": 0.0, "test": 1.0}})
     if tuple(header[:4]) != QUIZ_COLUMNS:
         raise nn.ArtifactFormatError(f"{path}:1: header {header[:4]} != {list(QUIZ_COLUMNS)}")
     example, test, outcome, agent = rows[:, :4].T
     tests = np.flatnonzero(test)
-    n_quiz = np.diff(tests, prepend=-1) - 1  # the quiz rows before each test row
-    # A row's example is the count of test rows before it; a test row ends a nonempty quiz
-    # of example 0's size.
-    unexpected = example != np.cumsum(test) - test
-    unexpected[tests[n_quiz == 0]] = True
-    bad_outcome = (outcome != 0) & (outcome != 1)
-    resized = np.zeros(len(rows), dtype=bool)
-    resized[tests[1:][n_quiz[1:] != n_quiz[:1]]] = True
-    if (bad := np.flatnonzero(unexpected | bad_outcome | resized)).size:
-        r, i = bad[0], int(example[bad[0]])
-        if unexpected[r]:
-            message = f"unexpected row: example {i}, role {('quiz', 'test')[int(test[r])]!r}"
-        elif bad_outcome[r]:
-            message = f"outcome {int(outcome[r])} is not 0 or 1"
-        else:
-            message = (f"example {i} has {n_quiz[tests.searchsorted(r)]} quiz rows, "
-                       f"example 0 has {n_quiz[0]}")
-        raise nn.ArtifactFormatError.at_row(path, r, message)
+    # A row's example is the count of test rows before it, and `last` the row that ends it.
+    # A test row ends a nonempty quiz of example 0's size, and a row names the agent of its
+    # last row when both name one example.
+    owner = (np.cumsum(test) - test).astype(np.intp)
+    last = np.append(tests, len(rows) - 1)[owner]
+    n_quiz = np.append(np.diff(tests, prepend=-1) - 1, 0)[owner]  # its example's quiz rows
+    if fault := nn.first_broken([
+            (lambda r: f"unexpected row: example {int(example[r])}, "
+                       f"role {('quiz', 'test')[int(test[r])]!r}",
+             (example != owner) | (test == 1) & (n_quiz == 0)),
+            (lambda r: f"outcome {int(outcome[r])} is not 0 or 1", ~np.isin(outcome, (0, 1))),
+            (lambda r: f"example {owner[r]} has {n_quiz[r]} quiz rows, "
+                       f"example 0 has {n_quiz[0]}", (test == 1) & (n_quiz != n_quiz[:1])),
+            (lambda r: f"agent {int(agent[r])} is not agent {int(agent[last[r]])} of "
+                       f"example {int(example[r])}'s last row",
+             (agent != agent[last]) & (example == example[last]))]):
+        raise nn.ArtifactFormatError.at_row(path, *fault)
     if not tests.size or tests[-1] != len(rows) - 1:
         raise nn.ArtifactFormatError.at_row(path, len(rows),
                                             f"example {tests.size} has no test row")
-    states = check_states(header[4:], np.ascontiguousarray(rows[:, 4:]), path)
-    states = states.reshape(tests.size, n_quiz[0] + 1, -1)
+    states = check_states(header[4:], np.ascontiguousarray(rows[:, 4:]), path).reshape(
+        tests.size, n_quiz[0] + 1, -1)
     outcomes = outcome.astype(np.uint8).reshape(tests.size, n_quiz[0] + 1)
     return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)
             for s, o, a in zip(states, outcomes, agent[tests].astype(np.int64).tolist())]

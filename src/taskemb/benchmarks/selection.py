@@ -10,7 +10,6 @@ filter comes up empty.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,34 +230,32 @@ def save_selection_dataset(path, env: str, examples: list[SelectionExample]):
 
 def load_selection_dataset(path) -> list[SelectionExample]:
     """Read save_selection_dataset's CSV into views of one state array. Each example is
-    the ROLES rows in order; another row, a query type other than 1 or 2, a ground truth
-    that is not an option index, no example, a last one cut short, or states that
-    `check_states` rejects raise nn.ArtifactFormatError naming the line."""
-    states, pos, sims, labels, n = array("d"), array("d"), array("d"), [], -1
-    with nn.read_csv(path) as (header, rows):
-        for n, (i, role, qtype, gt, p, sim, *state) in enumerate(rows):
-            k, j = divmod(n, len(ROLES))
-            if int(i) != k or role != ROLES[j]:
-                raise ValueError(f"unexpected row: example {i}, role {role!r}")
-            if j == 0:
-                if qtype not in ("1", "2"):
-                    raise ValueError(f"query type {qtype!r} is not 1 or 2")
-                if not 0 <= int(gt) < N_OPTIONS:
-                    raise ValueError(f"ground truth {gt} is not an option index")
-                labels.append((int(qtype), int(gt)))
-            if j <= N_OPTIONS:
-                pos.append(float(p))
-            if 0 < j <= N_OPTIONS:
-                sims.append(float(sim))
-            states.extend(map(float, state))
-        n_examples, cut = divmod(n + 1, len(ROLES))
-        if cut or not n_examples:
-            raise ValueError(f"example {n_examples} has {cut} of its {len(ROLES)} rows" if cut
-                             else "no examples after the header")
-    states = check_states(header[6:], np.frombuffer(states).reshape(-1, len(header) - 6), path)
-    states = states.reshape(n_examples, len(ROLES), -1)
-    pos = np.frombuffer(pos).reshape(n_examples, 1 + N_OPTIONS)
-    sims = np.frombuffer(sims).reshape(n_examples, N_OPTIONS)
-    return [SelectionExample(s[0], s[1:1 + N_OPTIONS], s[1 + N_OPTIONS:], qtype, gt, sim,
-                             float(p[0]), p[1:])
-            for s, p, sim, (qtype, gt) in zip(states, pos, sims, labels)]
+    the ROLES rows in order; a bad row, another row, a query type other than 1 or 2, a
+    ground truth that is not an option index, an empty or non-finite pos or similarity on a
+    row that uses it, no example, a last one cut short, or states that `check_states`
+    rejects raise nn.ArtifactFormatError naming the line, a bad row first."""
+    header, rows = nn.read_table(path, ints=(0, 2, 3), blanks={3: -1, 4: np.nan, 5: np.nan},
+                                 words={1: {role: j for j, role in enumerate(ROLES)}})
+    example, role, qtype, gt, pos, sims = rows[:, :6].T
+    k, j = np.divmod(np.arange(len(rows)), len(ROLES))  # the example and role of each row
+    ref, option = j == 0, (0 < j) & (j <= N_OPTIONS)
+    if fault := nn.first_broken([
+            (lambda r: f"unexpected row: example {int(example[r])}, "
+                       f"role {ROLES[int(role[r])]!r}", (example != k) | (role != j)),
+            (lambda r: f"query type {int(qtype[r])} is not 1 or 2", ref & ~np.isin(qtype, (1, 2))),
+            (lambda r: f"ground truth {int(gt[r])} is not an option index",
+             ref & ((gt < 0) | (gt >= N_OPTIONS))),
+            ("empty or non-finite pos", (ref | option) & ~np.isfinite(pos)),
+            ("empty or non-finite similarity", option & ~np.isfinite(sims))]):
+        raise nn.ArtifactFormatError.at_row(path, *fault)
+    n_examples, cut = divmod(len(rows), len(ROLES))
+    if cut or not n_examples:
+        raise nn.ArtifactFormatError.at_row(
+            path, len(rows), f"example {n_examples} has {cut} of its {len(ROLES)} rows" if cut
+            else "no examples after the header")
+    states = check_states(header[6:], np.ascontiguousarray(rows[:, 6:]), path).reshape(
+        n_examples, len(ROLES), -1)
+    options = slice(1, 1 + N_OPTIONS)
+    return [SelectionExample(s[0], s[options], s[1 + N_OPTIONS:], int(e[0, 2]), int(e[0, 3]),
+                             e[options, 5].copy(), float(e[0, 4]), e[options, 4].copy())
+            for s, e in zip(states, rows.reshape(n_examples, len(ROLES), -1))]

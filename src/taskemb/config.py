@@ -96,14 +96,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_SECTIONS = {
-    "seeds": Seeds,
-    "population": PopulationConfig,
-    "constraints": ConstraintSection,
-    "embedding": TrainConfig,
-    "predmodel": PredModelSection,
-    "benchmarks": BenchmarkSection,
-}
+# The [section]s are RunConfig's fields with a default_factory; [run] holds the others.
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+             if f.default_factory is not dataclasses.MISSING}
+_RUN_FIELDS = [f for f in dataclasses.fields(RunConfig) if f.name not in _SECTIONS]
 
 
 def _coerce(ftype: str, raw: str):
@@ -121,24 +117,6 @@ def _coerce(ftype: str, raw: str):
     return raw
 
 
-def _fill_section(fields, items: dict[str, str], section: str) -> dict:
-    """A section's `key = value` lines as keyword arguments for the dataclass `fields`."""
-    known = {f.name: f for f in fields}
-    kwargs = {}
-    for key, raw in items.items():
-        if key not in known:
-            raise ConfigError(f"[{section}] unknown key {key!r}")
-        try:
-            kwargs[key] = _coerce(str(known[key].type), raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return kwargs
-
-
-# [run] holds RunConfig's own fields, the ones that are not sections.
-_RUN_FIELDS = [f for f in dataclasses.fields(RunConfig) if f.name not in _SECTIONS]
-
-
 def parse_config(text: str, threads: int | None = None) -> RunConfig:
     """Parse and check a config; `threads`, when given, overrides `[run] threads`."""
     parser = configparser.ConfigParser()
@@ -148,8 +126,17 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     def fill(fields, name: str) -> dict:
-        items = dict(parser.items(name)) if parser.has_section(name) else {}
-        return _fill_section(fields, items, name)
+        """Section name's `key = value` lines as keyword arguments for the dataclass fields."""
+        known = {f.name: f for f in fields}
+        kwargs = {}
+        for key, raw in (parser.items(name) if parser.has_section(name) else []):
+            if key not in known:
+                raise ConfigError(f"[{name}] unknown key {key!r}")
+            try:
+                kwargs[key] = _coerce(str(known[key].type), raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from exc
+        return kwargs
 
     run = fill(_RUN_FIELDS, "run")
     if threads is not None:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from taskemb.nn import ArtifactFormatError, read_table, write_csv
+from taskemb.nn import ArtifactFormatError, first_broken, read_table, write_csv
 
 ALIVE = 0
 SOLVED = 1
@@ -122,13 +122,12 @@ def check_states(env: EnvOps | Sequence[str], states: np.ndarray, path=None) -> 
     if ops is None:
         raise ArtifactFormatError(f"{path}:1: state columns {list(env)} are no "
                                   "environment's state fields")
-    rules = (FINITE_RULE, *ops.state_rules)
     with np.errstate(invalid="ignore"):  # a non-finite row breaks FINITE_RULE first
-        broken = np.array([~keeps(states) for _, keeps in rules])
-    bad = np.flatnonzero(broken.any(axis=0))
-    if bad.size:
-        row = bad[0]
-        text = f"{rules[broken[:, row].argmax()][0]}: {states[row].tolist()}"
+        fault = first_broken([(message, ~keeps(states))
+                              for message, keeps in (FINITE_RULE, *ops.state_rules)])
+    if fault:
+        row, message = fault
+        text = f"{message}: {states[row].tolist()}"
         if path is None:
             raise EnvError(f"{ops.name}: {text}")
         raise ArtifactFormatError.at_row(path, row, text)
@@ -314,7 +313,7 @@ def load_tasks(path) -> tuple[str, np.ndarray]:
     """Read save_tasks' CSV, which holds one env; a bad row, or a state that breaks the
     env's rules (`check_states`), raises nn.ArtifactFormatError naming its line."""
     names = list(_REGISTRY)
-    header, rows = read_table(path, words=(0, {name: float(i) for i, name in enumerate(names)}))
+    header, rows = read_table(path, words={0: {name: float(i) for i, name in enumerate(names)}})
     if not len(rows):
         raise ArtifactFormatError.at_row(path, 0, "no tasks after the header")
     env = rows[:, 0]

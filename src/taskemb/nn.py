@@ -255,6 +255,18 @@ class ArtifactFormatError(ValueError):
         return cls(f"{path}:{row + 2}: {message}")
 
 
+def first_broken(rules):
+    """(row, message) of the first row that breaks one of the (message, broken) rules, broken
+    a bool per row; the message is the row's first broken rule's, called with the row if
+    callable. None if every row keeps every rule."""
+    messages, broken = zip(*rules)
+    broken = np.array(broken, dtype=bool)
+    if not (rows := np.flatnonzero(broken.any(axis=0))).size:
+        return None
+    message = messages[broken[:, rows[0]].argmax()]
+    return int(rows[0]), message(rows[0]) if callable(message) else message
+
+
 class LineReader:
     """Reads a text artifact line by line; parse errors raised under `located()` name the line."""
 
@@ -320,23 +332,31 @@ def read_csv(path):
         yield header, rows()
 
 
-def read_table(path, ints=(), words=None):
+def read_table(path, ints=(), words=None, blanks=None):
     """(header, rows) of a CSV artifact of numbers: rows is one float64 array, one row per
-    line after the header, parsed by np.loadtxt. The columns `ints` hold integers, and
-    words=(column, table) maps each field of that column through the dict table.
+    line after the header, parsed by np.loadtxt. The columns `ints` hold integers,
+    words={column: table} maps a column's fields through the dict table, and
+    blanks={column: value} reads an empty field of a column as value.
 
     A file that does not parse whole (a last line cut short, a blank or `#` line, a wrong
-    field count, a field that is neither a number nor a known word, 3.0 in an integer
-    column) never loads: read_csv's rows then find its first bad line, and it raises
-    ArtifactFormatError naming that line.
-    """
-    col, table = words or (None, {})
+    field count, an empty field elsewhere, a field that is neither a number nor a known
+    word, 3.0 in an integer column) never loads: read_csv's rows then find its first bad
+    line, and it raises ArtifactFormatError naming that line."""
+    words, blanks = words or {}, blanks or {}
 
-    def word(text):
-        try:
-            return table[text]
-        except KeyError:
-            raise ValueError(f"unknown {header[col]} {text!r}") from None
+    def converter(j):  # a word column's table, or a blank column's value, then a number
+        table = words.get(j, {"": blanks.get(j)})
+        number = j not in words and (np.int64 if j in ints else np.float64)
+
+        def convert(text):
+            if text in table:
+                return table[text]
+            if number and text.isascii() and "_" not in text:  # np.loadtxt's own grammar
+                with contextlib.suppress(ValueError):
+                    return number(text)
+            raise ValueError(f"could not convert string {text!r} to {number.__name__}"
+                             if number else f"unknown {header[j]} {text!r}")
+        return convert
 
     def parse(source, skiprows=0):
         # As errors: "no data" in a file of blank lines, and NumPy 1.x's warning on 3.0 read
@@ -345,7 +365,7 @@ def read_table(path, ints=(), words=None):
             warnings.simplefilter("error")
             return np.loadtxt(source, dtype, delimiter=",", comments=None, quotechar='"',
                               skiprows=skiprows, encoding="utf-8", ndmin=1,
-                              converters=None if col is None else {col: word})
+                              converters={j: converter(j) for j in {*words, *blanks}})
 
     try:
         with open(path, "r", newline="", encoding="utf-8") as fp:

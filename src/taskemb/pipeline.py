@@ -84,13 +84,11 @@ def _load_constraint_artifacts(cfg: RunConfig, root: Path):
     _, pool = load_tasks(out_dir / "pool.csv")
     sets = {split: sim.load_constraints(out_dir / f"{split}.csv", cfg.env)
             for split in ("train", "val", "test")}
-    for split, cset in sets.items():
-        # Row k of a constraint CSV is its line k + 2: the triplets, then the pairs.
-        for line, tasks in enumerate([*cset.triplets.tolist(), *cset.pairs.tolist()], start=2):
-            if max(tasks) >= len(pool):
-                raise nn.ArtifactFormatError(
-                    f"{out_dir / split}.csv:{line}: task index {max(tasks)} is outside the "
-                    f"pool of {len(pool)} tasks")
+    for split, cset in sets.items():  # a constraint CSV's rows: its triplets, then its pairs
+        top = np.concatenate([t.max(axis=1, initial=0) for t in (cset.triplets, cset.pairs)])
+        if fault := nn.first_broken([(lambda r: f"task index {top[r]} is outside the pool "
+                                      f"of {len(pool)} tasks", top >= len(pool))]):
+            raise nn.ArtifactFormatError.at_row(out_dir / f"{split}.csv", *fault)
     return pool, sets
 
 

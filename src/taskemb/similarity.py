@@ -12,7 +12,6 @@ of re-rolling every pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,26 +127,25 @@ def save_constraints(path, cset: ConstraintSet):
 
 
 def load_constraints(path, env: str) -> ConstraintSet:
-    """Read save_constraints' CSV; a bad row, a task index below 0 or beyond np.intp, a
-    label other than 0 or 1, or a non-finite estimate raises nn.ArtifactFormatError naming
-    its line."""
-    rows, intp_max = {"mi": [], "norm": []}, np.iinfo(np.intp).max
-    with nn.read_csv(path) as (_, lines):
-        for kind, t1, t2, t3, label, e1, e2 in lines:
-            if kind not in rows:
-                raise ValueError(f"unknown constraint kind {kind!r}")
-            tasks = [int(t) for t in (t1, t2, t3)[: 3 if kind == "mi" else 2]]
-            if not 0 <= min(tasks) <= max(tasks) <= intp_max or label not in ("0", "1"):
-                raise ValueError(f"need task indices >= 0 and <= {intp_max} and a label of "
-                                 f"0 or 1, got {tasks} and {label!r}")
-            est = (float(e1), float(e2))
-            if not all(map(math.isfinite, est)):
-                raise ValueError(f"non-finite estimate in {list(est)}")
-            rows[kind].append((tasks, int(label), est))
-
-    def columns(kind, width):
-        tasks, labels, est = zip(*rows[kind]) if rows[kind] else ((), (), ())
-        return (np.array(tasks, dtype=np.intp).reshape(-1, width),
-                np.array(labels, dtype=int), np.array(est, dtype=np.float64).reshape(-1, 2))
-
-    return ConstraintSet(env, *columns("mi", 3), *columns("norm", 2))
+    """Read save_constraints' CSV: mi rows, then norm rows with an empty task3. A bad row, a
+    task index below 0 or from 2**53 on (float64 holds every integer below), a label other
+    than 0 or 1, a non-finite estimate or an mi row after a norm row raises
+    nn.ArtifactFormatError naming its line."""
+    _, rows = nn.read_table(path, ints=(1, 2, 3, 4), words={0: {"mi": 0.0, "norm": 1.0}},
+                            blanks={3: -1})
+    kind, tasks, label, est = rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5:]
+    mi = kind == 0
+    outside = (tasks < 0) | (tasks >= 2.0**53)
+    outside[:, 2] &= mi
+    if fault := nn.first_broken([
+            (lambda r: f"need task indices >= 0 and < 2**53, got "
+                       f"{[int(t) for t in tasks[r, :3 if mi[r] else 2]]}", outside.any(axis=1)),
+            (lambda r: f"label {int(label[r])} is not 0 or 1", ~np.isin(label, (0, 1))),
+            (lambda r: f"non-finite estimate in {est[r].tolist()}",
+             ~np.isfinite(est).all(axis=1)),
+            ("an mi row after a norm row", mi & (np.maximum.accumulate(kind) == 1))]):
+        raise nn.ArtifactFormatError.at_row(path, *fault)
+    n_mi = np.count_nonzero(mi)
+    return ConstraintSet(env, tasks[:n_mi].astype(np.intp), label[:n_mi].astype(int),
+                         np.ascontiguousarray(est[:n_mi]), tasks[n_mi:, :2].astype(np.intp),
+                         label[n_mi:].astype(int), np.ascontiguousarray(est[n_mi:]))

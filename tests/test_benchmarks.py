@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from taskemb import embedding as emb
 from taskemb import nn
 from taskemb import population as pop
+from taskemb import similarity as sim
 from taskemb.benchmarks import clusters, prediction, selection
 from taskemb.benchmarks import predmodel as pm
 from taskemb.envs import get_env, load_tasks, rollout_batch, sample_tasks, save_tasks
@@ -558,11 +559,12 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:4] + ["#" + ls[4]] + ls[5:], 5),
         (lambda ls: ls[:7] + [_with_field(ls[7], 0, "1.0")] + ls[8:], 8),
         (lambda ls: ls[:4] + ["\r\n"] + ls[4:-1] + [ls[-1].rstrip("\r\n")], 5),
+        (lambda ls: ls[:1] + [_with_field(ls[1], 3, "7")] + ls[2:], 2),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
             "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size",
             "nan-state", "inf-in-a-test-row", "location-outside-0-1", "blank-line",
             "commented-line", "example-index-written-as-a-float",
-            "blank-line-and-no-final-newline"])
+            "blank-line-and-no-final-newline", "quiz-row-names-another-agent"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
@@ -619,7 +621,8 @@ def _independent_rows(path):
 
 
 class TestTableReader:
-    """Quiz and task files go through nn.read_table, one np.loadtxt parse per file."""
+    """Quiz, task, constraint and selection files go through nn.read_table, one np.loadtxt
+    parse per file."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -669,3 +672,70 @@ class TestTableReader:
         assert {row[0] for row in rows} == {env}
         assert states.tobytes() == np.array([[float(v) for v in row[1:]]
                                              for row in rows]).tobytes()
+
+    @pytest.mark.parametrize("path", sorted(RUNS.glob("*/constraints/[!p]*.csv")),
+                             ids=lambda p: f"{p.parents[1].name}/{p.name}")
+    def test_committed_constraints_load_as_the_csv_module_reads_them(self, path):
+        rows = _independent_rows(path)
+        c = sim.load_constraints(path, "multikeynav")
+        for kind, width, tasks, labels, est in (
+                ("mi", 3, c.triplets, c.triplet_labels, c.mi),
+                ("norm", 2, c.pairs, c.pair_labels, c.pos)):
+            kept = [row for row in rows if row[0] == kind]
+            assert tasks.tolist() == [[int(v) for v in row[1:1 + width]] for row in kept]
+            assert labels.tolist() == [int(row[4]) for row in kept]
+            assert est.tobytes() == np.array([[float(v) for v in row[5:]]
+                                              for row in kept]).tobytes()
+        assert len(c.triplets) + len(c.pairs) == len(rows)
+        assert all(row[3] == "" for row in rows if row[0] == "norm")
+
+    @pytest.mark.parametrize("path", [DESK_BENCHMARKS / f"selection_{k}.csv" for k in range(4)],
+                             ids=lambda p: p.name)
+    def test_committed_selection_loads_as_the_csv_module_reads_it(self, path):
+        rows = _independent_rows(path)
+        examples = selection.load_selection_dataset(path)
+        n_roles = len(selection.ROLES)
+        assert len(rows) == n_roles * len(examples)
+        states = np.concatenate([np.vstack([ex.ref_state, ex.option_states, ex.easy_refs])
+                                 for ex in examples])
+        assert states.tobytes() == np.array([[float(v) for v in row[6:]]
+                                             for row in rows]).tobytes()
+        per_example = [rows[i:i + n_roles] for i in range(0, len(rows), n_roles)]
+        assert [(ex.query_type, ex.ground_truth) for ex in examples] == [
+            (int(ex_rows[0][2]), int(ex_rows[0][3])) for ex_rows in per_example]
+        assert np.array([[ex.pos_ref, *ex.pos_options] for ex in examples]).tobytes() == \
+            np.array([[float(row[4]) for row in ex_rows[:1 + selection.N_OPTIONS]]
+                      for ex_rows in per_example]).tobytes()
+        assert np.array([ex.gt_sims for ex in examples]).tobytes() == \
+            np.array([[float(row[5]) for row in ex_rows[1:1 + selection.N_OPTIONS]]
+                      for ex_rows in per_example]).tobytes()
+
+    CONSTRAINTS = "".join((DESK_BENCHMARKS.parent / "constraints/train.csv").read_text()
+                          .splitlines(keepends=True)[:4])
+
+    @pytest.mark.parametrize("lines, edit, line, load", [
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:3] + [_with_field(ls[3], 4, "")]
+         + ls[4:], 4, selection.load_selection_dataset),
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:5] + [_with_field(ls[5], 5, "")]
+         + ls[6:], 6, selection.load_selection_dataset),
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:1] + [_with_field(ls[1], 3, "3.0")]
+         + ls[2:], 2, selection.load_selection_dataset),
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:2] + [_with_field(ls[2], 5, "x")]
+         + ls[3:], 3, selection.load_selection_dataset),
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:1] + [_with_field(ls[1], 3, "")]
+         + ls[2:], 2, selection.load_selection_dataset),
+        (TestBenchmarkFileErrors.SELECTION, lambda ls: ls[:4] + [_with_field(ls[4], 5, "1_0")]
+         + ls[5:], 5, selection.load_selection_dataset),
+        (CONSTRAINTS, lambda ls: ls[:2] + [_with_field(ls[2], 3, "")] + ls[3:], 3,
+         lambda p: sim.load_constraints(p, "multikeynav")),
+        (CONSTRAINTS, lambda ls: ls[:1] + [_with_field(ls[1], 2, str(2**53))]
+         + ls[2:], 2, lambda p: sim.load_constraints(p, "multikeynav")),
+    ], ids=["blank-pos-on-an-option-row", "blank-similarity-on-an-option-row",
+            "ground-truth-written-as-a-float", "word-in-a-column-that-allows-blanks",
+            "blank-ground-truth-on-a-ref-row", "python-only-number-in-a-blank-column",
+            "blank-task3-on-an-mi-row", "task-index-2**53"])
+    def test_malformed_blank_columns_name_their_line(self, tmp_path, lines, edit, line, load):
+        path = tmp_path / "data.csv"
+        path.write_text("".join(edit(lines.splitlines(keepends=True))), newline="")
+        with pytest.raises(nn.ArtifactFormatError, match=re.escape(f"{path}:{line}:")):
+            load(path)

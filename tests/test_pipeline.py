@@ -507,6 +507,22 @@ def test_task_index_beyond_the_pool_is_a_located_error(tmp_path, split, line, ed
         pipeline._load_constraint_artifacts(cfg, tmp_path)
 
 
+
+def test_mi_row_after_a_norm_row_is_a_located_error(tmp_path):
+    # A norm row moved before the mi rows would shift every mi row's line against the
+    # "triplets, then pairs" numbering of the pool check, so the loader rejects the order.
+    shutil.copytree(REPO / "runs" / "multikeynav-desk" / "constraints", tmp_path / "constraints")
+    path = tmp_path / "constraints" / "train.csv"
+    with open(path, newline="", encoding="utf-8") as fp:
+        header, *rows = fp.readlines()
+    norm = next(k for k, row in enumerate(rows) if row.startswith("norm,"))
+    rows = [rows[norm], "mi,99999," + rows[0].split(",", 2)[2], *rows[1:norm], *rows[norm + 1:]]
+    with open(path, "w", newline="", encoding="utf-8") as fp:
+        fp.writelines([header, *rows])
+    cfg = cfgmod.parse_config("[run]\nenv = multikeynav\n")
+    with pytest.raises(nn.ArtifactFormatError, match="train.csv:3: an mi row after a norm row"):
+        pipeline._load_constraint_artifacts(cfg, tmp_path)
+
 def test_committed_rollout_free_desk_stages_rewrite_their_bytes(tmp_path):
     # The multikeynav desk stages that make no rollouts are cheap enough to rerun
     # in a test; each must write exactly the committed bytes. Only the manifest and

@@ -258,13 +258,13 @@ class TestConstraints:
         path = tmp_path / "train.csv"
         cases = [
             (2, lambda t: t.replace(",0,", ",", 1), "expected 7 fields, got 6"),
-            (2, lambda t: t.replace("mi,", "mi,x", 1), "invalid literal for int"),
+            (2, lambda t: t.replace("mi,", "mi,x", 1), "could not convert string 'x228' to int64"),
             (2, lambda t: t.replace(",0.", ",0.x", 1), "could not convert"),
-            (2, lambda t: t.replace("mi,", "pair,", 1), "unknown constraint kind 'pair'"),
+            (2, lambda t: t.replace("mi,", "pair,", 1), "unknown kind 'pair'"),
             (2, lambda t: t.replace("mi,", "mi,-", 1), r"need task indices >= 0 .* \[-228,"),
             (2, lambda t: t.replace("mi,", "mi,100000000000000000000", 1),
-             r"need task indices >= 0 and <= \d+ .* \[100000000000000000000228,"),
-            (3, lambda t: t.replace(",0,", ",7,", 1), r"need .* label of 0 or 1, got .* '7'"),
+             "could not convert string '100000000000000000000228' to int64"),
+            (3, lambda t: t.replace(",0,", ",7,", 1), "label 7 is not 0 or 1"),
             (3, lambda t: t.rsplit(",", 1)[0] + ",nan\n",
              r"non-finite estimate in \[0.020454035685800398, nan\]"),
             (2, lambda t: t.replace(",0.025635879294618746,", ",-inf,"),
