@@ -341,7 +341,8 @@ def read_table(path, ints=(), words=None, blanks=None):
     A file that does not parse whole (a last line cut short, a blank or `#` line, a wrong
     field count, an empty field elsewhere, a field that is neither a number nor a known
     word, 3.0 in an integer column) never loads: read_csv's rows then find its first bad
-    line, and it raises ArtifactFormatError naming that line."""
+    line, and it raises ArtifactFormatError naming that line. So does an integer outside
+    (-2**53, 2**53), which a float64 would round."""
     words, blanks = words or {}, blanks or {}
 
     def converter(j):  # a word column's table, or a blank column's value, then a number
@@ -382,10 +383,15 @@ def read_table(path, ints=(), words=None, blanks=None):
         rows = parse(path, skiprows=1) if n_rows else np.empty(0, dtype)
         if len(rows) != n_rows:  # np.loadtxt skips blank lines
             raise ValueError("a blank line")
-        values = np.column_stack([rows[name] for name in dtype.names])
-        return header, values.astype(np.float64, copy=False)
     except (ValueError, Warning) as exc:
         fault = exc
+    else:
+        rules = [(lambda r, j=j: f"{header[j]} {rows[str(j)][r]} is outside (-2**53, 2**53)",
+                  np.abs(rows[str(j)].astype(np.float64)) >= 2.0**53) for j in ints]
+        if rules and (fault := first_broken(rules)):
+            raise ArtifactFormatError.at_row(path, *fault)
+        values = np.column_stack([rows[name] for name in dtype.names])
+        return header, values.astype(np.float64, copy=False)
     with read_csv(path) as (header, rows):
         for row in rows:
             try:

@@ -8,7 +8,6 @@ those draws are what the similarity machinery consumes, via `outcome_table`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,54 +235,68 @@ def _bc_loss_and_grads(policy: Policy, ops, x_feat, actions):
     return loss, [nn.mlp_backward(policy.net, cache, dmean)[0], np.mean(1.0 - z**2, axis=0)]
 
 
-def train_bc(env: str, spec: SubpopSpec, cfg: PopulationConfig,
-             rng: np.random.Generator) -> list[AgentSnapshot]:
-    """Behavioral cloning against the scripted expert, snapshotting on improvement.
+def train_bc(env: str, specs: list[SubpopSpec], cfg: PopulationConfig,
+             rngs) -> list[list[AgentSnapshot]]:
+    """Behavioral cloning of every subpopulation against the scripted expert, in lockstep.
 
-    The untrained policy is always recorded as snapshot 0. After each epoch
-    the policy is scored on the validation tasks (the env's `snapshot_tasks`, or
-    cfg.snap_size sampled ones; snap_reps rollouts each) and
-    a snapshot is recorded when the score improves by at least SNAP_DELTA over
-    the last recorded one.
+    Subpopulation i draws from rngs[i] in the order it would alone, and every forward runs
+    on its own rows, so its snapshots are those of training it alone. Its untrained policy
+    is snapshot 0. Each epoch one recorded expert rollout yields every subpopulation's
+    demonstrations, each policy clones those it can imitate (one with none sits the epoch
+    out), and one rollout scores the trained policies on their validation tasks (the env's
+    `snapshot_tasks`, or cfg.snap_size sampled ones; snap_reps rollouts each). A score at
+    least SNAP_DELTA above that of the policy's last snapshot records a new one.
     """
     ops = get_env(env)
-    init_rng, snap_rng, data_rng, eval_rng = rng.spawn(4)
-    policy = fresh_policy(env, init_rng, mask=spec.mask)
-    snap_tasks = ops.snapshot_tasks
-    if snap_tasks is None:
-        snap_tasks = sample_tasks(env, cfg.snap_size, snap_rng)
-    snap_batch = np.repeat(snap_tasks, cfg.snap_reps, axis=0)
-    expert = ExpertPolicy()
+    streams = [rng.spawn(4) for rng in rngs]  # init, snapshot tasks, data, eval
+    policies = [fresh_policy(env, s[0], mask=spec.mask) for spec, s in zip(specs, streams)]
+    snap_batches = [np.repeat(sample_tasks(env, cfg.snap_size, s[1]) if ops.snapshot_tasks
+                              is None else ops.snapshot_tasks, cfg.snap_reps, axis=0)
+                    for s in streams]
+    params = [[p.net.flat] + ([] if p.log_std is None else [p.log_std]) for p in policies]
+    adams = [nn.AdamState.init(ps, learning_rate=cfg.bc_lr) for ps in params]
+    snapshots = [[] for _ in specs]
 
-    def score() -> float:  # mean success over snap_reps rollouts per validation task
-        return float(rollout_batch(env, snap_batch, policy, eval_rng)[0].mean())
+    def score(live: list[int]) -> None:  # score live policies, snapshot each improved one
+        sizes = [len(snap_batches[i]) for i in live]
+        out, _ = rollout_batch(env, np.concatenate([snap_batches[i] for i in live]),
+                               [policies[i] for i in live], [streams[i][3] for i in live],
+                               sizes=sizes)
+        for i, scored in zip(live, np.split(out, np.cumsum(sizes)[:-1])):
+            s, snaps = float(scored.mean()), snapshots[i]
+            if not snaps or s >= snaps[-1].validation_score + SNAP_DELTA:
+                snaps.append(AgentSnapshot(policies[i].to_flat(), "bc", specs[i].mask,
+                                           specs[i].bias or "none", len(snaps), s))
 
-    snapshots = [AgentSnapshot(policy.to_flat(), "bc", spec.mask, spec.bias or "none",
-                               0, score())]
-    params = [policy.net.flat] + ([] if policy.log_std is None else [policy.log_std])
-    adam = nn.AdamState.init(params, learning_rate=cfg.bc_lr)
+    score(list(range(len(specs))))
     for _ in range(cfg.bc_epochs):
-        tasks = sample_tasks(env, cfg.bc_rollouts, data_rng, bias=spec.bias)
-        _, _, steps = rollout_batch(env, tasks, expert, data_rng, record=True)
-        states, actions = steps.states, steps.actions
-        if policy.action_mask is not None:
-            keep = ~policy.action_mask[actions]  # demonstrations the masked policy cannot imitate
-            states, actions = states[keep], actions[keep]
-        if states.shape[0] == 0:
-            continue
-        x_feat = ops.featurize(states)
-        for _ in range(cfg.bc_passes):
-            order = data_rng.permutation(states.shape[0])
-            for start in range(0, len(order), BC_BATCH):
-                idx = order[start : start + BC_BATCH]
-                loss, grads = _bc_loss_and_grads(policy, ops, x_feat[idx], actions[idx])
-                if not np.isfinite(loss):
-                    raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
-                nn.adam_step(params, grads, adam)
-        s = score()
-        if s >= snapshots[-1].validation_score + SNAP_DELTA:
-            snapshots.append(AgentSnapshot(policy.to_flat(), "bc", spec.mask,
-                                           spec.bias or "none", len(snapshots), s))
+        tasks = [sample_tasks(env, cfg.bc_rollouts, s[2], bias=spec.bias)
+                 for spec, s in zip(specs, streams)]
+        _, _, steps = rollout_batch(env, np.concatenate(tasks), ExpertPolicy(),
+                                    [s[2] for s in streams], record=True,
+                                    sizes=[cfg.bc_rollouts] * len(specs))
+        ends = steps.episode.searchsorted(np.arange(len(specs) + 1) * cfg.bc_rollouts)
+        trained = []
+        for i, policy in enumerate(policies):
+            own = slice(ends[i], ends[i + 1])  # subpopulation i's steps
+            states, actions = steps.states[own], steps.actions[own]
+            if policy.action_mask is not None:
+                keep = ~policy.action_mask[actions]  # the demonstrations it can imitate
+                states, actions = states[keep], actions[keep]
+            if states.shape[0] == 0:
+                continue
+            x_feat = ops.featurize(states)
+            for _ in range(cfg.bc_passes):
+                order = streams[i][2].permutation(states.shape[0])
+                for start in range(0, len(order), BC_BATCH):
+                    idx = order[start : start + BC_BATCH]
+                    loss, grads = _bc_loss_and_grads(policy, ops, x_feat[idx], actions[idx])
+                    if not np.isfinite(loss):
+                        raise RuntimeError(f"behavioral cloning loss became non-finite ({loss})")
+                    nn.adam_step(params[i], grads, adams[i])
+            trained.append(i)
+        if trained:
+            score(trained)
     return snapshots
 
 
@@ -304,17 +317,11 @@ def build_population(env: str, recipe: list[SubpopSpec], cfg: PopulationConfig,
     """
     if not recipe:
         raise ValueError("empty population recipe")
-    sub_rngs = rng.spawn(len(recipe))
-    per_spec: list[list[AgentSnapshot]] = []
-    for spec, sub_rng in zip(recipe, sub_rngs):
-        t0 = time.time()
-        snaps = train_bc(env, spec, cfg, sub_rng)
-        per_spec.append(snaps)
-        if verbose:
-            last = snaps[-1].validation_score
-            print(f"  subpop mask={spec.mask} bias={spec.bias}: "
-                  f"{len(snaps)} snapshots, final score {last:.3f} "
-                  f"({time.time() - t0:.1f}s)")
+    per_spec = train_bc(env, recipe, cfg, rng.spawn(len(recipe)))
+    if verbose:
+        for spec, snaps in zip(recipe, per_spec):
+            print(f"  subpop mask={spec.mask} bias={spec.bias}: {len(snaps)} snapshots, "
+                  f"final score {snaps[-1].validation_score:.3f}")
     total = sum(len(s) for s in per_spec)
     if total > cfg.target_size:
         kept = []

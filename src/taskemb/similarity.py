@@ -128,17 +128,16 @@ def save_constraints(path, cset: ConstraintSet):
 
 def load_constraints(path, env: str) -> ConstraintSet:
     """Read save_constraints' CSV: mi rows, then norm rows with an empty task3. A bad row, a
-    task index below 0 or from 2**53 on (float64 holds every integer below), a label other
-    than 0 or 1, a non-finite estimate or an mi row after a norm row raises
-    nn.ArtifactFormatError naming its line."""
+    negative task index, a label other than 0 or 1, a non-finite estimate or an mi row after
+    a norm row raises nn.ArtifactFormatError naming its line."""
     _, rows = nn.read_table(path, ints=(1, 2, 3, 4), words={0: {"mi": 0.0, "norm": 1.0}},
                             blanks={3: -1})
     kind, tasks, label, est = rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5:]
     mi = kind == 0
-    outside = (tasks < 0) | (tasks >= 2.0**53)
+    outside = tasks < 0
     outside[:, 2] &= mi
     if fault := nn.first_broken([
-            (lambda r: f"need task indices >= 0 and < 2**53, got "
+            (lambda r: f"need task indices >= 0 (pool rows), got "
                        f"{[int(t) for t in tasks[r, :3 if mi[r] else 2]]}", outside.any(axis=1)),
             (lambda r: f"label {int(label[r])} is not 0 or 1", ~np.isin(label, (0, 1))),
             (lambda r: f"non-finite estimate in {est[r].tolist()}",

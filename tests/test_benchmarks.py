@@ -560,11 +560,13 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:7] + [_with_field(ls[7], 0, "1.0")] + ls[8:], 8),
         (lambda ls: ls[:4] + ["\r\n"] + ls[4:-1] + [ls[-1].rstrip("\r\n")], 5),
         (lambda ls: ls[:1] + [_with_field(ls[1], 3, "7")] + ls[2:], 2),
+        (lambda ls: ls[:1] + [_with_field(line, 3, str(2**53 + 1)) for line in ls[1:7]], 2),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
             "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size",
             "nan-state", "inf-in-a-test-row", "location-outside-0-1", "blank-line",
             "commented-line", "example-index-written-as-a-float",
-            "blank-line-and-no-final-newline", "quiz-row-names-another-agent"])
+            "blank-line-and-no-final-newline", "quiz-row-names-another-agent",
+            "agent-index-beyond-2**53"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))

@@ -153,6 +153,12 @@ class TestConfig:
          r"\[constraints\] pool_size must be at least 2, got 1"),
         ("[benchmarks]\neval_tasks = 0\n",
          r"\[benchmarks\] eval_tasks must be at least 2, got 0"),
+        ("[population]\nsnap_reps = 0\n",
+         r"\[population\] snap_reps must be at least 1, got 0"),
+        ("[population]\nsnap_size = 0\n",
+         r"\[population\] snap_size must be at least 1, got 0"),
+        ("[population]\nbc_rollouts = 0\n",
+         r"\[population\] bc_rollouts must be at least 1, got 0"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
             "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
@@ -160,7 +166,7 @@ class TestConfig:
             "negative-selection-pos-reps", "predmodel-prediction-without-its-stage",
             "predmodel-selection-without-its-stage", "no-mi-train-constraints",
             "no-norm-val-constraints", "no-mi-test-constraints", "one-task-pool",
-            "no-eval-tasks"])
+            "no-eval-tasks", "no-snapshot-reps", "no-snapshot-tasks", "no-bc-rollouts"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -173,7 +179,8 @@ class TestConfig:
                             "prediction_methods = predmodel\n[predmodel]\nenabled = true\n"
                             "[constraints]\nmi_reps_per_agent = 1\npos_reps_per_agent = 1\n"
                             "pool_size = 2\nn_mi_train = 1\nn_norm_train = 1\nn_mi_val = 1\n"
-                            "n_norm_val = 1\nn_mi_test = 1\nn_norm_test = 1\n")
+                            "n_norm_val = 1\nn_mi_test = 1\nn_norm_test = 1\n"
+                            "[population]\nsnap_reps = 1\nsnap_size = 1\nbc_rollouts = 1\n")
 
     @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
                              ids=lambda p: p.parent.name)

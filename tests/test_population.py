@@ -1,3 +1,4 @@
+import io
 import re
 import shutil
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from taskemb import config as cfgmod
 from taskemb import nn
 from taskemb import population as pop
 from taskemb.envs import core as envcore
@@ -14,8 +16,9 @@ from taskemb.seeding import make_rng
 
 from conftest import TINY_CFG as FAST_CFG
 
-DESK_CARTPOLE = Path(__file__).resolve().parents[1] / "runs/cartpolevar-desk/population"
-DESK_MKN = Path(__file__).resolve().parents[1] / "runs/multikeynav-desk/population"
+REPO = Path(__file__).resolve().parents[1]
+DESK_CARTPOLE = REPO / "runs/cartpolevar-desk/population"
+DESK_MKN = REPO / "runs/multikeynav-desk/population"
 
 
 @pytest.fixture()
@@ -114,11 +117,17 @@ class TestPolicy:
             pop.mask_vector(get_env("cartpolevar"), "all_picks")
 
 
+def _bits(per_spec):
+    """Every snapshot of train_bc's per-subpopulation lists, as comparable values."""
+    return [[(s.parameters.tobytes(), s.validation_score, s.snapshot_index, s.mask, s.bias)
+             for s in snaps] for snaps in per_spec]
+
+
 class TestTrainBc:
     def test_untrained_snapshot_first_and_scores_increase(self):
         cfg = pop.PopulationConfig(bc_epochs=8, bc_rollouts=120, bc_passes=3,
                                    snap_size=80)
-        snaps = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(20))
+        [snaps] = pop.train_bc("multikeynav", [pop.SubpopSpec()], cfg, [make_rng(20)])
         assert snaps[0].snapshot_index == 0
         scores = [s.validation_score for s in snaps]
         for prev, cur in zip(scores, scores[1:]):
@@ -127,12 +136,53 @@ class TestTrainBc:
     def test_deterministic_given_seed(self):
         cfg = pop.PopulationConfig(bc_epochs=3, bc_rollouts=60, bc_passes=1,
                                    snap_size=40)
-        a = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(21))
-        b = pop.train_bc("multikeynav", pop.SubpopSpec(), cfg, make_rng(21))
+        [a] = pop.train_bc("multikeynav", [pop.SubpopSpec()], cfg, [make_rng(21)])
+        [b] = pop.train_bc("multikeynav", [pop.SubpopSpec()], cfg, [make_rng(21)])
         assert len(a) == len(b)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.parameters, sb.parameters)
             assert sa.validation_score == sb.validation_score
+
+    @pytest.mark.parametrize("env, kind, cfg", [
+        ("multikeynav", "masks", pop.PopulationConfig(bc_epochs=3, bc_rollouts=40, bc_passes=1,
+                                                      snap_reps=2)),
+        ("pointmass", "bias", pop.PopulationConfig(bc_epochs=3, bc_rollouts=20, bc_passes=1,
+                                                   snap_size=30, snap_reps=3)),
+    ], ids=["multikeynav-masks", "pointmass-bias"])
+    def test_lockstep_training_is_each_subpopulation_trained_alone(self, env, kind, cfg):
+        # Discrete masked policies on fixed snapshot tasks, and Gaussian ones on sampled
+        # snapshot tasks and biased task draws: every split of the list gives the same bits.
+        specs = pop.standard_recipe(env, kind)
+        k = len(specs) // 2
+
+        def streams():
+            return make_rng(22).spawn(len(specs))
+
+        whole = pop.train_bc(env, specs, cfg, streams())
+        alone = [pop.train_bc(env, [spec], cfg, [rng])[0] for spec, rng in zip(specs, streams())]
+        rngs = streams()
+        split = [*pop.train_bc(env, specs[:k], cfg, rngs[:k]),
+                 *pop.train_bc(env, specs[k:], cfg, rngs[k:])]
+        assert len(whole) == len(specs) and sum(map(len, whole)) > len(specs)  # some learn
+        assert _bits(alone) == _bits(whole) and _bits(split) == _bits(whole)
+
+    def test_desk_subpopulation_retrains_to_its_committed_snapshots(self):
+        # The committed desk population's mask-none agents are snapshots of its first
+        # subpopulation, which trains alone on the first of the run's subpopulation streams.
+        cfg = cfgmod.load_config(REPO / "configs" / "multikeynav_desk.cfg")
+        recipe = pop.standard_recipe(cfg.env, cfg.population.recipe)
+        assert recipe[0] == pop.SubpopSpec()
+        rng = make_rng(cfg.seeds.root, cfg.seeds.population).spawn(len(recipe))[0]
+        [snaps] = pop.train_bc(cfg.env, recipe[:1], cfg.population, [rng])
+        committed = pop.load_population(DESK_MKN)
+        kept = [k for k, s in enumerate(committed.snapshots) if s.mask == "none"]
+        assert len(kept) > 2
+        for k in kept:
+            mine = snaps[committed.snapshots[k].snapshot_index]
+            assert mine.validation_score == committed.snapshots[k].validation_score
+            text = io.StringIO()
+            nn.write_weights(pop.Population(cfg.env, [mine]).policy(0).net, text)
+            assert text.getvalue().encode() == (DESK_MKN / f"agent_{k}.txt").read_bytes()
 
 
 class TestPolicyLogProb:
