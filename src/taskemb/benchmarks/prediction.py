@@ -32,16 +32,18 @@ QUIZ_COLUMNS = ("example", "role", "outcome", "agent_index")  # then the state f
 
 
 @dataclass
-class QuizExample:
-    quiz_states: np.ndarray     # (k, state_dim)
-    quiz_outcomes: np.ndarray   # (k,) success bits
-    test_state: np.ndarray
-    test_outcome: int
-    agent_index: int            # hidden from predictors; kept for oracle baselines
+class QuizSet(nn.Rows):
+    """A quiz dataset, one row per example; set[i] is example i."""
+
+    quiz_states: np.ndarray     # (n, k, state_dim)
+    quiz_outcomes: np.ndarray   # (n, k) success bits
+    test_state: np.ndarray      # (n, state_dim)
+    test_outcome: np.ndarray    # (n,) success bits
+    agent_index: np.ndarray     # (n,) hidden from predictors; kept for oracle baselines
 
 
 def gen_quiz_dataset(env: str, population: Population, quiz_size: int,
-                     n_examples: int, rng: np.random.Generator) -> list[QuizExample]:
+                     n_examples: int, rng: np.random.Generator) -> QuizSet:
     """Sample examples: a hidden agent, quiz_size + 1 i.i.d. tasks, one rollout each."""
     if not 1 <= quiz_size <= 20:
         raise ValueError("quiz_size must be in [1, 20]")
@@ -49,14 +51,10 @@ def gen_quiz_dataset(env: str, population: Population, quiz_size: int,
     states = sample_tasks(env, n_examples * (quiz_size + 1), rng)
     states = states.reshape(n_examples, quiz_size + 1, -1)
     outcomes = population.rollouts(agent_idx, states, rng)
-    return [
-        QuizExample(states[i, :-1], outcomes[i, :-1], states[i, -1],
-                    int(outcomes[i, -1]), int(agent_idx[i]))
-        for i in range(n_examples)
-    ]
+    return QuizSet(states[:, :-1], outcomes[:, :-1], states[:, -1], outcomes[:, -1], agent_idx)
 
 
-def softnn_scores(model, examples: list[QuizExample], betas) -> np.ndarray:
+def softnn_scores(model, examples: QuizSet, betas) -> np.ndarray:
     """Distance-weighted quiz-outcome averages in embedding space, shape (len(betas), n).
 
     Weights exp(-beta * d^2) are normalized after shifting each example's distances by
@@ -69,28 +67,27 @@ def softnn_scores(model, examples: list[QuizExample], betas) -> np.ndarray:
     scores = np.empty((betas.shape[0], len(examples)))
     for lo in range(0, len(examples), SOFTNN_BLOCK):
         block = examples[lo:lo + SOFTNN_BLOCK]
-        quiz = np.stack([ex.quiz_states for ex in block])
-        n, k, _ = quiz.shape
-        e = model.embed(np.concatenate([*quiz, [ex.test_state for ex in block]]))
+        n, k, _ = block.quiz_states.shape
+        e = model.embed(np.concatenate([*block.quiz_states, block.test_state]))
         d2 = np.sum((e[:n * k].reshape(n, k, -1) - e[n * k:, None]) ** 2, axis=2)
         w = np.exp(-betas * (d2 - d2.min(axis=1, keepdims=True)))
-        outcomes = np.stack([ex.quiz_outcomes for ex in block])
-        scores[:, lo:lo + n] = np.sum(outcomes * w, axis=2) / np.sum(w, axis=2)
+        scores[:, lo:lo + n] = np.sum(block.quiz_outcomes * w, axis=2) / np.sum(w, axis=2)
     return scores
 
 
-def predict_softnn(model, example: QuizExample, beta: float) -> int:
-    return int(softnn_scores(model, [example], [beta])[0, 0] > 0.5)
+def predict_softnn(model, example: QuizSet, beta: float) -> int:
+    """The soft-NN prediction for one example, a row `set[i]` of a QuizSet."""
+    return int(softnn_scores(model, example[None], [beta])[0, 0] > 0.5)
 
 
-def tune_beta(model, examples: list[QuizExample]) -> float:
+def tune_beta(model, examples: QuizSet) -> float:
     """Pick the BETA_GRID beta with the best training-split accuracy, the first on ties."""
-    outcomes = np.array([ex.test_outcome for ex in examples])
-    accs = np.mean((softnn_scores(model, examples, BETA_GRID) > 0.5) == outcomes, axis=1)
+    scores = softnn_scores(model, examples, BETA_GRID)
+    accs = np.mean((scores > 0.5) == examples.test_outcome, axis=1)
     return BETA_GRID[int(np.argmax(accs))]
 
 
-def baseline_predictions(kind: str, examples: list[QuizExample],
+def baseline_predictions(kind: str, examples: QuizSet,
                          population: Population, rng: np.random.Generator) -> np.ndarray:
     """Predictions of one oracle baseline for a whole dataset.
 
@@ -102,20 +99,19 @@ def baseline_predictions(kind: str, examples: list[QuizExample],
     n = len(examples)
     if kind == "random":
         return (rng.uniform(size=n) < 0.5).astype(np.uint8)
-    tests = np.stack([ex.test_state for ex in examples])
     if kind == "ignore_agent":
-        rates = success_rates(population, tests, IGNORE_AGENT_REPS, rng)
+        rates = success_rates(population, examples.test_state, IGNORE_AGENT_REPS, rng)
         return (rates > 0.5).astype(np.uint8)
-    agent_idx = np.array([ex.agent_index for ex in examples])
     if kind == "opt":
-        tries = np.repeat(tests[:, None], OPT_ROLLOUTS, axis=1)
-        return (population.rollouts(agent_idx, tries, rng).mean(axis=1) > 0.5).astype(np.uint8)
+        tries = np.repeat(examples.test_state[:, None], OPT_ROLLOUTS, axis=1)
+        outcomes = population.rollouts(examples.agent_index, tries, rng)
+        return (outcomes.mean(axis=1) > 0.5).astype(np.uint8)
     if kind != "ignore_task":
         raise ValueError(f"unknown baseline {kind!r}")
     preds = np.empty(n, dtype=np.uint8)
-    for a in np.unique(agent_idx):  # random tasks are drawn between the agent's rollouts
+    for a in np.unique(examples.agent_index):  # random tasks are drawn between its rollouts
         policy = population.policy(int(a))
-        for i in np.flatnonzero(agent_idx == a):
+        for i in np.flatnonzero(examples.agent_index == a):
             tasks = sample_tasks(env, IGNORE_TASK_ROLLOUTS, rng)
             out, _ = rollout_batch(env, tasks, policy, rng)
             preds[i] = out.mean() > 0.5
@@ -141,17 +137,18 @@ def eval_prediction(predictions: np.ndarray, outcomes: np.ndarray,
     return mean, stderr, fold_accs
 
 
-def save_quiz_dataset(path, env: str, examples: list[QuizExample]):
+def save_quiz_dataset(path, env: str, examples: QuizSet):
     """Long-format CSV: one row per task with its role, outcome, and agent; returns path."""
-    def rows():
-        for i, ex in enumerate(examples):
-            for state, outcome in zip(ex.quiz_states.tolist(), ex.quiz_outcomes.tolist()):
-                yield [i, "quiz", outcome, ex.agent_index, *state]
-            yield [i, "test", ex.test_outcome, ex.agent_index, *ex.test_state.tolist()]
-    return nn.write_csv(path, [*QUIZ_COLUMNS, *get_env(env).state_fields], rows())
+    states = np.concatenate([examples.quiz_states, examples.test_state[:, None]], axis=1)
+    outcomes = np.concatenate([examples.quiz_outcomes, examples.test_outcome[:, None]], axis=1)
+    roles = ["quiz"] * (states.shape[1] - 1) + ["test"]
+    rows = ([i, role, outcome, agent, *state]
+            for i, agent in enumerate(examples.agent_index.tolist())
+            for role, outcome, state in zip(roles, outcomes[i].tolist(), states[i].tolist()))
+    return nn.write_csv(path, [*QUIZ_COLUMNS, *get_env(env).state_fields], rows)
 
 
-def load_quiz_dataset(path) -> list[QuizExample]:
+def load_quiz_dataset(path) -> QuizSet:
     """Read save_quiz_dataset's CSV into views of one state array; a bad row, an outcome
     other than 0 or 1, an example without its test row or with another quiz size than
     example 0, a row naming another agent than its example's test row, or states that
@@ -184,5 +181,5 @@ def load_quiz_dataset(path) -> list[QuizExample]:
     states = check_states(header[4:], np.ascontiguousarray(rows[:, 4:]), path).reshape(
         tests.size, n_quiz[0] + 1, -1)
     outcomes = outcome.astype(np.uint8).reshape(tests.size, n_quiz[0] + 1)
-    return [QuizExample(s[:-1], o[:-1], s[-1], int(o[-1]), a)
-            for s, o, a in zip(states, outcomes, agent[tests].astype(np.int64).tolist())]
+    return QuizSet(states[:, :-1], outcomes[:, :-1], states[:, -1], outcomes[:, -1],
+                   agent[tests].astype(np.int64))

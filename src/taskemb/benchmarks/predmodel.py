@@ -31,7 +31,7 @@ class PredModelConfig:
 
 
 @dataclass
-class TransitionBatch:
+class TransitionBatch(nn.Rows):
     """Expert transitions with context variables stripped from the states."""
 
     s0: np.ndarray          # (N, state_dim) task-identifying initial states
@@ -175,18 +175,15 @@ def train_predmodel(env: str, transitions: TransitionBatch, config: PredModelCon
     nets = fresh_predmodel(env, config, init_rng)
     params = [m.flat for m in (nets.inference, nets.trunk, nets.reward_head, nets.dynamics_head)]
     adam = nn.AdamState.init(params, learning_rate=LEARNING_RATE)
-    n = transitions.s0.shape[0]
+    n = len(transitions)
     losses = []
     for epoch in range(config.epochs):
         order = order_rng.permutation(n)
         epoch_loss = 0.0
         for steps, start in enumerate(range(0, n, config.batch_size), 1):
             idx = order[start : start + config.batch_size]
-            sub = TransitionBatch(transitions.s0[idx], transitions.sbar[idx],
-                                  transitions.action[idx], transitions.reward[idx],
-                                  transitions.sbar_next[idx])
             noise = noise_rng.normal(size=(idx.size, config.latent_dim))
-            loss, grads = predmodel_loss_and_grads(nets, sub, noise, config)
+            loss, grads = predmodel_loss_and_grads(nets, transitions[idx], noise, config)
             if not np.isfinite(loss):
                 raise RuntimeError(f"predmodel loss became non-finite at epoch {epoch}")
             nn.adam_step(params, grads, adam)

@@ -32,21 +32,23 @@ ROLES = ("ref", *(f"option_{j}" for j in range(N_OPTIONS)), *(f"easy_{j}" for j 
 
 
 @dataclass
-class SelectionExample:
-    ref_state: np.ndarray
-    option_states: np.ndarray   # (N_OPTIONS, state_dim)
-    easy_refs: np.ndarray       # (N_EASY, state_dim), shared per dataset
-    query_type: int             # 1: most similar; 2: most similar among harder
-    ground_truth: int
-    gt_sims: np.ndarray         # construction-time similarity estimates per option
-    pos_ref: float
-    pos_options: np.ndarray
+class SelectionSet(nn.Rows):
+    """A selection dataset, one row per example; set[i] is example i."""
+
+    ref_state: np.ndarray       # (n, state_dim)
+    option_states: np.ndarray   # (n, N_OPTIONS, state_dim)
+    easy_refs: np.ndarray       # (n, N_EASY, state_dim), shared per dataset
+    query_type: np.ndarray      # (n,) 1: most similar; 2: most similar among harder
+    ground_truth: np.ndarray    # (n,)
+    gt_sims: np.ndarray         # (n, N_OPTIONS) construction-time similarity estimates
+    pos_ref: np.ndarray         # (n,)
+    pos_options: np.ndarray     # (n, N_OPTIONS)
 
 
 def gen_selection_dataset(env: str, population: Population, n_examples: int,
                           rng: np.random.Generator, mi_reps_per_agent: int = 100,
                           pos_reps_per_agent: int = 10, easy_pool_size: int = 500
-                          ) -> list[SelectionExample]:
+                          ) -> SelectionSet:
     """Build one dataset of alternating Type-1 / Type-2 examples.
 
     Easy reference tasks are the N_EASY highest success-rate tasks out of a
@@ -59,41 +61,31 @@ def gen_selection_dataset(env: str, population: Population, n_examples: int,
     easy_refs = pool[np.argsort(-pool_pos, kind="stable")[:N_EASY]]
 
     query_types = np.where(np.arange(n_examples) % 2 == 0, 1, 2)
-    refs = np.empty((n_examples, pool.shape[1]))
-    options = np.empty((n_examples, N_OPTIONS, pool.shape[1]))
-    pos_ref = np.empty(n_examples)
-    pos_opt = np.empty((n_examples, N_OPTIONS))
+    tasks = np.empty((n_examples, 1 + N_OPTIONS, pool.shape[1]))  # each row: ref, options
+    pos = np.empty((n_examples, 1 + N_OPTIONS))
     pending = np.arange(n_examples)
     for _ in range(60):
         if pending.size == 0:
             break
         draw = sample_tasks(env, pending.size * (1 + N_OPTIONS), ex_rng)
-        draw = draw.reshape(pending.size, 1 + N_OPTIONS, -1)
-        rates = success_rates(population,
-                              draw.reshape(-1, draw.shape[2]),
-                              pos_reps_per_agent, ex_rng)
+        rates = success_rates(population, draw, pos_reps_per_agent, ex_rng)
         rates = rates.reshape(pending.size, 1 + N_OPTIONS)
         ok = (query_types[pending] == 1) | np.any(rates[:, 1:] < rates[:, :1], axis=1)
-        sel = pending[ok]
-        refs[sel] = draw[ok, 0]
-        options[sel] = draw[ok, 1:]
-        pos_ref[sel] = rates[ok, 0]
-        pos_opt[sel] = rates[ok, 1:]
+        tasks[pending[ok]] = draw.reshape(pending.size, 1 + N_OPTIONS, -1)[ok]
+        pos[pending[ok]] = rates[ok]
         pending = pending[~ok]
     if pending.size:
         raise RuntimeError("could not sample Type-2 examples with a harder option")
 
-    all_tasks = np.concatenate([refs[:, None, :], options], axis=1)
-    table = population.outcome_table(all_tasks.reshape(-1, all_tasks.shape[2]),
-                                     mi_reps_per_agent, mi_rng)
-    table = table.reshape(n_examples, 1 + N_OPTIONS, -1)
+    table = population.outcome_table(tasks.reshape(-1, tasks.shape[2]), mi_reps_per_agent,
+                                     mi_rng).reshape(n_examples, 1 + N_OPTIONS, -1)
     sims = mutual_information(table[:, :1], table[:, 1:])
     # Type 1 ranks every option; Type 2 only those estimated harder than the reference.
-    eligible = (query_types[:, None] == 1) | (pos_opt < pos_ref[:, None])
+    eligible = (query_types[:, None] == 1) | (pos[:, 1:] < pos[:, :1])
     gts = np.argmax(np.where(eligible, sims, -np.inf), axis=1)
-    return [SelectionExample(refs[i], options[i], easy_refs, int(query_types[i]), int(gts[i]),
-                             sims[i], float(pos_ref[i]), pos_opt[i])
-            for i in range(n_examples)]
+    return SelectionSet(tasks[:, 0], tasks[:, 1:],
+                        np.broadcast_to(easy_refs, (n_examples, *easy_refs.shape)),
+                        query_types, gts, sims, pos[:, 0], pos[:, 1:])
 
 
 @dataclass
@@ -158,17 +150,17 @@ def _trajectory_distances(env: str, tasks: np.ndarray, easy: np.ndarray, type2: 
     return dist, nearest
 
 
-def rank_options(method: str, examples: list[SelectionExample], res: SelectionResources,
+def rank_options(method: str, examples: SelectionSet, res: SelectionResources,
                  rng: np.random.Generator):
     """Rank the options of every example with one method: (rankings (n, N_OPTIONS),
     boundaries (n,)) as `_rank` gives them, the hardness filter on Type-2 rows only. random
     draws one permutation per example and opt / opt50 one MI table, then for Type 2 one
     success-rate table, per example in order; the embedding methods make one embed call."""
-    tasks = np.stack([np.concatenate([ex.ref_state[None], ex.option_states]) for ex in examples])
+    tasks = np.concatenate([examples.ref_state[:, None], examples.option_states], axis=1)
     n, _, d = tasks.shape  # each row: the ref, then its N_OPTIONS options
-    type2 = np.array([ex.query_type == 2 for ex in examples])
+    type2 = examples.query_type == 2
     if method == "random":
-        return np.stack([rng.permutation(N_OPTIONS) for _ in examples]), np.zeros(n, int)
+        return np.stack([rng.permutation(N_OPTIONS) for _ in range(n)]), np.zeros(n, int)
     if method in ("ours", "ours_wonorm", "predmodel"):
         model = {"ours": res.model, "ours_wonorm": res.model_wonorm,
                  "predmodel": res.predmodel}[method]
@@ -180,7 +172,7 @@ def rank_options(method: str, examples: list[SelectionExample], res: SelectionRe
         return _rank((e_opt @ e_ref)[:, :, 0], type2[:, None] & harder)
     if method in ("state_sim", "trajectory_sim"):
         # An option is harder when its nearest easy reference lies farther than the ref's.
-        easy = np.stack([ex.easy_refs for ex in examples])
+        easy = examples.easy_refs
         if method == "state_sim":
             dist = np.linalg.norm(tasks[:, 1:] - tasks[:, :1], axis=2)
             nearest = np.linalg.norm(easy[:, None] - tasks[:, :, None], axis=3).min(axis=2)
@@ -202,10 +194,10 @@ def rank_options(method: str, examples: list[SelectionExample], res: SelectionRe
     raise ValueError(f"unknown selection method {method!r}; options: {', '.join(METHODS)}")
 
 
-def select(method: str, example: SelectionExample, res: SelectionResources,
+def select(method: str, example: SelectionSet, res: SelectionResources,
            rng: np.random.Generator):
-    """(ranking, hardness boundary) of one example: rank_options on a one-example list."""
-    rankings, boundaries = rank_options(method, [example], res, rng)
+    """(ranking, hardness boundary) of one example, a row `set[i]` of a SelectionSet."""
+    rankings, boundaries = rank_options(method, example[None], res, rng)
     return rankings[0], int(boundaries[0])
 
 
@@ -214,21 +206,22 @@ def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) 
     return float(np.mean(hits))
 
 
-def save_selection_dataset(path, env: str, examples: list[SelectionExample]):
+def save_selection_dataset(path, env: str, examples: SelectionSet):
     def rows():
-        for i, ex in enumerate(examples):
-            yield [i, "ref", ex.query_type, ex.ground_truth, ex.pos_ref, "",
-                   *ex.ref_state.tolist()]
-            options = zip(ex.option_states.tolist(), ex.pos_options.tolist(), ex.gt_sims.tolist())
+        for i, (qt, gt, pos_ref) in enumerate(zip(*(a.tolist() for a in (
+                examples.query_type, examples.ground_truth, examples.pos_ref)))):
+            yield [i, "ref", qt, gt, pos_ref, "", *examples.ref_state[i].tolist()]
+            options = zip(examples.option_states[i].tolist(), examples.pos_options[i].tolist(),
+                          examples.gt_sims[i].tolist())
             for j, (state, pos, sim) in enumerate(options):
-                yield [i, f"option_{j}", ex.query_type, "", pos, sim, *state]
-            for j, state in enumerate(ex.easy_refs.tolist()):
-                yield [i, f"easy_{j}", ex.query_type, "", "", "", *state]
+                yield [i, f"option_{j}", qt, "", pos, sim, *state]
+            for j, state in enumerate(examples.easy_refs[i].tolist()):
+                yield [i, f"easy_{j}", qt, "", "", "", *state]
     return nn.write_csv(path, ["example", "role", "query_type", "ground_truth", "pos",
                                "similarity", *get_env(env).state_fields], rows())
 
 
-def load_selection_dataset(path) -> list[SelectionExample]:
+def load_selection_dataset(path) -> SelectionSet:
     """Read save_selection_dataset's CSV into views of one state array. Each example is
     the ROLES rows in order; a bad row, another row, a query type other than 1 or 2, a
     ground truth that is not an option index, an empty or non-finite pos or similarity on a
@@ -255,7 +248,8 @@ def load_selection_dataset(path) -> list[SelectionExample]:
             else "no examples after the header")
     states = check_states(header[6:], np.ascontiguousarray(rows[:, 6:]), path).reshape(
         n_examples, len(ROLES), -1)
+    fields = rows.reshape(n_examples, len(ROLES), -1)
     options = slice(1, 1 + N_OPTIONS)
-    return [SelectionExample(s[0], s[options], s[1 + N_OPTIONS:], int(e[0, 2]), int(e[0, 3]),
-                             e[options, 5].copy(), float(e[0, 4]), e[options, 4].copy())
-            for s, e in zip(states, rows.reshape(n_examples, len(ROLES), -1))]
+    return SelectionSet(states[:, 0], states[:, options], states[:, 1 + N_OPTIONS:],
+                        fields[:, 0, 2].astype(np.int64), fields[:, 0, 3].astype(np.int64),
+                        fields[:, options, 5], fields[:, 0, 4], fields[:, options, 4])

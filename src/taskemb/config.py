@@ -159,8 +159,9 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
     # Smaller counts leave a stage nothing to score: the pool holds the easy references, a
     # dataset needs one example of each query type, the test split is cut into N_FOLDS, an
     # outcome table draws every agent at least once, every constraint split holds a
-    # constraint of each kind, export-viz's PCA and the silhouette need two points, and
-    # each cloning epoch needs a demonstration and each snapshot score a rollout.
+    # constraint of each kind, export-viz's PCA and the silhouette need two points, each
+    # cloning epoch needs a demonstration and each snapshot score a rollout, and a trainer
+    # needs an epoch, a nonempty minibatch and (the predmodel) a recorded rollout.
     for section, key, least in (
             ("benchmarks", "selection_pool", selection.N_EASY),
             ("benchmarks", "selection_examples", 2), ("benchmarks", "selection_datasets", 1),
@@ -171,7 +172,9 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
             *(("constraints", f"n_{kind}_{split}", 1)
               for split in ("train", "val", "test") for kind in ("mi", "norm")),
             ("constraints", "pool_size", 2), ("benchmarks", "eval_tasks", 2),
-            *(("population", key, 1) for key in ("snap_reps", "snap_size", "bc_rollouts"))):
+            *(("population", key, 1) for key in ("snap_reps", "snap_size", "bc_rollouts")),
+            *(("embedding", key, 1) for key in ("epochs", "batch_size")),
+            *(("predmodel", key, 1) for key in ("epochs", "batch_size", "n_rollouts"))):
         if (value := getattr(getattr(cfg, section), key)) < least:
             raise ConfigError(f"[{section}] {key} must be at least {least}, got {value}")
     return cfg

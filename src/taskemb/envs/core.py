@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from taskemb.nn import ArtifactFormatError, first_broken, read_table, write_csv
+from taskemb.nn import ArtifactFormatError, Rows, first_broken, read_table, write_csv
 
 ALIVE = 0
 SOLVED = 1
@@ -142,7 +142,7 @@ class StepOutcome:
 
 
 @dataclass
-class Steps:
+class Steps(Rows):
     """Every step of a recorded batch, grouped by episode, each episode in time order."""
 
     episode: np.ndarray      # (N,) batch row of the episode the step belongs to
@@ -297,9 +297,8 @@ def rollout_batch(env: str, states0: np.ndarray, policy,
     outcomes = (status == SOLVED).astype(np.uint8)
     if not record:
         return outcomes, status
-    columns = [np.concatenate(column) for column in zip(*steps)]
-    order = np.argsort(columns[0], kind="stable")
-    return outcomes, status, Steps(*(column[order] for column in columns))
+    steps = Steps(*map(np.concatenate, zip(*steps)))
+    return outcomes, status, steps[np.argsort(steps.episode, kind="stable")]
 
 
 def save_tasks(path, env: str, states: np.ndarray):

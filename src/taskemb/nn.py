@@ -14,7 +14,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -231,6 +231,20 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
+
+
+class Rows:
+    """Base of a dataclass of arrays that share their first axis: len() is that axis's length,
+    and [index] applies one NumPy index to every field, so an int gives one row's fields."""
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def __getitem__(self, index):
+        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def write_weights(net: Mlp, fp) -> None:

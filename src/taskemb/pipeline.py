@@ -180,8 +180,6 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
         outputs += [prediction.save_quiz_dataset(
             out_dir / f"quiz_size_{size}_{split}{suffix}.csv", cfg.env, ds)
             for split, ds in (("train", train_ds), ("test", test_ds))]
-        outcomes = np.array([ex.test_outcome for ex in test_ds])
-        fold_rng_parts = (cfg.seeds.root, cfg.seeds.benchmarks, 11, size)
         for method in methods:
             if method == "ours" or method == "predmodel":
                 m = model if method == "ours" else predm
@@ -192,8 +190,8 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
                                     methods.index(method))
                 source = popn if method == "ignore_agent" else agent_pop
                 preds = prediction.baseline_predictions(method, test_ds, source, base_rng)
-            mean, stderr, _ = prediction.eval_prediction(preds, outcomes,
-                                                         make_rng(*fold_rng_parts))
+            fold_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 11, size)
+            mean, stderr, _ = prediction.eval_prediction(preds, test_ds.test_outcome, fold_rng)
             rows.append((method, str(size), mean, stderr))
         print(f"  quiz size {size}: " + "  ".join(
             f"{m}={v:.3f}" for m, k, v, _ in rows[-len(methods):]), flush=True)
@@ -230,15 +228,13 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
             half = half_rng.choice(len(popn), size=max(1, len(popn) // 2),
                                    replace=False)
             res.population_half = popn.subset(sorted(half))
-        query_types = np.array([ex.query_type for ex in dataset])
-        gts = np.array([ex.ground_truth for ex in dataset])
         for method in methods:
             m_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 22, d,
                              methods.index(method))
             rankings, _ = selection.rank_options(method, dataset, res, m_rng)
             for (t, k), vals in acc[method].items():
-                is_t = query_types == t
-                vals.append(selection.topk_accuracy(rankings[is_t], gts[is_t], k))
+                is_t = dataset.query_type == t
+                vals.append(selection.topk_accuracy(rankings[is_t], dataset.ground_truth[is_t], k))
         print(f"  selection dataset {d} done", flush=True)
     rows = [(method, f"type{t}_top{k}", *fold_mean_stderr(vals))
             for method in methods for (t, k), vals in acc[method].items()]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
@@ -143,11 +144,18 @@ class TestQuizDataset:
             assert (a.test_outcome, a.agent_index) == (b.test_outcome, b.agent_index)
 
 
+def _quiz_set(quiz_states, quiz_outcomes, test_state, test_outcome, agent_index):
+    """A QuizSet of the given fields, each with a leading example axis."""
+    return prediction.QuizSet(np.asarray(quiz_states, dtype=float),
+                              np.asarray(quiz_outcomes, dtype=np.uint8),
+                              np.asarray(test_state, dtype=float),
+                              np.asarray(test_outcome, dtype=np.uint8),
+                              np.asarray(agent_index, dtype=np.int64))
+
+
 def _example(quiz_states, quiz_outcomes, test_state, test_outcome=0):
-    return prediction.QuizExample(np.asarray(quiz_states, dtype=float),
-                                  np.asarray(quiz_outcomes, dtype=np.uint8),
-                                  np.asarray(test_state, dtype=float),
-                                  test_outcome, 0)
+    """A QuizSet of one example, by agent 0."""
+    return _quiz_set([quiz_states], [quiz_outcomes], [test_state], [test_outcome], [0])
 
 
 def _softnn_reference(model, ex, beta):
@@ -167,42 +175,42 @@ class TestSoftNn:
     def test_single_quiz_task_copies_outcome(self):
         s = self.states(2)
         ex = _example(s[:1], [1], s[1])
-        assert prediction.predict_softnn(self.model(), ex, beta=1000.0) == 1
+        assert prediction.predict_softnn(self.model(), ex[0], beta=1000.0) == 1
         ex0 = _example(s[:1], [0], s[1])
-        assert prediction.predict_softnn(self.model(), ex0, beta=1000.0) == 0
+        assert prediction.predict_softnn(self.model(), ex0[0], beta=1000.0) == 0
 
     def test_exact_match_dominates_at_large_beta(self):
         s = self.states(4)
         quiz = np.concatenate([s[:3], s[3:4]])
         ex = _example(quiz, [1, 1, 1, 0], s[3])
-        assert prediction.predict_softnn(self.model(), ex, beta=1e6) == 0
+        assert prediction.predict_softnn(self.model(), ex[0], beta=1e6) == 0
 
     def test_constant_outcomes_returned_regardless_of_distance(self):
         s = self.states(6)
         for o in (0, 1):
             ex = _example(s[:5], [o] * 5, s[5])
-            assert prediction.predict_softnn(self.model(), ex, beta=17.0) == o
+            assert prediction.predict_softnn(self.model(), ex[0], beta=17.0) == o
 
     def test_quiz_order_invariance(self):
         s = self.states(6)
         outcomes = [1, 0, 1, 0, 1]
         ex = _example(s[:5], outcomes, s[5])
-        base = prediction.softnn_scores(self.model(), [ex], [100.0])
+        base = prediction.softnn_scores(self.model(), ex, [100.0])
         perm = [3, 1, 4, 0, 2]
         ex_p = _example(s[perm], [outcomes[i] for i in perm], s[5])
-        assert prediction.softnn_scores(self.model(), [ex_p], [100.0]) == pytest.approx(
+        assert prediction.softnn_scores(self.model(), ex_p, [100.0]) == pytest.approx(
             base, rel=1e-12)
 
     def test_huge_beta_numerically_safe(self):
         s = self.states(4)
         ex = _example(s[:3], [1, 0, 1], s[3])
-        assert np.isfinite(prediction.softnn_scores(self.model(), [ex], [1e8])).all()
+        assert np.isfinite(prediction.softnn_scores(self.model(), ex, [1e8])).all()
 
     def test_beta_must_be_positive(self):
         s = self.states(2)
         for beta in (0.0, -1.0):
             with pytest.raises(ValueError, match="beta must be positive"):
-                prediction.softnn_scores(self.model(), [_example(s[:1], [1], s[1])], [1.0, beta])
+                prediction.softnn_scores(self.model(), _example(s[:1], [1], s[1]), [1.0, beta])
 
     def test_blocks_predict_as_one_example_at_a_time(self):
         # More examples than one block, the last block partial: one embed call per
@@ -210,7 +218,7 @@ class TestSoftNn:
         n, k = 2 * prediction.SOFTNN_BLOCK + 37, 5
         s = self.states(n * (k + 1)).reshape(n, k + 1, -1)
         outcomes = make_rng(22).integers(0, 2, size=(n, k + 1))
-        examples = [_example(x[:-1], o[:-1], x[-1], o[-1]) for x, o in zip(s, outcomes)]
+        examples = _quiz_set(s[:, :-1], outcomes[:, :-1], s[:, -1], outcomes[:, -1], np.zeros(n))
         model, calls = self.model(), []
         embed = model.embed
 
@@ -236,9 +244,8 @@ class TestBaselines:
 
     def test_ignore_agent_constant_for_shared_test_task(self, tiny_population):
         s = sample_tasks("multikeynav", 3, make_rng(31))
-        ex1 = prediction.QuizExample(s[:1], np.array([1], dtype=np.uint8), s[2], 1, 0)
-        ex2 = prediction.QuizExample(s[1:2], np.array([0], dtype=np.uint8), s[2], 0, 5)
-        p = prediction.baseline_predictions("ignore_agent", [ex1, ex2],
+        examples = _quiz_set([s[:1], s[1:2]], [[1], [0]], [s[2], s[2]], [1, 0], [0, 5])
+        p = prediction.baseline_predictions("ignore_agent", examples,
                                             tiny_population, make_rng(32))
         assert p[0] == p[1]
 
@@ -272,14 +279,16 @@ class TestBaselines:
         agents = np.repeat(np.flatnonzero(np.abs(rates - 0.5) > 0.3), 2)
         assert rates[agents].min() < 0.2 and rates[agents].max() > 0.8
         tests = sample_tasks("multikeynav", agents.size, make_rng(36))
-        examples = [prediction.QuizExample(tasks[:1], np.ones(1, dtype=np.uint8), t, 1, int(a))
-                    for t, a in zip(tests, agents)]
+        examples = _quiz_set(np.repeat(tasks[None, :1], agents.size, axis=0),
+                             np.ones((agents.size, 1)), tests, np.ones(agents.size), agents)
         preds = prediction.baseline_predictions("ignore_task", examples, popn, make_rng(37))
         assert preds.tolist() == (rates[agents] > 0.5).tolist()
 
     def test_unknown_baseline_rejected(self, tiny_population):
         with pytest.raises(ValueError):
-            prediction.baseline_predictions("psychic", [], tiny_population, make_rng(0))
+            prediction.baseline_predictions("psychic", _quiz_set(
+                np.zeros((0, 1, 7)), np.zeros((0, 1)), np.zeros((0, 7)), [], []),
+                tiny_population, make_rng(0))
 
 
 class TestEvalPrediction:
@@ -452,9 +461,7 @@ class TestSelect:
     def test_rankings_invariant_to_monotone_transform(self, selection_dataset):
         for ex in selection_dataset:
             base, b0 = oracle_rank(ex)
-            scaled = selection.SelectionExample(
-                ex.ref_state, ex.option_states, ex.easy_refs, ex.query_type,
-                ex.ground_truth, 2.0 * ex.gt_sims + 1.0, ex.pos_ref, ex.pos_options)
+            scaled = dataclasses.replace(ex, gt_sims=2.0 * ex.gt_sims + 1.0)
             moved, b1 = oracle_rank(scaled)
             assert np.array_equal(base, moved)
             assert b0 == b1
@@ -638,8 +645,8 @@ class TestTableReader:
         path = save_tasks(tmp_path / "tasks.csv", "pointmass", states)
         assert load_tasks(path)[1].tobytes() == states.tobytes()
         pairs = states.reshape(-1, 2, states.shape[1])
-        quiz = [prediction.QuizExample(p[:1], np.array([i % 2], dtype=np.uint8), p[1],
-                                       1 - i % 2, i) for i, p in enumerate(pairs)]
+        i = np.arange(len(pairs))
+        quiz = _quiz_set(pairs[:, :1], (i % 2)[:, None], pairs[:, 1], 1 - i % 2, i)
         path = prediction.save_quiz_dataset(tmp_path / "quiz.csv", "pointmass", quiz)
         back = prediction.load_quiz_dataset(path)
         assert np.concatenate([np.vstack([ex.quiz_states, ex.test_state])
@@ -662,9 +669,8 @@ class TestTableReader:
         assert outcomes == [int(row[2]) for row in rows]
         assert [ex.agent_index for ex in examples] == [int(row[3]) for row in rows
                                                        if row[1] == "test"]
-        base = examples[0].quiz_states.base  # every example is a view of one state array
-        assert all(ex.quiz_states.base is base and ex.test_state.base is base
-                   for ex in examples)
+        base = examples.quiz_states.base  # the record's state fields are views of one array
+        assert base is not None and examples.test_state.base is base
 
     @pytest.mark.parametrize("path", sorted(RUNS.glob("*/constraints/pool.csv")),
                              ids=lambda p: p.parents[1].name)

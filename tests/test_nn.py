@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -399,3 +400,60 @@ def test_openblas_pin_is_a_no_op_without_the_library_or_symbol(monkeypatch, foun
 
     monkeypatch.setattr(taskemb.glob, "glob", lambda pattern: found)
     taskemb._pin_openblas_threads()
+
+
+@dataclass
+class Pairs(nn.Rows):
+    a: np.ndarray  # (n,)
+    b: np.ndarray  # (n, 2, 3)
+
+
+def pairs(n=5):
+    return Pairs(np.arange(n) * 10, np.arange(n * 6, dtype=float).reshape(n, 2, 3))
+
+
+def test_rows_len_is_the_first_axis():
+    assert len(pairs(5)) == 5 and len(pairs(0)) == 0
+
+
+def test_rows_int_index_gives_every_field_without_its_first_axis():
+    row = pairs()[3]
+    assert isinstance(row, Pairs)
+    assert row.a == 30 and np.ndim(row.a) == 0
+    assert np.array_equal(row.b, np.arange(18, 24.0).reshape(2, 3))
+
+
+@pytest.mark.parametrize("index, rows", [
+    (slice(1, 4), [1, 2, 3]),
+    (np.array([True, False, False, True, True]), [0, 3, 4]),
+    (np.array([4, 0]), [4, 0]),
+], ids=["slice", "bool-mask", "index-array"])
+def test_rows_array_index_gives_a_record_of_those_rows(index, rows):
+    whole, part = pairs(), pairs()[index]
+    assert isinstance(part, Pairs) and len(part) == len(rows)
+    assert np.array_equal(part.a, whole.a[rows]) and np.array_equal(part.b, whole.b[rows])
+
+
+def test_rows_none_gives_a_record_with_a_new_first_axis():
+    whole = pairs()
+    grown = whole[None]
+    assert isinstance(grown, Pairs) and len(grown) == 1
+    assert grown.a.shape == (1, 5) and grown.b.shape == (1, 5, 2, 3)
+
+
+def test_rows_iteration_stops_at_len():
+    whole = pairs(4)
+    rows = list(whole)
+    assert len(rows) == 4
+    assert [int(r.a) for r in rows] == [0, 10, 20, 30]
+    assert all(np.array_equal(r.b, whole.b[i]) for i, r in enumerate(rows))
+
+
+@pytest.mark.parametrize("i", [0, 2, 4])
+def test_rows_one_row_regrown_equals_a_one_row_slice(i):
+    whole = pairs()
+    regrown, sliced = whole[i][None], whole[i:i + 1]
+    for name in ("a", "b"):
+        got, want = getattr(regrown, name), getattr(sliced, name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -159,6 +159,14 @@ class TestConfig:
          r"\[population\] snap_size must be at least 1, got 0"),
         ("[population]\nbc_rollouts = 0\n",
          r"\[population\] bc_rollouts must be at least 1, got 0"),
+        ("[embedding]\nbatch_size = 0\n",
+         r"\[embedding\] batch_size must be at least 1, got 0"),
+        ("[embedding]\nepochs = 0\n", r"\[embedding\] epochs must be at least 1, got 0"),
+        ("[predmodel]\nbatch_size = 0\n",
+         r"\[predmodel\] batch_size must be at least 1, got 0"),
+        ("[predmodel]\nn_rollouts = 0\n",
+         r"\[predmodel\] n_rollouts must be at least 1, got 0"),
+        ("[predmodel]\nepochs = 0\n", r"\[predmodel\] epochs must be at least 1, got 0"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
             "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
@@ -166,7 +174,9 @@ class TestConfig:
             "negative-selection-pos-reps", "predmodel-prediction-without-its-stage",
             "predmodel-selection-without-its-stage", "no-mi-train-constraints",
             "no-norm-val-constraints", "no-mi-test-constraints", "one-task-pool",
-            "no-eval-tasks", "no-snapshot-reps", "no-snapshot-tasks", "no-bc-rollouts"])
+            "no-eval-tasks", "no-snapshot-reps", "no-snapshot-tasks", "no-bc-rollouts",
+            "no-embedding-minibatch", "no-embedding-epochs", "no-predmodel-minibatch",
+            "no-predmodel-rollouts", "no-predmodel-epochs"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -177,10 +187,12 @@ class TestConfig:
                             "quiz_test_examples = 10\nselection_mi_reps = 1\n"
                             "selection_pos_reps = 1\neval_tasks = 2\n"
                             "prediction_methods = predmodel\n[predmodel]\nenabled = true\n"
+                            "epochs = 1\nbatch_size = 1\nn_rollouts = 1\n"
                             "[constraints]\nmi_reps_per_agent = 1\npos_reps_per_agent = 1\n"
                             "pool_size = 2\nn_mi_train = 1\nn_norm_train = 1\nn_mi_val = 1\n"
                             "n_norm_val = 1\nn_mi_test = 1\nn_norm_test = 1\n"
-                            "[population]\nsnap_reps = 1\nsnap_size = 1\nbc_rollouts = 1\n")
+                            "[population]\nsnap_reps = 1\nsnap_size = 1\nbc_rollouts = 1\n"
+                            "[embedding]\nepochs = 1\nbatch_size = 1\n")
 
     @pytest.mark.parametrize("manifest_path", sorted(REPO.glob("runs/*/manifest.txt")),
                              ids=lambda p: p.parent.name)
@@ -567,7 +579,9 @@ def test_committed_desk_pos_table_rebuilds_at_any_thread_count(threads):
 
 def test_committed_desk_quiz_regenerates_its_bytes(tmp_path):
     # eval-prediction's quiz datasets come from Population.rollouts; quiz size 1, drawn on the
-    # stage's stream (train, then test), must write exactly the committed bytes.
+    # stage's stream (train, then test), must write exactly the committed bytes. The
+    # baselines that need no model, each on its stage stream, must then give their
+    # committed rows.
     desk = REPO / "runs" / "multikeynav-desk"
     [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == desk]
     popn, b = pop.load_population(desk / "population"), cfg.benchmarks
@@ -577,6 +591,15 @@ def test_committed_desk_quiz_regenerates_its_bytes(tmp_path):
         dataset = prediction.gen_quiz_dataset(cfg.env, popn, 1, n_examples, rng)
         prediction.save_quiz_dataset(tmp_path / name, cfg.env, dataset)
         assert (tmp_path / name).read_bytes() == (desk / "benchmarks" / name).read_bytes()
+    committed = pipeline.read_results(desk / "benchmarks" / "prediction_results.csv")
+    methods = pipeline._prediction_methods(cfg)
+    for method in ("random", "ignore_agent", "opt"):
+        preds = prediction.baseline_predictions(
+            method, dataset, popn,
+            make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 12, 1, methods.index(method)))
+        mean, stderr, _ = prediction.eval_prediction(
+            preds, dataset.test_outcome, make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 11, 1))
+        assert (method, "1", mean, stderr) in committed, method
 
 
 @pytest.mark.parametrize("run, size, suffix", [
