@@ -48,6 +48,6 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def silhouette_for_model(model, env: str, states: np.ndarray) -> float:
+def silhouette_for_model(model, states: np.ndarray) -> float:
     """Silhouette of the model's embedding space on the env's intuitive labels."""
-    return silhouette(model.embed(states), get_env(env).cluster_labels(states))
+    return silhouette(model.embed(states), get_env(model.env).cluster_labels(states))

@@ -42,13 +42,13 @@ class QuizSet(nn.Rows):
     agent_index: np.ndarray     # (n,) hidden from predictors; kept for oracle baselines
 
 
-def gen_quiz_dataset(env: str, population: Population, quiz_size: int,
-                     n_examples: int, rng: np.random.Generator) -> QuizSet:
+def gen_quiz_dataset(population: Population, quiz_size: int, n_examples: int,
+                     rng: np.random.Generator) -> QuizSet:
     """Sample examples: a hidden agent, quiz_size + 1 i.i.d. tasks, one rollout each."""
     if not 1 <= quiz_size <= 20:
         raise ValueError("quiz_size must be in [1, 20]")
     agent_idx = rng.integers(0, len(population), size=n_examples)
-    states = sample_tasks(env, n_examples * (quiz_size + 1), rng)
+    states = sample_tasks(population.env, n_examples * (quiz_size + 1), rng)
     states = states.reshape(n_examples, quiz_size + 1, -1)
     outcomes = population.rollouts(agent_idx, states, rng)
     return QuizSet(states[:, :-1], outcomes[:, :-1], states[:, -1], outcomes[:, -1], agent_idx)

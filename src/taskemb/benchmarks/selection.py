@@ -45,7 +45,7 @@ class SelectionSet(nn.Rows):
     pos_options: np.ndarray     # (n, N_OPTIONS)
 
 
-def gen_selection_dataset(env: str, population: Population, n_examples: int,
+def gen_selection_dataset(population: Population, n_examples: int,
                           rng: np.random.Generator, mi_reps_per_agent: int = 100,
                           pos_reps_per_agent: int = 10, easy_pool_size: int = 500
                           ) -> SelectionSet:
@@ -56,7 +56,7 @@ def gen_selection_dataset(env: str, population: Population, n_examples: int,
     estimated harder than its reference.
     """
     pool_rng, ex_rng, mi_rng = rng.spawn(3)
-    pool = sample_tasks(env, easy_pool_size, pool_rng)
+    pool = sample_tasks(population.env, easy_pool_size, pool_rng)
     pool_pos = success_rates(population, pool, pos_reps_per_agent, pool_rng)
     easy_refs = pool[np.argsort(-pool_pos, kind="stable")[:N_EASY]]
 
@@ -67,7 +67,7 @@ def gen_selection_dataset(env: str, population: Population, n_examples: int,
     for _ in range(60):
         if pending.size == 0:
             break
-        draw = sample_tasks(env, pending.size * (1 + N_OPTIONS), ex_rng)
+        draw = sample_tasks(population.env, pending.size * (1 + N_OPTIONS), ex_rng)
         rates = success_rates(population, draw, pos_reps_per_agent, ex_rng)
         rates = rates.reshape(pending.size, 1 + N_OPTIONS)
         ok = (query_types[pending] == 1) | np.any(rates[:, 1:] < rates[:, :1], axis=1)
@@ -188,7 +188,7 @@ def rank_options(method: str, examples: SelectionSet, res: SelectionResources,
             table = popn.outcome_table(stack, res.mi_reps_per_agent, rng)
             sims[i] = mutual_information(table[0], table[1:])
             if type2[i]:
-                pos = popn.outcome_table(stack, res.pos_reps_per_agent, rng).mean(axis=1)
+                pos = success_rates(popn, stack, res.pos_reps_per_agent, rng)
                 harder[i] = pos[1:] < pos[0]
         return _rank(sims, harder)
     raise ValueError(f"unknown selection method {method!r}; options: {', '.join(METHODS)}")

@@ -20,20 +20,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learn and evaluate task embeddings for goal-based environments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in pipeline.STAGES.values():
-        p = sub.add_parser(stage.name, help=stage.help)
+    commands = [(s.name, s.help, s.transfer) for s in pipeline.STAGES.values()]
+    commands.append(("run-all", "run every stage needed for the benchmark results", False))
+    for name, help_text, transfer in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--force", action="store_true",
                        help="rerun even when cached; ignore stale upstream hashes")
         p.add_argument("--threads", type=int, default=None,
                        help="override the config's worker thread count")
-        if stage.transfer:
+        if transfer:
             p.add_argument("--agent-population", default=None, metavar="DIR",
                            help="population directory supplying the hidden agents")
-    p = sub.add_parser("run-all", help="run every stage needed for the benchmark results")
-    p.add_argument("--config", required=True)
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     return parser
 
 

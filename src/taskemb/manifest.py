@@ -109,45 +109,40 @@ class Manifest:
         # outside it (another run's population), so no key names the checkout.
         return Path(os.path.relpath(path, self.root)).as_posix()
 
-    def record(self, name: str, config_hash: str, inputs: list, outputs: list,
+    def digests(self, paths) -> dict[str, str]:
+        """{key: content hash} of each file, keyed as the manifest records it."""
+        return {self._rel(p): file_hash(p) for p in paths}
+
+    def record(self, name: str, config_hash: str, inputs: dict[str, str], outputs: list,
                seconds: float) -> None:
-        rec = StageRecord(name, config_hash, seconds=seconds)
-        for p in inputs:
-            rec.inputs[self._rel(p)] = file_hash(p)
-        for p in outputs:
-            rec.outputs[self._rel(p)] = file_hash(p)
-        self.stages[name] = rec
+        """Store the stage's input digests, as verified before it ran, and hash its outputs."""
+        self.stages[name] = StageRecord(name, config_hash, dict(inputs),
+                                        self.digests(outputs), seconds)
         self.save()
 
-    def up_to_date(self, name: str, config_hash: str, inputs: list) -> bool:
-        """True when the stage ran with this config on these inputs and its
+    def up_to_date(self, name: str, config_hash: str, inputs: dict[str, str]) -> bool:
+        """True when the stage ran with this config on these input digests and its
         outputs are untouched."""
         rec = self.stages.get(name)
-        if rec is None or rec.config_hash != config_hash:
+        if rec is None or rec.config_hash != config_hash or rec.inputs != inputs:
             return False
-        current_inputs = {self._rel(p): file_hash(p) for p in inputs}
-        if rec.inputs != current_inputs:
-            return False
-        for rel, digest in rec.outputs.items():
-            path = self.root / rel
-            if not path.exists() or file_hash(path) != digest:
-                return False
-        return True
+        return all((self.root / rel).exists() and file_hash(self.root / rel) == digest
+                   for rel, digest in rec.outputs.items())
 
-    def verify_upstream(self, name: str, force: bool = False) -> list[Path]:
-        """Outputs of an upstream stage, hash-checked against the manifest."""
+    def verify_upstream(self, name: str, force: bool = False) -> dict[str, str]:
+        """Digests of an upstream stage's outputs, checked against the manifest unless forced."""
         rec = self.stages.get(name)
         if rec is None:
             raise StaleArtifactError(f"stage {name!r} has not been run in this directory")
-        paths = []
-        for rel, digest in sorted(rec.outputs.items()):
+        digests = {}
+        for rel, recorded in sorted(rec.outputs.items()):
             path = self.root / rel
             if not path.exists():
                 raise StaleArtifactError(f"{rel}: missing output of stage {name!r}")
-            if not force and file_hash(path) != digest:
+            digests[rel] = file_hash(path)
+            if not force and digests[rel] != recorded:
                 raise StaleArtifactError(
                     f"{rel} was modified after stage {name!r} recorded it; "
                     f"rerun the stage or pass --force"
                 )
-            paths.append(path)
-        return paths
+        return digests

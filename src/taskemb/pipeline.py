@@ -49,7 +49,10 @@ def _announce(name: str, skipped: bool) -> None:
 
 
 def _load_population(cfg: RunConfig, directory) -> pop.Population:
-    return dataclasses.replace(pop.load_population(directory), threads=cfg.threads)
+    popn = pop.load_population(directory)
+    if popn.env != cfg.env:
+        raise ValueError(f"{directory} holds a {popn.env} population; this run's env is {cfg.env}")
+    return dataclasses.replace(popn, threads=cfg.threads)
 
 
 def _eval_tasks(cfg: RunConfig) -> np.ndarray:  # the fresh tasks of silhouette and export-viz
@@ -173,10 +176,9 @@ def _eval_prediction(cfg: RunConfig, root: Path, out_dir: Path,
     rows = []
     for size in sizes:
         gen_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 10, size)
-        train_ds = prediction.gen_quiz_dataset(cfg.env, agent_pop, size,
-                                               b.quiz_train_examples, gen_rng)
-        test_ds = prediction.gen_quiz_dataset(cfg.env, agent_pop, size,
-                                              b.quiz_test_examples, gen_rng)
+        train_ds = prediction.gen_quiz_dataset(agent_pop, size, b.quiz_train_examples,
+                                               gen_rng)
+        test_ds = prediction.gen_quiz_dataset(agent_pop, size, b.quiz_test_examples, gen_rng)
         outputs += [prediction.save_quiz_dataset(
             out_dir / f"quiz_size_{size}_{split}{suffix}.csv", cfg.env, ds)
             for split, ds in (("train", train_ds), ("test", test_ds))]
@@ -217,7 +219,7 @@ def _eval_selection(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     for d in range(b.selection_datasets):
         ds_rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 20, d)
         dataset = selection.gen_selection_dataset(
-            cfg.env, popn, b.selection_examples, ds_rng,
+            popn, b.selection_examples, ds_rng,
             mi_reps_per_agent=b.selection_mi_reps,
             pos_reps_per_agent=b.selection_pos_reps,
             easy_pool_size=b.selection_pool)
@@ -253,7 +255,7 @@ def _silhouette(cfg: RunConfig, root: Path, out_dir: Path) -> list[Path]:
     rows = []
     for model_name, model in models.items():
         for split_name, states in (("fresh", fresh), ("pool", pool_split)):
-            score = float(clusters.silhouette_for_model(model, cfg.env, states))
+            score = float(clusters.silhouette_for_model(model, states))
             rows.append((model_name, split_name, states.shape[0], score))
             print(f"  {model_name}/{split_name}: {score:.3f}", flush=True)
     return [nn.write_csv(out_dir / "silhouette.csv", ["model", "split", "n_tasks", "score"],
@@ -370,13 +372,14 @@ def run_stage(stage: str, cfg: RunConfig, force: bool = False,
     root = Path(cfg.output_dir)
     out_dir = root / spec.out_dir
     manifest = Manifest.load(root)
-    inputs = [p for up in spec.upstream(cfg) for p in manifest.verify_upstream(up, force)]
+    inputs = {key: digest for up in spec.upstream(cfg)
+              for key, digest in manifest.verify_upstream(up, force).items()}
     name, extra = stage, {}
     if agent_population_dir is not None:
         if not spec.transfer:
             raise ValueError(f"stage {stage!r} takes no agent population")
         name, extra = f"{stage}-transfer", {"agent_population_dir": agent_population_dir}
-        inputs += pop.population_files(agent_population_dir)
+        inputs.update(manifest.digests(pop.population_files(agent_population_dir)))
     config_hash = _stage_hash(cfg, spec.sections)
     if not force and manifest.up_to_date(name, config_hash, inputs):
         _announce(name, True)

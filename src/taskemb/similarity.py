@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from taskemb import nn
+from taskemb.population import success_rates
 
 
 def bernoulli_entropy(p) -> np.ndarray:
@@ -101,7 +102,7 @@ def gen_constraint_splits(pool_states: np.ndarray, population,
     n_pool = pool_states.shape[0]
     mi_rng, pos_rng, draw_rng = rng.spawn(3)
     table = population.outcome_table(pool_states, mi_reps_per_agent, mi_rng).astype(bool)
-    pos = population.outcome_table(pool_states, pos_reps_per_agent, pos_rng).mean(axis=1)
+    pos = success_rates(population, pool_states, pos_reps_per_agent, pos_rng)
 
     sets = []
     for n_mi, n_norm in counts:

@@ -105,8 +105,7 @@ class TestClusterLabels:
 
 class TestQuizDataset:
     def test_sizes_and_counts(self, tiny_population):
-        ds = prediction.gen_quiz_dataset("multikeynav", tiny_population, 3, 40,
-                                         make_rng(10))
+        ds = prediction.gen_quiz_dataset(tiny_population, 3, 40, make_rng(10))
         assert len(ds) == 40
         for ex in ds:
             assert ex.quiz_states.shape == (3, 7)
@@ -115,15 +114,12 @@ class TestQuizDataset:
             assert 0 <= ex.agent_index < len(tiny_population)
 
     def test_quiz_size_one(self, tiny_population):
-        ds = prediction.gen_quiz_dataset("multikeynav", tiny_population, 1, 10,
-                                         make_rng(11))
+        ds = prediction.gen_quiz_dataset(tiny_population, 1, 10, make_rng(11))
         assert all(ex.quiz_states.shape[0] == 1 for ex in ds)
 
     def test_same_seed_identical(self, tiny_population):
-        d1 = prediction.gen_quiz_dataset("multikeynav", tiny_population, 2, 15,
-                                         make_rng(12))
-        d2 = prediction.gen_quiz_dataset("multikeynav", tiny_population, 2, 15,
-                                         make_rng(12))
+        d1 = prediction.gen_quiz_dataset(tiny_population, 2, 15, make_rng(12))
+        d2 = prediction.gen_quiz_dataset(tiny_population, 2, 15, make_rng(12))
         for a, b in zip(d1, d2):
             assert np.array_equal(a.quiz_states, b.quiz_states)
             assert np.array_equal(a.quiz_outcomes, b.quiz_outcomes)
@@ -131,8 +127,7 @@ class TestQuizDataset:
             assert a.agent_index == b.agent_index
 
     def test_csv_roundtrip(self, tiny_population, tmp_path):
-        ds = prediction.gen_quiz_dataset("multikeynav", tiny_population, 4, 12,
-                                         make_rng(13))
+        ds = prediction.gen_quiz_dataset(tiny_population, 4, 12, make_rng(13))
         path = tmp_path / "quiz.csv"
         prediction.save_quiz_dataset(path, "multikeynav", ds)
         back = prediction.load_quiz_dataset(path)
@@ -263,7 +258,7 @@ class TestBaselines:
         sharp = pop.Population("multikeynav", [
             pop.AgentSnapshot(policy.to_flat(), "bc", "none", "none", 0, 1.0)
         ])
-        ds = prediction.gen_quiz_dataset("multikeynav", sharp, 1, 300, make_rng(33))
+        ds = prediction.gen_quiz_dataset(sharp, 1, 300, make_rng(33))
         preds = prediction.baseline_predictions("opt", ds, sharp, make_rng(34))
         outcomes = np.array([ex.test_outcome for ex in ds])
         assert (preds == outcomes).mean() >= 0.85
@@ -325,7 +320,7 @@ class TestEvalPrediction:
 @pytest.fixture(scope="module")
 def selection_dataset(tiny_population):
     return selection.gen_selection_dataset(
-        "multikeynav", tiny_population, 16, make_rng(50),
+        tiny_population, 16, make_rng(50),
         mi_reps_per_agent=40, pos_reps_per_agent=10, easy_pool_size=120)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from taskemb import cli, config as cfgmod, nn, pipeline
+from taskemb import cli, config as cfgmod, manifest, nn, pipeline
 from taskemb import embedding as emb
 from taskemb import population as pop
 from taskemb import similarity as sim
@@ -248,7 +248,7 @@ class TestManifest:
         f = tmp_path / "a.txt"
         f.write_text("hello")
         man = Manifest.load(tmp_path)
-        man.record("stage-a", "cafe01", [], [f], 1.5)
+        man.record("stage-a", "cafe01", {}, [f], 1.5)
         back = Manifest.load(tmp_path)
         rec = back.stages["stage-a"]
         assert rec.config_hash == "cafe01"
@@ -259,22 +259,22 @@ class TestManifest:
         f = tmp_path / "a.txt"
         f.write_text("hello")
         man = Manifest.load(tmp_path)
-        man.record("stage-a", "h", [], [f], 0.0)
-        assert man.up_to_date("stage-a", "h", [])
-        assert not man.up_to_date("stage-a", "other", [])
+        man.record("stage-a", "h", {}, [f], 0.0)
+        assert man.up_to_date("stage-a", "h", {})
+        assert not man.up_to_date("stage-a", "other", {})
         f.write_text("tampered")
-        assert not man.up_to_date("stage-a", "h", [])
+        assert not man.up_to_date("stage-a", "h", {})
 
     def test_verify_upstream_raises_on_tamper(self, tmp_path):
         f = tmp_path / "a.txt"
         f.write_text("hello")
         man = Manifest.load(tmp_path)
-        man.record("stage-a", "h", [], [f], 0.0)
+        man.record("stage-a", "h", {}, [f], 0.0)
         f.write_text("tampered")
         man2 = Manifest.load(tmp_path)
         with pytest.raises(StaleArtifactError, match="modified"):
             man2.verify_upstream("stage-a")
-        assert man2.verify_upstream("stage-a", force=True) == [f]
+        assert man2.verify_upstream("stage-a", force=True) == {"a.txt": file_hash(f)}
 
     def test_input_outside_root_absolute(self, tmp_path):
         root = tmp_path / "run"
@@ -282,12 +282,12 @@ class TestManifest:
         outside.parent.mkdir()
         outside.write_text("agents")
         man = Manifest.load(root)
-        man.record("stage-a", "h", [outside], [], 0.0)
+        man.record("stage-a", "h", man.digests([outside]), [], 0.0)
         back = Manifest.load(root)
         assert back.stages["stage-a"].inputs == {"../other/manifest": file_hash(outside)}
-        assert back.up_to_date("stage-a", "h", [outside])
+        assert back.up_to_date("stage-a", "h", back.digests([outside]))
         outside.write_text("other agents")
-        assert not back.up_to_date("stage-a", "h", [outside])
+        assert not back.up_to_date("stage-a", "h", back.digests([outside]))
 
     def test_input_outside_root_relative(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -296,15 +296,15 @@ class TestManifest:
         outside.write_text("agents")
         rel_input = os.path.join("runs", "other", "population", "manifest")
         man = Manifest.load(os.path.join("runs", "this"))
-        man.record("stage-a", "h", [rel_input], [], 0.0)
+        man.record("stage-a", "h", man.digests([rel_input]), [], 0.0)
         back = Manifest.load(os.path.join("runs", "this"))
         assert back.stages["stage-a"].inputs == {
             "../other/population/manifest": file_hash(outside)}
-        assert back.up_to_date("stage-a", "h", [rel_input])
+        assert back.up_to_date("stage-a", "h", back.digests([rel_input]))
         # The same file named by an absolute path keys the same way.
-        assert back.up_to_date("stage-a", "h", [outside])
+        assert back.up_to_date("stage-a", "h", back.digests([outside]))
         outside.write_text("other agents")
-        assert not back.up_to_date("stage-a", "h", [rel_input])
+        assert not back.up_to_date("stage-a", "h", back.digests([rel_input]))
 
     def test_missing_stage_raises(self, tmp_path):
         man = Manifest.load(tmp_path)
@@ -326,17 +326,18 @@ class TestManifest:
         outside = tmp_path / "other run" / "agent 0.txt"
         outside.parent.mkdir()
         outside.write_text("agents")
-        Manifest.load(tmp_path / "run").record("stage-a", "h", [outside], [], 0.0)
+        man = Manifest.load(tmp_path / "run")
+        man.record("stage-a", "h", man.digests([outside]), [], 0.0)
         back = Manifest.load(tmp_path / "run")
         assert back.stages["stage-a"].inputs == {"../other run/agent 0.txt": file_hash(outside)}
-        assert back.up_to_date("stage-a", "h", [outside])
+        assert back.up_to_date("stage-a", "h", back.digests([outside]))
 
     def test_save_leaves_no_temp_file(self, tmp_path):
         f = tmp_path / "a.txt"
         f.write_text("hello")
         man = Manifest.load(tmp_path)
-        man.record("stage-a", "h", [], [f], 0.0)
-        man.record("stage-b", "h", [f], [], 0.0)
+        man.record("stage-a", "h", {}, [f], 0.0)
+        man.record("stage-b", "h", man.digests([f]), [], 0.0)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "manifest.txt"]
         assert set(Manifest.load(tmp_path).stages) == {"stage-a", "stage-b"}
 
@@ -396,6 +397,32 @@ class TestPipelineRun:
         assert "running" not in out
         assert out.count("cached, skipping") >= 8
 
+    def test_each_file_hashed_once_per_stage_run(self, tiny_run, tmp_path, monkeypatch):
+        # export-viz reads train-embedding's 5 outputs and writes 4 files. Each is hashed
+        # once, whether the stage is a cache hit, unrecorded or forced.
+        root, cfg_path = tiny_run
+        run = tmp_path / "artifacts"
+        shutil.copytree(root, run)
+        cfg = dataclasses.replace(cfgmod.load_config(cfg_path), output_dir=str(run))
+        hashed = []
+        monkeypatch.setattr(manifest, "file_hash",
+                            lambda path: hashed.append(path) or file_hash(path))
+
+        def calls(**kwargs):
+            hashed.clear()
+            pipeline.run_stage("export-viz", cfg, **kwargs)
+            return len(hashed)
+
+        assert calls() == 9
+        man = Manifest.load(run)
+        assert (len(man.stages["train-embedding"].outputs),
+                len(man.stages["export-viz"].outputs)) == (5, 4)
+        del man.stages["export-viz"]
+        man.save()
+        assert calls() == 9
+        assert calls(force=True) == 9
+        assert "export-viz" in Manifest.load(run).stages
+
     def test_stale_upstream_refused_then_forced(self, tiny_run, capsys):
         root, cfg_path = tiny_run
         target = root / "constraints" / "train.csv"
@@ -441,6 +468,28 @@ class TestPipelineRun:
         b.write_bytes(a_bytes)
         assert cli.main(argv) == 0
         assert "[eval-prediction-transfer] running" in capsys.readouterr().out
+
+    def test_transfer_population_of_another_env_refused(self, tiny_run, tmp_path, capsys):
+        # This run's agents relabeled as multikeynav_ab: the same state fields and nets,
+        # so only the env name tells the populations apart.
+        root, _ = tiny_run
+        run, external = tmp_path / "artifacts", tmp_path / "external"
+        shutil.copytree(root, run)
+        shutil.copytree(root / "population", external)
+        lines = (external / "manifest").read_text().splitlines(keepends=True)
+        assert lines[0] == "env multikeynav\n"
+        (external / "manifest").write_text("env multikeynav_ab\n" + "".join(lines[1:]))
+        (run / "benchmarks" / "prediction_results_transfer.csv").unlink(missing_ok=True)
+        before = (run / "manifest.txt").read_bytes()
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(TINY_CONFIG.format(out=run))
+        capsys.readouterr()
+        assert cli.main(["eval-prediction", "--config", str(cfg_path),
+                         "--agent-population", str(external)]) == 1
+        err = capsys.readouterr().err
+        assert "multikeynav_ab" in err and "env is multikeynav" in err
+        assert not (run / "benchmarks" / "prediction_results_transfer.csv").exists()
+        assert (run / "manifest.txt").read_bytes() == before
 
     def test_transfer_oracle_rolls_out_the_external_agents(self, tiny_run):
         # The external population is this run's agents reversed, twice over: a hidden
@@ -588,7 +637,7 @@ def test_committed_desk_quiz_regenerates_its_bytes(tmp_path):
     rng = make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 10, 1)
     for split, n_examples in (("train", b.quiz_train_examples), ("test", b.quiz_test_examples)):
         name = f"quiz_size_1_{split}.csv"
-        dataset = prediction.gen_quiz_dataset(cfg.env, popn, 1, n_examples, rng)
+        dataset = prediction.gen_quiz_dataset(popn, 1, n_examples, rng)
         prediction.save_quiz_dataset(tmp_path / name, cfg.env, dataset)
         assert (tmp_path / name).read_bytes() == (desk / "benchmarks" / name).read_bytes()
     committed = pipeline.read_results(desk / "benchmarks" / "prediction_results.csv")
