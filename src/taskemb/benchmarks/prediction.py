@@ -67,8 +67,8 @@ def softnn_scores(model, examples: QuizSet, betas) -> np.ndarray:
     scores = np.empty((betas.shape[0], len(examples)))
     for lo in range(0, len(examples), SOFTNN_BLOCK):
         block = examples[lo:lo + SOFTNN_BLOCK]
-        n, k, _ = block.quiz_states.shape
-        e = model.embed(np.concatenate([*block.quiz_states, block.test_state]))
+        n, k, d = block.quiz_states.shape
+        e = model.embed(np.concatenate([block.quiz_states.reshape(-1, d), block.test_state]))
         d2 = np.sum((e[:n * k].reshape(n, k, -1) - e[n * k:, None]) ** 2, axis=2)
         w = np.exp(-betas * (d2 - d2.min(axis=1, keepdims=True)))
         scores[:, lo:lo + n] = np.sum(block.quiz_outcomes * w, axis=2) / np.sum(w, axis=2)
@@ -153,9 +153,8 @@ def load_quiz_dataset(path) -> QuizSet:
     other than 0 or 1, an example without its test row or with another quiz size than
     example 0, a row naming another agent than its example's test row, or states that
     `check_states` rejects raise nn.ArtifactFormatError naming the line, a bad row first."""
-    header, rows = nn.read_table(path, ints=(0, 2, 3), words={1: {"quiz": 0.0, "test": 1.0}})
-    if tuple(header[:4]) != QUIZ_COLUMNS:
-        raise nn.ArtifactFormatError(f"{path}:1: header {header[:4]} != {list(QUIZ_COLUMNS)}")
+    header, rows = nn.read_table(path, QUIZ_COLUMNS, ints=(0, 2, 3),
+                                 words={1: {"quiz": 0.0, "test": 1.0}})
     example, test, outcome, agent = rows[:, :4].T
     tests = np.flatnonzero(test)
     # A row's example is the count of test rows before it, and `last` the row that ends it.

@@ -27,22 +27,21 @@ METHODS = ("ours", "ours_wonorm", "random", "state_sim", "trajectory_sim",
 N_OPTIONS = 10       # options ranked per example
 N_EASY = 5           # easy reference tasks per dataset
 TRAJECTORY_SEED = 7  # seeds the expert rollouts of trajectory_sim, per task
-# The rows of one example in a selection CSV, in order.
+# The rows of one example in a selection CSV, in order, and the columns before the state fields.
 ROLES = ("ref", *(f"option_{j}" for j in range(N_OPTIONS)), *(f"easy_{j}" for j in range(N_EASY)))
+SELECTION_COLUMNS = ("example", "role", "query_type", "ground_truth", "pos", "similarity")
 
 
 @dataclass
 class SelectionSet(nn.Rows):
     """A selection dataset, one row per example; set[i] is example i."""
 
-    ref_state: np.ndarray       # (n, state_dim)
-    option_states: np.ndarray   # (n, N_OPTIONS, state_dim)
+    tasks: np.ndarray           # (n, 1 + N_OPTIONS, state_dim) the ref, then its options
     easy_refs: np.ndarray       # (n, N_EASY, state_dim), shared per dataset
     query_type: np.ndarray      # (n,) 1: most similar; 2: most similar among harder
     ground_truth: np.ndarray    # (n,)
     gt_sims: np.ndarray         # (n, N_OPTIONS) construction-time similarity estimates
-    pos_ref: np.ndarray         # (n,)
-    pos_options: np.ndarray     # (n, N_OPTIONS)
+    pos: np.ndarray             # (n, 1 + N_OPTIONS) success-rate estimates of the tasks
 
 
 def gen_selection_dataset(population: Population, n_examples: int,
@@ -83,9 +82,8 @@ def gen_selection_dataset(population: Population, n_examples: int,
     # Type 1 ranks every option; Type 2 only those estimated harder than the reference.
     eligible = (query_types[:, None] == 1) | (pos[:, 1:] < pos[:, :1])
     gts = np.argmax(np.where(eligible, sims, -np.inf), axis=1)
-    return SelectionSet(tasks[:, 0], tasks[:, 1:],
-                        np.broadcast_to(easy_refs, (n_examples, *easy_refs.shape)),
-                        query_types, gts, sims, pos[:, 0], pos[:, 1:])
+    return SelectionSet(tasks, np.broadcast_to(easy_refs, (n_examples, *easy_refs.shape)),
+                        query_types, gts, sims, pos)
 
 
 @dataclass
@@ -156,7 +154,7 @@ def rank_options(method: str, examples: SelectionSet, res: SelectionResources,
     boundaries (n,)) as `_rank` gives them, the hardness filter on Type-2 rows only. random
     draws one permutation per example and opt / opt50 one MI table, then for Type 2 one
     success-rate table, per example in order; the embedding methods make one embed call."""
-    tasks = np.concatenate([examples.ref_state[:, None], examples.option_states], axis=1)
+    tasks = examples.tasks
     n, _, d = tasks.shape  # each row: the ref, then its N_OPTIONS options
     type2 = examples.query_type == 2
     if method == "random":
@@ -207,18 +205,17 @@ def topk_accuracy(rankings: list[np.ndarray], ground_truths: list[int], k: int) 
 
 
 def save_selection_dataset(path, env: str, examples: SelectionSet):
+    """Write one CSV line per role (ROLES) of each example; returns path."""
     def rows():
-        for i, (qt, gt, pos_ref) in enumerate(zip(*(a.tolist() for a in (
-                examples.query_type, examples.ground_truth, examples.pos_ref)))):
-            yield [i, "ref", qt, gt, pos_ref, "", *examples.ref_state[i].tolist()]
-            options = zip(examples.option_states[i].tolist(), examples.pos_options[i].tolist(),
-                          examples.gt_sims[i].tolist())
-            for j, (state, pos, sim) in enumerate(options):
-                yield [i, f"option_{j}", qt, "", pos, sim, *state]
-            for j, state in enumerate(examples.easy_refs[i].tolist()):
-                yield [i, f"easy_{j}", qt, "", "", "", *state]
-    return nn.write_csv(path, ["example", "role", "query_type", "ground_truth", "pos",
-                               "similarity", *get_env(env).state_fields], rows())
+        for i, (qt, gt, stack, pos, sims, easy) in enumerate(zip(*(a.tolist() for a in (
+                examples.query_type, examples.ground_truth, examples.tasks, examples.pos,
+                examples.gt_sims, examples.easy_refs)))):
+            for role, g, p, sim, state in zip(ROLES, [gt, *[""] * N_OPTIONS], pos,
+                                              ["", *sims], stack):
+                yield [i, role, qt, g, p, sim, *state]
+            for role, state in zip(ROLES[1 + N_OPTIONS:], easy):
+                yield [i, role, qt, "", "", "", *state]
+    return nn.write_csv(path, [*SELECTION_COLUMNS, *get_env(env).state_fields], rows())
 
 
 def load_selection_dataset(path) -> SelectionSet:
@@ -227,7 +224,8 @@ def load_selection_dataset(path) -> SelectionSet:
     ground truth that is not an option index, an empty or non-finite pos or similarity on a
     row that uses it, no example, a last one cut short, or states that `check_states`
     rejects raise nn.ArtifactFormatError naming the line, a bad row first."""
-    header, rows = nn.read_table(path, ints=(0, 2, 3), blanks={3: -1, 4: np.nan, 5: np.nan},
+    header, rows = nn.read_table(path, SELECTION_COLUMNS, ints=(0, 2, 3),
+                                 blanks={3: -1, 4: np.nan, 5: np.nan},
                                  words={1: {role: j for j, role in enumerate(ROLES)}})
     example, role, qtype, gt, pos, sims = rows[:, :6].T
     k, j = np.divmod(np.arange(len(rows)), len(ROLES))  # the example and role of each row
@@ -249,7 +247,7 @@ def load_selection_dataset(path) -> SelectionSet:
     states = check_states(header[6:], np.ascontiguousarray(rows[:, 6:]), path).reshape(
         n_examples, len(ROLES), -1)
     fields = rows.reshape(n_examples, len(ROLES), -1)
-    options = slice(1, 1 + N_OPTIONS)
-    return SelectionSet(states[:, 0], states[:, options], states[:, 1 + N_OPTIONS:],
+    stack = 1 + N_OPTIONS  # the rows of the ref, then its options
+    return SelectionSet(states[:, :stack], states[:, stack:],
                         fields[:, 0, 2].astype(np.int64), fields[:, 0, 3].astype(np.int64),
-                        fields[:, options, 5], fields[:, 0, 4], fields[:, options, 4])
+                        fields[:, 1:stack, 5], fields[:, :stack, 4])

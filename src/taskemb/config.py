@@ -4,10 +4,10 @@ Every stage of the pipeline reads its settings from one file so a run is
 fully described by (config, code). All randomness flows from the named seeds
 here; nothing samples ambient entropy. Each section is one dataclass
 (`[population]` and `[embedding]` are the library's own `PopulationConfig`
-and `TrainConfig`), and a key it does not name is an error. Protocol values
-the paper fixes (Adam's betas, the baselines' rollout budgets, the selection
-example shape, ...) are module constants next to the code that uses them,
-not keys.
+and `TrainConfig`). A key its dataclass does not name is an error, and so is
+a section that is neither `[run]` nor one of them. Protocol values the paper
+fixes (Adam's betas, the baselines' rollout budgets, the selection example
+shape, ...) are module constants next to the code that uses them, not keys.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ def parse_config(text: str, threads: int | None = None) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    unknown = [name for name in parser.sections() if name not in ("run", *_SECTIONS)]
+    if unknown or parser.defaults():  # [DEFAULT] would lend its keys to every section
+        raise ConfigError(f"unknown section [{unknown[0] if unknown else 'DEFAULT'}]")
 
     def fill(fields, name: str) -> dict:
         """Section name's `key = value` lines as keyword arguments for the dataclass fields."""

@@ -127,9 +127,6 @@ core.register(core.EnvOps(
     state_fields=("x", "v", "theta", "omega", "force", "taskType", "numSteps"),
     horizon=HORIZON,
     action_kind="discrete",
-    n_actions=2,
-    action_low=0,
-    action_high=1,
     action_names=("pushA", "pushB"),
     sample_raw=_sample_raw,
     step_batch=step_batch,
@@ -142,6 +139,5 @@ core.register(core.EnvOps(
     hidden=(64, 32),
     embed_dim=3,
     embed_dim_wonorm=2,
-    action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),
     cluster_labels=action_zero_direction,
 ))

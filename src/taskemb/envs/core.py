@@ -11,6 +11,7 @@ flat `Steps` record of arrays rather than per-episode objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,9 +23,15 @@ SOLVED = 1
 CRASHED = 2
 TIMED_OUT = 3
 FAILED_BY_GAMMA = 4
+TASK_COLUMNS = ("env",)  # a task CSV's columns before the state fields
 
 class EnvError(ValueError):
     """Invalid environment name, state, or action."""
+
+
+def identity_features(states) -> np.ndarray:
+    """The default `featurize`, for nets that read the state as it is: a float64 copy."""
+    return np.asarray(states, dtype=np.float64).copy()
 
 
 @dataclass(frozen=True)
@@ -35,29 +42,32 @@ class EnvOps:
     state_fields: tuple[str, ...]
     horizon: int
     action_kind: str            # "discrete" or "box"
-    n_actions: int              # action count (discrete) or action dim (box)
-    action_low: float
-    action_high: float
-    action_names: tuple[str, ...]
+    action_names: tuple[str, ...]  # one per action (discrete) or action dim (box)
     sample_raw: Callable        # (n, rng) -> (n, state_dim) states
     step_batch: Callable        # (states, actions, noise) -> (next_states, status); pure
     step_draws: int             # rows of step_batch's noise: standard uniforms per stepped row
     expert_batch: Callable      # (states) -> actions
-    featurize: Callable         # (states) -> policy-, embedding- and predmodel-net inputs
     strip_context: Callable     # (states) -> states without task-identifying fields
     state_rules: tuple          # (message, keeps) pairs; keeps: (B, state_dim) states -> (B,) bool
     cluster_labels: Callable    # (states) -> int labels of the intuitive task clusters
+    featurize: Callable = identity_features  # (states) -> inputs of every net over the tasks
+    action_low: float | None = None   # bounds of every box action dim; discrete envs read neither
+    action_high: float | None = None
     bias_filters: dict[str, Callable] = field(default_factory=dict)
     hidden: tuple[int, ...] = (32, 32)  # hidden layers of the policy and embedding nets
     embed_dim: int = 6          # default output dim with norm constraints
     embed_dim_wonorm: int = 5   # default without norm constraints
-    action_symbols: Callable = None  # (actions) -> int codes for edit distance
+    action_symbols: Callable = partial(np.asarray, dtype=np.int64)  # actions -> edit-distance ints
     masks: dict = field(default_factory=dict)  # "masks" recipe: name -> masked action indices
     snapshot_tasks: np.ndarray | None = None  # fixed snapshot validation tasks; None: sample them
 
     @property
     def state_dim(self) -> int:
         return len(self.state_fields)
+
+    @property
+    def n_actions(self) -> int:
+        return len(self.action_names)
 
     @property
     def feature_dim(self) -> int:
@@ -98,11 +108,6 @@ def task_batch(ops: EnvOps, states) -> np.ndarray:
     if states.ndim != 2 or states.shape[1] != ops.state_dim:
         raise EnvError(f"{ops.name}: batch must have shape (B, {ops.state_dim})")
     return states
-
-
-def identity_features(states) -> np.ndarray:
-    """The `featurize` of an env whose nets read the state as it is: a float64 copy."""
-    return np.asarray(states, dtype=np.float64).copy()
 
 
 FINITE_RULE = ("non-finite state value", lambda states: np.isfinite(states).all(axis=1))
@@ -304,7 +309,7 @@ def rollout_batch(env: str, states0: np.ndarray, policy,
 def save_tasks(path, env: str, states: np.ndarray):
     """Write tasks as CSV: header ``env,<state fields>``, one task per row; returns path."""
     states = np.asarray(states, dtype=np.float64)
-    return write_csv(path, ["env", *get_env(env).state_fields],
+    return write_csv(path, [*TASK_COLUMNS, *get_env(env).state_fields],
                      ([env, *row] for row in states.tolist()))
 
 
@@ -312,7 +317,8 @@ def load_tasks(path) -> tuple[str, np.ndarray]:
     """Read save_tasks' CSV, which holds one env; a bad row, or a state that breaks the
     env's rules (`check_states`), raises nn.ArtifactFormatError naming its line."""
     names = list(_REGISTRY)
-    header, rows = read_table(path, words={0: {name: float(i) for i, name in enumerate(names)}})
+    header, rows = read_table(path, TASK_COLUMNS,
+                              words={0: {name: float(i) for i, name in enumerate(names)}})
     if not len(rows):
         raise ArtifactFormatError.at_row(path, 0, "no tasks after the header")
     env = rows[:, 0]

@@ -148,22 +148,14 @@ def _make_ops(name: str, req: np.ndarray) -> core.EnvOps:
         state_fields=("location", "keyA", "keyB", "keyC", "keyD", "doorBit1", "doorBit2"),
         horizon=40,
         action_kind="discrete",
-        n_actions=7,
-        action_low=0,
-        action_high=6,
         action_names=ACTION_NAMES,
         sample_raw=_sample_raw,
         step_batch=_make_step(req),
         step_draws=2,
         expert_batch=_make_expert(req),
-        featurize=core.identity_features,
         strip_context=_strip_context,
         state_rules=STATE_RULES,
         bias_filters=dict(_BIAS),
-        hidden=(32, 32),
-        embed_dim=6,
-        embed_dim_wonorm=5,
-        action_symbols=lambda actions: np.asarray(actions, dtype=np.int64),
         cluster_labels=lambda states: (_missing_keys(req, states) * [8, 4, 2, 1]).sum(axis=1),
         masks={"none": (), **{ACTION_NAMES[a]: (a,) for a in PICKS}, "all_picks": PICKS},
         snapshot_tasks=SNAPSHOT_TASKS,

@@ -146,7 +146,6 @@ core.register(core.EnvOps(
     state_fields=("x", "vx", "y", "vy", "gate_pos", "gate_width", "friction"),
     horizon=HORIZON,
     action_kind="box",
-    n_actions=2,
     action_low=-F_MAX,
     action_high=F_MAX,
     action_names=("force_x", "force_y"),
@@ -154,11 +153,9 @@ core.register(core.EnvOps(
     step_batch=step_batch,
     step_draws=1,
     expert_batch=expert_batch,
-    featurize=core.identity_features,
     strip_context=_strip_context,
     state_rules=STATE_RULES,
     bias_filters=dict(_BIAS),
-    hidden=(32, 32),
     embed_dim=3,
     embed_dim_wonorm=3,
     action_symbols=_action_symbols,

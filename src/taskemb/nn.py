@@ -332,11 +332,14 @@ def read_artifact(path):
 
 
 @contextlib.contextmanager
-def read_csv(path):
-    """Yield (header, rows) of a CSV artifact: rows iterates the later lines as lists as
-    wide as the header, and a bad one raises ArtifactFormatError naming its line."""
+def read_csv(path, columns=()):
+    """Yield (header, rows) of a CSV artifact whose header begins with `columns`: rows iterates
+    the later lines as lists as wide as the header. A bad header or row raises
+    ArtifactFormatError naming its line."""
     with read_artifact(path) as reader:
         header = next(csv.reader([reader.line()]))
+        if tuple(header[:len(columns)]) != tuple(columns):
+            raise ValueError(f"header {header[:len(columns)]} != {list(columns)}")
 
         def rows():
             for row in csv.reader(reader):
@@ -346,16 +349,16 @@ def read_csv(path):
         yield header, rows()
 
 
-def read_table(path, ints=(), words=None, blanks=None):
-    """(header, rows) of a CSV artifact of numbers: rows is one float64 array, one row per
-    line after the header, parsed by np.loadtxt. The columns `ints` hold integers,
-    words={column: table} maps a column's fields through the dict table, and
-    blanks={column: value} reads an empty field of a column as value.
+def read_table(path, columns=(), ints=(), words=None, blanks=None):
+    """(header, rows) of a CSV artifact of numbers whose header begins with `columns`: rows is
+    one float64 array, one row per line after the header, parsed by np.loadtxt. The columns
+    `ints` hold integers, words={column: table} maps a column's fields through the dict table,
+    and blanks={column: value} reads an empty field of a column as value.
 
-    A file that does not parse whole (a last line cut short, a blank or `#` line, a wrong
-    field count, an empty field elsewhere, a field that is neither a number nor a known
-    word, 3.0 in an integer column) never loads: read_csv's rows then find its first bad
-    line, and it raises ArtifactFormatError naming that line. So does an integer outside
+    A file that does not parse whole (another header, a last line cut short, a blank or `#`
+    line, a wrong field count, an empty field elsewhere, a field that is neither a number
+    nor a known word, 3.0 in an integer column) never loads: read_csv then finds its first
+    bad line, and it raises ArtifactFormatError naming that line. So does an integer outside
     (-2**53, 2**53), which a float64 would round."""
     words, blanks = words or {}, blanks or {}
 
@@ -388,6 +391,8 @@ def read_table(path, ints=(), words=None, blanks=None):
         if not first.endswith("\n"):
             raise ValueError("the header is cut short")
         header = next(csv.reader([first]))
+        if tuple(header[:len(columns)]) != tuple(columns):
+            raise ValueError("another header")  # read_csv names both
         dtype = np.dtype([(str(j), np.int64 if j in ints else np.float64)
                           for j in range(len(header))])
         if body[-1:] not in ("", "\n"):
@@ -406,7 +411,7 @@ def read_table(path, ints=(), words=None, blanks=None):
             raise ArtifactFormatError.at_row(path, *fault)
         values = np.column_stack([rows[name] for name in dtype.names])
         return header, values.astype(np.float64, copy=False)
-    with read_csv(path) as (header, rows):
+    with read_csv(path, columns) as (header, rows):
         for row in rows:
             try:
                 parse([",".join(row)])

@@ -147,7 +147,7 @@ RESULTS_HEADER = ("method", "quiz_size_or_type", "mean", "stderr")  # both resul
 
 def read_results(path) -> list[tuple[str, str, float, float]]:
     """Read a result CSV; a bad row raises nn.ArtifactFormatError naming the line."""
-    with nn.read_csv(path) as (_, rows):
+    with nn.read_csv(path, RESULTS_HEADER) as (_, rows):
         return [(m, k, float(a), float(b)) for m, k, a, b in rows]
 
 

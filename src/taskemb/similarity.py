@@ -117,9 +117,12 @@ def gen_constraint_splits(pool_states: np.ndarray, population,
     return sets
 
 
+CONSTRAINT_COLUMNS = ("kind", "task1", "task2", "task3", "label", "est1", "est2")
+
+
 def save_constraints(path, cset: ConstraintSet):
     """CSV rows `kind,task1,task2,task3,label,est1,est2` (tasks are pool rows); returns path."""
-    return nn.write_csv(path, ["kind", "task1", "task2", "task3", "label", "est1", "est2"],
+    return nn.write_csv(path, CONSTRAINT_COLUMNS,
                         [*(["mi", *t, label, *est] for t, label, est in zip(
                             cset.triplets.tolist(), cset.triplet_labels.tolist(),
                             cset.mi.tolist())),
@@ -131,8 +134,8 @@ def load_constraints(path, env: str) -> ConstraintSet:
     """Read save_constraints' CSV: mi rows, then norm rows with an empty task3. A bad row, a
     negative task index, a label other than 0 or 1, a non-finite estimate or an mi row after
     a norm row raises nn.ArtifactFormatError naming its line."""
-    _, rows = nn.read_table(path, ints=(1, 2, 3, 4), words={0: {"mi": 0.0, "norm": 1.0}},
-                            blanks={3: -1})
+    _, rows = nn.read_table(path, CONSTRAINT_COLUMNS, ints=(1, 2, 3, 4),
+                            words={0: {"mi": 0.0, "norm": 1.0}}, blanks={3: -1})
     kind, tasks, label, est = rows[:, 0], rows[:, 1:4], rows[:, 4], rows[:, 5:]
     mi = kind == 0
     outside = tasks < 0

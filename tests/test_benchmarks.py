@@ -328,7 +328,7 @@ class TestSelectionDataset:
     def test_shapes_and_types(self, selection_dataset):
         assert len(selection_dataset) == 16
         for i, ex in enumerate(selection_dataset):
-            assert ex.option_states.shape == (10, 7)
+            assert ex.tasks.shape == (11, 7)
             assert ex.easy_refs.shape == (5, 7)
             assert ex.query_type == (1 if i % 2 == 0 else 2)
             assert 0 <= ex.ground_truth < 10
@@ -336,14 +336,14 @@ class TestSelectionDataset:
     def test_type2_ground_truth_strictly_harder(self, selection_dataset):
         for ex in selection_dataset:
             if ex.query_type == 2:
-                assert ex.pos_options[ex.ground_truth] < ex.pos_ref
+                assert ex.pos[1 + ex.ground_truth] < ex.pos[0]
 
     def test_ground_truth_maximizes_estimates(self, selection_dataset):
         for ex in selection_dataset:
             if ex.query_type == 1:
                 assert ex.ground_truth == int(np.argmax(ex.gt_sims))
             else:
-                harder = ex.pos_options < ex.pos_ref
+                harder = ex.pos[1:] < ex.pos[0]
                 masked = np.where(harder, ex.gt_sims, -np.inf)
                 assert ex.ground_truth == int(np.argmax(masked))
 
@@ -361,8 +361,7 @@ class TestSelectionDataset:
         back = selection.load_selection_dataset(path)
         assert len(back) == len(selection_dataset)
         for a, b in zip(selection_dataset, back):
-            assert np.array_equal(a.ref_state, b.ref_state)
-            assert np.array_equal(a.option_states, b.option_states)
+            assert np.array_equal(a.tasks, b.tasks)
             assert a.ground_truth == b.ground_truth
             assert a.query_type == b.query_type
             assert np.array_equal(a.gt_sims, b.gt_sims)
@@ -370,7 +369,7 @@ class TestSelectionDataset:
 
 def oracle_rank(ex):
     """Ranking from the construction-time estimates themselves (the noise-free oracle)."""
-    harder = (ex.query_type == 2) & (ex.pos_options < ex.pos_ref)
+    harder = (ex.query_type == 2) & (ex.pos[1:] < ex.pos[0])
     rankings, boundaries = selection._rank(ex.gt_sims[None], harder[None])
     return rankings[0], int(boundaries[0])
 
@@ -448,8 +447,8 @@ class TestSelect:
             if ex.query_type != 2:
                 continue
             rank, boundary = selection.select("ours", ex, res, make_rng(64))
-            e_ref = model.embed(ex.ref_state[None])
-            e_opt = model.embed(ex.option_states)
+            e_ref = model.embed(ex.tasks[:1])
+            e_opt = model.embed(ex.tasks[1:])
             for pos in range(boundary):
                 assert np.linalg.norm(e_opt[rank[pos]]) > np.linalg.norm(e_ref)
 
@@ -478,9 +477,8 @@ def _quiz_rows(examples):
 
 
 def _selection_rows(examples):
-    return [(e.ref_state.tolist(), e.option_states.tolist(), e.easy_refs.tolist(),
-             e.query_type, e.ground_truth, e.gt_sims.tolist(), e.pos_ref,
-             e.pos_options.tolist()) for e in examples]
+    return [(e.tasks.tolist(), e.easy_refs.tolist(), e.query_type, e.ground_truth,
+             e.gt_sims.tolist(), e.pos.tolist()) for e in examples]
 
 
 def _desk_lines(name, n_lines):
@@ -563,12 +561,13 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:4] + ["\r\n"] + ls[4:-1] + [ls[-1].rstrip("\r\n")], 5),
         (lambda ls: ls[:1] + [_with_field(ls[1], 3, "7")] + ls[2:], 2),
         (lambda ls: ls[:1] + [_with_field(line, 3, str(2**53 + 1)) for line in ls[1:7]], 2),
+        (lambda ls: [ls[0].replace(",agent_index,", ",agent,")] + ls[1:], 1),
     ], ids=["unknown-role", "example-0-without-test-row", "last-example-without-test-row",
             "bad-float", "no-examples", "outcome-not-0-or-1", "example-1-with-another-quiz-size",
             "nan-state", "inf-in-a-test-row", "location-outside-0-1", "blank-line",
             "commented-line", "example-index-written-as-a-float",
             "blank-line-and-no-final-newline", "quiz-row-names-another-agent",
-            "agent-index-beyond-2**53"])
+            "agent-index-beyond-2**53", "renamed-column"])
     def test_malformed_quiz_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "quiz.csv"
         path.write_text("".join(edit(self.QUIZ.splitlines(keepends=True))))
@@ -587,10 +586,13 @@ class TestBenchmarkFileErrors:
         (lambda ls: ls[:4] + [ls[4].rsplit(",", 1)[0] + ",nan\n"] + ls[5:], 5),
         (lambda ls: ls[:20] + [ls[20].rsplit(",", 1)[0] + ",-inf\n"] + ls[21:], 21),
         (lambda ls: ls[:25] + [_with_field(ls[25], 6, "7.5")] + ls[26:], 26),
+        (lambda ls: [ls[0].replace(",pos,similarity,", ",similarity,pos,")] + ls[1:], 1),
+        (lambda ls: ["a,b,c,d,e,f," + ls[0].split(",", 6)[6]] + ls[1:], 1),
     ], ids=["example-0-without-ref", "options-misordered", "one-easy-row-short",
             "unknown-role", "ground-truth-beyond-options", "no-examples",
             "only-example-cut-in-its-easy-rows", "query-type-not-1-or-2", "nan-state",
-            "inf-state-in-example-1", "location-outside-0-1"])
+            "inf-state-in-example-1", "location-outside-0-1", "pos-and-similarity-swapped",
+            "columns-renamed"])
     def test_malformed_selection_names_file_and_line(self, tmp_path, edit, line):
         path = tmp_path / "sel.csv"
         path.write_text("".join(edit(self.SELECTION.splitlines(keepends=True))))
@@ -699,14 +701,13 @@ class TestTableReader:
         examples = selection.load_selection_dataset(path)
         n_roles = len(selection.ROLES)
         assert len(rows) == n_roles * len(examples)
-        states = np.concatenate([np.vstack([ex.ref_state, ex.option_states, ex.easy_refs])
-                                 for ex in examples])
+        states = np.concatenate([np.vstack([ex.tasks, ex.easy_refs]) for ex in examples])
         assert states.tobytes() == np.array([[float(v) for v in row[6:]]
                                              for row in rows]).tobytes()
         per_example = [rows[i:i + n_roles] for i in range(0, len(rows), n_roles)]
         assert [(ex.query_type, ex.ground_truth) for ex in examples] == [
             (int(ex_rows[0][2]), int(ex_rows[0][3])) for ex_rows in per_example]
-        assert np.array([[ex.pos_ref, *ex.pos_options] for ex in examples]).tobytes() == \
+        assert np.array([ex.pos for ex in examples]).tobytes() == \
             np.array([[float(row[4]) for row in ex_rows[:1 + selection.N_OPTIONS]]
                       for ex_rows in per_example]).tobytes()
         assert np.array([ex.gt_sims for ex in examples]).tobytes() == \

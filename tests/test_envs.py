@@ -458,6 +458,8 @@ class TestTaskFiles:
              re.escape("pole angle beyond +-12 degrees: [0.0, 0.0, 0.5, ")),
             (lines[:2] + [lines[2].replace("cartpolevar", "pointmass")], 3, "mixed environments"),
             (["env,a,b,c,d,e,f,g\n"] + lines[1:], 1, "header"),
+            (["task," + lines[0].split(",", 1)[1]] + lines[1:], 1,
+             re.escape("header ['task'] != ['env']")),
             (lines[:1], 2, "no tasks after the header"),
             (lines[:2] + ["\r\n"] + lines[2:], 3, "expected 8 fields, got 0"),
             (lines[:2] + ["#" + lines[2]] + lines[3:], 3, "unknown env '#cartpolevar'"),

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -167,6 +168,11 @@ class TestConfig:
         ("[predmodel]\nn_rollouts = 0\n",
          r"\[predmodel\] n_rollouts must be at least 1, got 0"),
         ("[predmodel]\nepochs = 0\n", r"\[predmodel\] epochs must be at least 1, got 0"),
+        ("[run]\nenv = multikeynav\n[embeding]\nepochs = 7\n[Population]\ntarget_size = 3\n",
+         r"unknown section \[embeding\]"),
+        ("[Population]\ntarget_size = 3\n", r"unknown section \[Population\]"),
+        ("[DEFAULT]\nepochs = 7\n", r"unknown section \[DEFAULT\]"),
+        ("[DEFAULT]\nthreads = 2\n[run]\nenv = multikeynav\n", r"unknown section \[DEFAULT\]"),
     ], ids=["tune_beta", "softnn_beta", "selection-method", "prediction-method", "quiz-size",
             "drop_ties_eps", "selection-pool-below-easy-refs", "one-selection-example",
             "no-selection-datasets", "quiz-test-below-folds", "no-quiz-train-examples",
@@ -176,7 +182,8 @@ class TestConfig:
             "no-norm-val-constraints", "no-mi-test-constraints", "one-task-pool",
             "no-eval-tasks", "no-snapshot-reps", "no-snapshot-tasks", "no-bc-rollouts",
             "no-embedding-minibatch", "no-embedding-epochs", "no-predmodel-minibatch",
-            "no-predmodel-rollouts", "no-predmodel-epochs"])
+            "no-predmodel-rollouts", "no-predmodel-epochs", "misspelled-section",
+            "mis-cased-section", "default-section", "default-section-beside-run"])
     def test_benchmark_settings_checked_at_load(self, text, match):
         with pytest.raises(cfgmod.ConfigError, match=match):
             cfgmod.parse_config(text)
@@ -651,6 +658,21 @@ def test_committed_desk_quiz_regenerates_its_bytes(tmp_path):
         assert (method, "1", mean, stderr) in committed, method
 
 
+def test_committed_desk_selection_dataset_regenerates_its_bytes(tmp_path):
+    # eval-selection's dataset 0, drawn on the stage's stream: its 550-task MI table and
+    # labels, and its success-rate tables, must write exactly the committed bytes.
+    desk = REPO / "runs" / "multikeynav-desk"
+    [cfg] = [c for c in map(cfgmod.load_config, SHIPPED_CONFIGS) if REPO / c.output_dir == desk]
+    popn = dataclasses.replace(pop.load_population(desk / "population"), threads=2)
+    b = cfg.benchmarks
+    dataset = selection.gen_selection_dataset(
+        popn, b.selection_examples, make_rng(cfg.seeds.root, cfg.seeds.benchmarks, 20, 0),
+        mi_reps_per_agent=b.selection_mi_reps, pos_reps_per_agent=b.selection_pos_reps,
+        easy_pool_size=b.selection_pool)
+    path = selection.save_selection_dataset(tmp_path / "selection_0.csv", cfg.env, dataset)
+    assert path.read_bytes() == (desk / "benchmarks" / "selection_0.csv").read_bytes()
+
+
 @pytest.mark.parametrize("run, size, suffix", [
     *(("multikeynav-desk", size, "") for size in range(1, 21)),
     ("multikeynav-bias-desk", 20, "_transfer"),
@@ -801,8 +823,12 @@ class TestCliErrors:
         ("[population]\nrecipe = mask\n", "[population] recipe: unknown recipe kind 'mask'"),
         ("env = pointmass\n", "[population] recipe: pointmass: no mask recipe defined"),
         ("thread = 2\n", "[run] unknown key 'thread'"),
+        ("[embeding]\nepochs = 7\n[Population]\ntarget_size = 3\n",
+         "unknown section [embeding]"),
+        ("[Population]\ntarget_size = 3\n", "unknown section [Population]"),
     ], ids=["unknown-key", "selection-method", "quiz-size", "threads", "selection-pool",
-            "recipe-kind", "env-without-masks", "run-unknown-key"])
+            "recipe-kind", "env-without-masks", "run-unknown-key", "misspelled-section",
+            "mis-cased-section"])
     def test_config_typo_exits_2_before_any_stage(self, tmp_path, capsys, monkeypatch, typo,
                                                    message):
         started = []  # a stand-in runner, so a missed typo cannot start a full-scale run
@@ -828,3 +854,15 @@ def test_truncated_results_give_first_rows_or_a_located_error(tmp_path, data):
     check_truncations(pipeline.read_results,
                       REPO / "runs/multikeynav-desk/benchmarks/prediction_results.csv",
                       tmp_path, data)
+
+
+@pytest.mark.parametrize("header", ["method,quiz_size_or_type,stderr,mean",
+                                    "method,quiz_size,mean,stderr"])
+def test_result_csv_with_another_header_is_a_located_error(tmp_path, header):
+    lines = (REPO / "runs/multikeynav-desk/benchmarks/selection_results.csv").read_text(
+        ).splitlines(keepends=True)
+    path = tmp_path / "selection_results.csv"
+    path.write_text("".join([header + "\r\n", *lines[1:]]), newline="")
+    with pytest.raises(nn.ArtifactFormatError, match=re.escape(
+            f"{path}:1: header {header.split(',')} != {list(pipeline.RESULTS_HEADER)}")):
+        pipeline.read_results(path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,9 @@ class TestConstraints:
             (2, lambda t: t.replace(",0.025635879294618746,", ",-inf,"),
              r"non-finite estimate in \[-inf, 0.046066768575284134\]"),
             (4, lambda t: t[:-1], "line is cut short"),
+            (1, lambda t: t.replace("est1,est2", "est2,est1"), re.escape(
+                "header ['kind', 'task1', 'task2', 'task3', 'label', 'est2', 'est1'] != "
+                "['kind', 'task1', 'task2', 'task3', 'label', 'est1', 'est2']")),
         ]
         for line, edit, message in cases:
             text = lines[: line - 1] + [edit(lines[line - 1])] + lines[line:]
